@@ -22,7 +22,14 @@ from parisi_lab import __version__, acceptance
 from parisi_lab.measures import AprioriMeasure, EvalConfig, TerminalCondition
 from parisi_lab.paths import DiscretePath, path_from_json, path_to_json
 from parisi_lab.pde import PdeProblem, solve_parisi_pde
-from parisi_lab.recursion import evaluation_record, local_functional, recursion_value
+# local_functional is no longer called here.  It stays in this namespace
+# because perfbench/spans.py instruments cli.local_functional.
+from parisi_lab.recursion import (  # noqa: F401
+    evaluation_record,
+    functional_from_recursion,
+    local_functional,
+    recursion_value,
+)
 from parisi_lab.saddle import SaddleProblem, inner_minimize
 from parisi_lab.seeds import derive_seed
 from parisi_lab.sk import (
@@ -99,7 +106,7 @@ def run_config(config: dict, out_dir: Path, seed_override: int | None, workers: 
         engine = config.get("engine", "quadrature")
         cfg = EvalConfig(engine=engine, seed=derive_seed(master, "eval"))
         rec = recursion_value(path.partition, path.chain, tc, cfg)
-        loc = local_functional(path.partition, path.chain, tc, cfg)
+        loc = functional_from_recursion(path.partition, path.chain, tc, rec)
         lines = [
             evaluation_record("recursion_value", {"path": path_to_json(path)}, rec, cfg.seed),
             evaluation_record("local_functional", {"path": path_to_json(path)}, loc, cfg.seed),
@@ -212,7 +219,7 @@ def run_config(config: dict, out_dir: Path, seed_override: int | None, workers: 
             status = 1
         artifacts["acceptance.txt"] = "\n".join(lines) + "\n"
         artifacts["acceptance.json"] = json.dumps(
-            [{"name": r.name, "passed": r.passed, "details": _jsonable(r.details)} for r in results]
+            _jsonable([{"name": r.name, "passed": r.passed, "details": r.details} for r in results])
         )
 
     for name, payload in artifacts.items():
@@ -234,7 +241,7 @@ def _jsonable(obj):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
+    if isinstance(obj, np.generic):
         return obj.item()
     if isinstance(obj, np.ndarray):
         return obj.tolist()

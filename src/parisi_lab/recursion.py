@@ -26,6 +26,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
@@ -54,6 +55,28 @@ def levels_from_order_params(x: UnitPartition, chain: MonotoneChain) -> list[Lev
     return [Level(float(w), inc) for w, inc in zip(weights, incs)]
 
 
+# Points per f_next call in propagate_segment.  A block holds as many whole
+# quadrature nodes as fit under this budget: every d=1 level is one call and
+# d=2 temporaries stay near 1 MB.
+BLOCK_POINTS = 2**16
+
+
+@lru_cache(maxsize=None)
+def _gauss_hermite(nodes: int, rank: int):
+    """Tensor Gauss-Hermite table for E f(x), x ~ N(0, I_rank / 2): the
+    (nodes**rank, rank) node array and its weights, built once per node
+    count and rank and returned read-only."""
+    xs, ws = hermgauss(nodes)
+    ws = ws / np.sqrt(np.pi)
+    idx = np.meshgrid(*([np.arange(nodes)] * rank), indexing="ij")
+    idx = np.stack([g.ravel() for g in idx], axis=1)
+    pts = xs[idx]
+    wgt = np.prod(ws[idx], axis=1)
+    pts.flags.writeable = False
+    wgt.flags.writeable = False
+    return pts, wgt
+
+
 def _gh_nodes(cov: np.ndarray, nodes: int):
     """Gauss-Hermite node vectors and weights for E f(z), z ~ N(0, cov).
 
@@ -64,12 +87,7 @@ def _gh_nodes(cov: np.ndarray, nodes: int):
     r = fac.shape[1]
     if r == 0:
         return np.zeros((1, cov.shape[0])), np.ones(1)
-    xs, ws = hermgauss(nodes)
-    ws = ws / np.sqrt(np.pi)
-    idx = np.meshgrid(*([np.arange(nodes)] * r), indexing="ij")
-    idx = np.stack([g.ravel() for g in idx], axis=1)
-    pts = xs[idx]
-    wgt = np.prod(ws[idx], axis=1)
+    pts, wgt = _gauss_hermite(nodes, r)
     shifts = np.sqrt(2.0) * pts @ fac.T
     return shifts, wgt
 
@@ -107,11 +125,15 @@ class GridFunction:
     def dim(self) -> int:
         return len(self.axes)
 
-    def on_shifted_grid(self, axes: list[np.ndarray], shift: np.ndarray) -> np.ndarray:
-        """Values on the tensor grid {axes + shift}: one vectorized call."""
+    def on_shifted_grids(self, axes: list[np.ndarray], shifts: np.ndarray) -> np.ndarray:
+        """Values on the tensor grids {axes + s} for each row s of shifts,
+        shape (len(shifts),) + grid shape.  At d = 1 this is one spline call
+        on all grids at once; at d = 2 each grid keeps its own tensor-grid
+        spline call, because evaluating the points one by one would switch to
+        a different scipy routine whose values differ in the last bits."""
         if self.dim == 1:
-            return self._spline(axes[0] + shift[0])
-        return self._spline(axes[0] + shift[0], axes[1] + shift[1])
+            return self._spline(axes[0][None, :] + shifts[:, 0:1])
+        return np.stack([self._spline(axes[0] + s[0], axes[1] + s[1]) for s in shifts])
 
     def at_origin(self) -> float:
         if self.dim == 1:
@@ -123,18 +145,6 @@ class GridFunction:
         if self.dim == 1:
             return self._spline(pts[:, 0])
         return self._spline.ev(pts[:, 0], pts[:, 1])
-
-
-def _axis_halfwidths(levels: list[Level], nodes: int, pad: float) -> np.ndarray:
-    """Per-axis reach of the accumulated node shifts, padded."""
-    d = levels[0].cov.shape[0]
-    xs, _ = hermgauss(nodes)
-    xmax = float(np.abs(xs).max())
-    w = np.zeros(d)
-    for lv in levels:
-        diag = np.clip(np.diag(lv.cov), 0.0, None)
-        w += 2.0 * np.sqrt(diag) * xmax
-    return w + pad
 
 
 def propagate_segment(
@@ -152,18 +162,29 @@ def propagate_segment(
     GridFunction (shifted-grid fast path) or any vectorized callable.
     This is the exact propagator for a single segment of the associated
     semi-linear PDE, for any dimension the grid machinery supports.
+
+    The quadrature nodes are evaluated in blocks: a block is as many whole
+    nodes as fit in BLOCK_POINTS (2**16) grid points, and each block is one
+    call of ``f_next`` on the stacked (block * grid, d) points, or one
+    ``GridFunction.on_shifted_grids`` call.  Every point gets the same
+    arithmetic as in a call per node, so the values do not depend on the
+    block size.
     """
     shifts, wgt = _gh_nodes(cov, cfg.nodes)
     shape = tuple(a.size for a in axes)
-    vals = np.empty((shifts.shape[0],) + shape)
+    size = int(np.prod(shape))
     if isinstance(f_next, GridFunction):
-        for i, s in enumerate(shifts):
-            vals[i] = f_next.on_shifted_grid(axes, s)
+        evaluate = lambda block: f_next.on_shifted_grids(axes, block)
     else:
         mesh = np.meshgrid(*axes, indexing="ij")
         base = np.stack([m.ravel() for m in mesh], axis=1)
-        for i, s in enumerate(shifts):
-            vals[i] = np.asarray(f_next(base + s[None, :])).reshape(shape)
+        evaluate = lambda block: np.asarray(
+            f_next((base[None, :, :] + block[:, None, :]).reshape(-1, base.shape[1]))
+        ).reshape((len(block),) + shape)
+    step = max(1, BLOCK_POINTS // size)
+    vals = np.empty((shifts.shape[0],) + shape)
+    for start in range(0, shifts.shape[0], step):
+        vals[start : start + step] = evaluate(shifts[start : start + step])
     out = _log_avg_exp(weight, vals, wgt, cfg.small_x_threshold)
     return GridFunction(axes, out)
 
@@ -176,8 +197,7 @@ def _quadrature_value(terminal, levels: list[Level], cfg: EvalConfig) -> float:
     # Grid for level k covers every point reachable by nodes of levels < k.
     halfw = []
     acc = np.full(d, cfg.grid_pad)
-    xs, _ = hermgauss(cfg.nodes)
-    xmax = float(np.abs(xs).max())
+    xmax = float(np.abs(_gauss_hermite(cfg.nodes, 1)[0]).max())
     for lv in levels:
         acc = acc + 2.0 * np.sqrt(np.clip(np.diag(lv.cov), 0.0, None)) * xmax
         halfw.append(acc.copy())
@@ -290,7 +310,18 @@ def local_functional(
 
         f = -<tilt, U> - (beta^2/2) sum_k x_k (||Q[k+1]||^2 - ||Q[k]||^2) + X_0.
     """
-    rec = recursion_value(x, chain, tc, cfg)
+    return functional_from_recursion(x, chain, tc, recursion_value(x, chain, tc, cfg))
+
+
+def functional_from_recursion(
+    x: UnitPartition,
+    chain: MonotoneChain,
+    tc: TerminalCondition,
+    rec: RecursionResult,
+) -> RecursionResult:
+    """The local functional from an already computed X_0 = ``rec``: adds the
+    -<tilt, U> and overlap-energy terms, so a caller holding ``rec`` need not
+    run the recursion a second time."""
     val = (
         -frobenius_inner(tc.tilt, chain.terminal)
         - overlap_energy_term(x, chain, tc.beta)

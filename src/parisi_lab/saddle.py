@@ -25,11 +25,17 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize
 
-from parisi_lab.gaussian import PAIR_SCALE, minimize_parisi_1d
-from parisi_lab.matrices import eigh_jacobi, frobenius_norm, project_psd, operator_norm, sym_sqrt
-from parisi_lab.measures import AprioriMeasure, EvalConfig, TerminalCondition
-from parisi_lab.paths import MonotoneChain, UnitPartition, validate_chain
+from parisi_lab.gaussian import PAIR_SCALE, FeasibilityError, minimize_parisi_1d
+from parisi_lab.matrices import MatrixError, eigh_jacobi, frobenius_norm, project_psd, operator_norm, sym_sqrt
+from parisi_lab.measures import AprioriMeasure, EvalConfig, MeasureError, TerminalCondition
+from parisi_lab.paths import MonotoneChain, PathError, UnitPartition, validate_chain
 from parisi_lab.recursion import local_functional
+
+# Errors that mark a parameter vector as infeasible.  The inner objective
+# rejects such a point with a large value; any other exception is a bug and
+# propagates.
+INFEASIBLE = (FeasibilityError, MeasureError, MatrixError, PathError)
+REJECTED_VALUE = 1e6
 
 
 @dataclass(frozen=True)
@@ -59,6 +65,7 @@ class SaddleResult:
     restarts_used: int
     all_restart_values: list
     value_paired: float | None = None  # doubled-units value for closed-form layers
+    rejections: dict = field(default_factory=dict)  # rejected evals by error type
 
     def to_json(self) -> str:
         return json.dumps(
@@ -131,6 +138,7 @@ def inner_minimize(u_matrix, problem: SaddleProblem) -> SaddleResult:
     ntri = d * (d + 1) // 2
     size = (n + 1) + (n + 1) * ntri + ntri
     evals = 0
+    rejections: dict[str, int] = {}
 
     def objective(theta: np.ndarray) -> float:
         nonlocal evals
@@ -142,8 +150,10 @@ def inner_minimize(u_matrix, problem: SaddleProblem) -> SaddleResult:
             if problem.hadamard_penalty:
                 val += 10.0 * _hadamard_violation(chain)
             return val
-        except Exception:
-            return 1e6
+        except INFEASIBLE as exc:
+            kind = type(exc).__name__
+            rejections[kind] = rejections.get(kind, 0) + 1
+            return REJECTED_VALUE
 
     # Feasible symmetric start: uniform gaps, equal increments, zero tilt.
     base = np.zeros(size)
@@ -188,6 +198,7 @@ def inner_minimize(u_matrix, problem: SaddleProblem) -> SaddleResult:
         restarts_used=len(starts),
         all_restart_values=restart_values,
         value_paired=float(PAIR_SCALE * best.fun),
+        rejections=dict(sorted(rejections.items())),
     )
 
 

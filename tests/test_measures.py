@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
-from parisi_lab.measures import AprioriMeasure, EvalConfig, MeasureError, TerminalCondition
+from parisi_lab.measures import (
+    AprioriMeasure,
+    EvalConfig,
+    MeasureError,
+    TerminalCondition,
+    _logsumexp_rows,
+)
 
 
 def test_discrete_constructor():
@@ -91,3 +98,32 @@ def test_measure_json_round_trip():
     g = AprioriMeasure.gaussian(np.array([[2.0, 0.1], [0.1, 3.0]]), np.array([0.2, 0.0]))
     back2 = AprioriMeasure.from_json_dict(g.to_json_dict())
     assert np.array_equal(back2.precision, g.precision)
+
+
+@pytest.mark.parametrize("k", range(1, 17))
+def test_discrete_terminal_matches_scipy_logsumexp(k):
+    # Integer support points with repeats and a few shared weights make
+    # exact ties at the row maximum; y = 0 ties every equal-logit entry.
+    rng = np.random.default_rng(100 + k)
+    points = rng.integers(-2, 3, size=(k, 1)).astype(float)
+    weights = rng.choice([0.5, 1.0, 2.0], size=k)
+    tc = TerminalCondition(0.9, np.array([[0.3]]), AprioriMeasure.discrete(points, weights))
+    y = np.concatenate([rng.normal(scale=2.0, size=400), np.zeros(5), np.round(rng.normal(size=20))])
+    logits = np.log(weights) + 0.3 * points[:, 0] ** 2
+    expected = logsumexp(np.sqrt(2.0) * 0.9 * y[:, None] @ points.T + logits[None, :], axis=1)
+    assert np.array_equal(tc(y[:, None]), expected)
+
+
+@pytest.mark.parametrize("k", range(1, 17))
+def test_logsumexp_rows_matches_scipy_with_ties(k):
+    rng = np.random.default_rng(k)
+    a = rng.normal(scale=5.0, size=(300, k))
+    a[::3, -1] = a[::3, 0]
+    a[::4] = np.round(a[::4])
+    a[::7] = 1.5
+    assert np.array_equal(_logsumexp_rows(a), logsumexp(a, axis=1))
+
+
+def test_logsumexp_rows_non_finite_rows_match_scipy():
+    a = np.array([[np.inf, 1.0], [-np.inf, -np.inf], [np.nan, 1.0], [1e308, 1e308], [0.0, -np.inf]])
+    assert np.array_equal(_logsumexp_rows(a), logsumexp(a, axis=1), equal_nan=True)

@@ -5,12 +5,18 @@ from numpy.polynomial.hermite import hermgauss
 from parisi_lab.measures import AprioriMeasure, EvalConfig, TerminalCondition
 from parisi_lab.paths import DiscretePath, MonotoneChain, UnitPartition
 from parisi_lab.recursion import (
+    BLOCK_POINTS,
+    GridFunction,
     Level,
+    _gauss_hermite,
+    _gh_nodes,
+    _log_avg_exp,
     levels_from_order_params,
     lipschitz_witness,
     local_functional,
     overlap_energy_term,
     path_functional,
+    propagate_segment,
     recursion_from_levels,
     recursion_value,
 )
@@ -203,3 +209,64 @@ def test_lipschitz_witness():
     p3 = DiscretePath(x3, chain3)
     lhs3, _ = lipschitz_witness(p, p3, tc, EvalConfig(grid_points=3201))
     assert lhs3 <= 1e-9
+
+
+def per_node_segment(f_next, weight, cov, axes, cfg):
+    """propagate_segment's values with one f_next evaluation per node."""
+    shifts, wgt = _gh_nodes(cov, cfg.nodes)
+    shape = tuple(a.size for a in axes)
+    vals = np.empty((len(shifts),) + shape)
+    if isinstance(f_next, GridFunction):
+        for i, s in enumerate(shifts):
+            vals[i] = f_next._spline(*[a + si for a, si in zip(axes, s)])
+    else:
+        mesh = np.meshgrid(*axes, indexing="ij")
+        base = np.stack([m.ravel() for m in mesh], axis=1)
+        for i, s in enumerate(shifts):
+            vals[i] = np.asarray(f_next(base + s[None, :])).reshape(shape)
+    return _log_avg_exp(weight, vals, wgt, cfg.small_x_threshold)
+
+
+def _segment_cases():
+    cov1 = np.array([[0.4]])
+    cov2 = np.array([[0.5, 0.15], [0.15, 0.3]])
+    line = [np.linspace(-4.0, 4.0, 801)]
+    plane = [np.linspace(-3.0, 3.0, 61), np.linspace(-2.5, 2.5, 57)]
+    tilt2 = np.array([[0.1, -0.05], [-0.05, 0.2]])
+    gauss2 = AprioriMeasure.gaussian(np.array([[3.0, 0.4], [0.4, 4.0]]), np.array([0.3, -0.2]))
+    cube = TerminalCondition(0.7, tilt2, AprioriMeasure.hypercube(2))
+    wide = [np.linspace(-6.0, 6.0, 4001)]
+    g1 = TerminalCondition(0.8, np.zeros((1, 1)), RADEMACHER)
+    return {
+        "rademacher": (g1, 0.5, cov1, line),
+        "hypercube_d2": (cube, 0.4, cov2, plane),
+        "gaussian_d2": (TerminalCondition(0.6, tilt2, gauss2), 0.7, cov2, plane),
+        "linear_probe": (LinearProbe(0.7), 0.3, cov1, line),
+        "grid_d1": (GridFunction(wide, g1(wide[0][:, None])), 0.6, cov1, line),
+        "grid_d2": (GridFunction([2 * a for a in plane], cube(np.stack(np.meshgrid(
+            *[2 * a for a in plane], indexing="ij"), axis=-1))), 0.5, cov2, plane),
+        "multi_block_terminal": (g1, 0.5, cov1, wide),
+        "multi_block_grid": (GridFunction([1.5 * wide[0]], g1(1.5 * wide[0][:, None])), 0.5, cov1, wide),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_segment_cases()))
+def test_batched_segment_is_bit_identical_to_per_node(case):
+    f_next, weight, cov, axes = _segment_cases()[case]
+    cfg = EvalConfig(nodes=32 if len(axes) == 1 else 8)
+    batched = propagate_segment(f_next, weight, cov, axes, cfg).values
+    assert np.array_equal(batched, per_node_segment(f_next, weight, cov, axes, cfg))
+    if case.startswith("multi_block"):
+        assert cfg.nodes * axes[0].size > BLOCK_POINTS
+
+
+def test_gauss_hermite_table_cached_read_only():
+    pts, wgt = _gauss_hermite(16, 2)
+    assert _gauss_hermite(16, 2)[0] is pts
+    assert pts.shape == (256, 2) and wgt.shape == (256,)
+    assert not pts.flags.writeable and not wgt.flags.writeable
+    with pytest.raises(ValueError):
+        pts[0, 0] = 1.0
+    shifts, weights = _gh_nodes(np.array([[0.5]]), 16)
+    assert not weights.flags.writeable
+    assert weights.sum() == pytest.approx(1.0, abs=1e-14)

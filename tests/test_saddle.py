@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+from parisi_lab import saddle
 from parisi_lab.gaussian import PAIR_SCALE, closed_form_value, optimal_self_overlap
 from parisi_lab.measures import AprioriMeasure, EvalConfig
+from parisi_lab.paths import PathError
 from parisi_lab.saddle import (
+    REJECTED_VALUE,
     SaddleProblem,
     diagonal_inner,
     diagonal_outer,
@@ -123,3 +126,55 @@ def test_result_serializes():
     res = inner_minimize([[1.0]], quick_problem(0.3, levels=1, restarts=1, max_evals=300))
     blob = res.to_json()
     assert '"value"' in blob and '"restart_values"' in blob
+
+
+def test_objective_counts_infeasible_rejections(monkeypatch):
+    original = saddle.local_functional
+    calls = []
+
+    def every_third_infeasible(*args):
+        calls.append(1)
+        if len(calls) % 3 == 0:
+            raise PathError("partition values must be strictly increasing")
+        return original(*args)
+
+    monkeypatch.setattr(saddle, "local_functional", every_third_infeasible)
+    res = inner_minimize([[1.0]], quick_problem(0.5, restarts=1, max_evals=60,
+                                                engine=EvalConfig(grid_points=101)))
+    assert res.evaluations == len(calls)
+    assert res.rejections == {"PathError": len(calls) // 3}
+    assert res.value < REJECTED_VALUE
+
+
+@pytest.mark.parametrize(
+    "mu, expected",
+    [
+        (AprioriMeasure.hypercube(2), {}),
+        # The third start's tilt leaves the set where C - 2 tilt is positive
+        # definite, so every eval of that restart is rejected.
+        (AprioriMeasure.gaussian(np.array([[1.0, 0.3], [0.3, 1.2]])), {"MeasureError": 40}),
+    ],
+)
+def test_d2_rejections_are_infeasibility_errors(mu, expected):
+    prob = SaddleProblem(
+        beta=1.0,
+        mu=mu,
+        levels=1,
+        engine=EvalConfig(nodes=8, grid_points_2d=41),
+        restarts=3,
+        max_evals=40,
+        seed=0,
+    )
+    res = inner_minimize(np.array([[0.6, 0.2], [0.2, 0.5]]), prob)
+    assert res.evaluations == 120
+    assert res.rejections == expected
+    assert res.value < REJECTED_VALUE
+
+
+def test_objective_propagates_programming_errors(monkeypatch):
+    def broken(*args):
+        raise TypeError("not an infeasible point")
+
+    monkeypatch.setattr(saddle, "local_functional", broken)
+    with pytest.raises(TypeError):
+        inner_minimize([[1.0]], quick_problem(0.5, restarts=1, max_evals=20))
