@@ -19,18 +19,15 @@ from parisi_lab.cascades import CascadeSpec, overlap_distribution_check, pair_su
 from parisi_lab.matrices import sym_sqrt
 from parisi_lab.measures import AprioriMeasure, EvalConfig, TerminalCondition
 from parisi_lab.paths import DiscretePath, MonotoneChain, UnitPartition
-from parisi_lab.pde import ControlPolicy, PdeProblem, convexity_probe, solve_parisi_pde
+from parisi_lab.pde import PdeProblem, convexity_probe, solve_parisi_pde
 from parisi_lab.recursion import Level, lipschitz_witness, recursion_from_levels, recursion_value
-from parisi_lab.saddle import SaddleProblem, diagonal_inner, inner_minimize
+from parisi_lab.saddle import INFEASIBLE, SaddleProblem, diagonal_inner, inner_minimize
 from parisi_lab.seeds import derive_seed
 from parisi_lab.sk import (
-    Disorder,
     OverlapConstraint,
     SpinSpace,
-    _all_configs,
-    _energies_fresh,
-    clopper_pearson_upper,
     concentration_experiment,
+    disorder_average,
     superadditivity_experiment,
 )
 
@@ -44,9 +41,11 @@ class CheckResult:
     runtime: float
     details: dict = field(default_factory=dict)
 
+    def verdict(self) -> str:
+        return f"[{'PASS' if self.passed else 'FAIL'}] {self.name}"
+
     def line(self) -> str:
-        mark = "PASS" if self.passed else "FAIL"
-        return f"[{mark}] {self.name} ({self.runtime:.1f}s)"
+        return f"{self.verdict()} ({self.runtime:.1f}s)"
 
 
 def _timed(fn):
@@ -106,7 +105,7 @@ def _random_gaussian_instance(rng: np.random.Generator, d: int, n: int):
             gaussian.level_precisions(x, chain, tilt, c, beta)
             mu = AprioriMeasure.gaussian(c, h)
             TerminalCondition(beta, tilt, mu)
-        except Exception:
+        except INFEASIBLE:
             continue
         return x, chain, tilt, c, h, beta
     raise RuntimeError("could not draw a feasible Gaussian instance")
@@ -214,23 +213,6 @@ def check_cascade_representation(seed: int) -> CheckResult:
     return CheckResult("6 cascade representation", bool(ok), 0.0, {"rows": rows})
 
 
-def _ising_disorder_means(n_sites: int, betas, replicas: int, seed: int):
-    """Disorder means of the exact free energy for several betas at once;
-    the per-seed energy table is reused across betas."""
-    space = SpinSpace.ising()
-    digits = _all_configs(space, n_sites)
-    seeds = np.random.SeedSequence(seed).spawn(replicas)
-    vals = np.empty((len(betas), replicas))
-    for i, s in enumerate(seeds):
-        dis = Disorder.sample(n_sites, s)
-        nx = _energies_fresh(digits, space, dis)
-        for b, beta in enumerate(betas):
-            expo = beta * nx / np.sqrt(n_sites)
-            top = expo.max()
-            vals[b, i] = (top + np.log(np.sum(np.exp(expo - top)))) / n_sites
-    return vals.mean(axis=1), vals.std(axis=1, ddof=1) / np.sqrt(replicas)
-
-
 @_timed
 def check_finite_size_bound(seed: int, replicas: int = 200) -> CheckResult:
     """Disorder-averaged free energy sits below the variational value, with
@@ -252,9 +234,10 @@ def check_finite_size_bound(seed: int, replicas: int = 200) -> CheckResult:
         saddle_vals[beta] = inner_minimize([[1.0]], prob).value
     rows = []
     ok = True
-    for j, n_sites in enumerate(sizes):
-        means, ses = _ising_disorder_means(
-            n_sites, betas, replicas, derive_seed(seed, f"bound-N{n_sites}")
+    for n_sites in sizes:
+        means, ses, _ = disorder_average(
+            n_sites, np.array(betas), OverlapConstraint.everything(), SpinSpace.ising(),
+            replicas, derive_seed(seed, f"bound-N{n_sites}"),
         )
         for b, beta in enumerate(betas):
             rows.append(

@@ -139,7 +139,8 @@ class IdentityCheck:
     def to_csv(self) -> str:
         buf = io.StringIO()
         buf.write("k,estimate,se,target\n")
-        for lab, e, s, t in zip(self.labels, self.estimates, self.std_errors, self.targets):
+        rows = zip(self.labels, self.estimates.tolist(), self.std_errors.tolist(), self.targets.tolist())
+        for lab, e, s, t in rows:
             buf.write(f"{lab},{e!r},{s!r},{t!r}\n")
         return buf.getvalue()
 

@@ -46,31 +46,6 @@ class ConfigError(ValueError):
     pass
 
 
-_COMMON_KEYS = {"command", "seed"}
-_SCHEMAS = {
-    "eval": {"beta", "tilt", "measure", "path", "engine"},
-    "pde": {"beta", "tilt", "measure", "path", "spacing"},
-    "rpc": {"weights", "branching", "replicas"},
-    "sk": {"experiment", "n_sites", "m_sites", "beta", "replicas"},
-    "gaussian": {"c", "u", "h", "beta", "levels"},
-    "saddle": {"beta", "levels", "u", "measure", "restarts", "max_evals"},
-    "verify-all": set(),
-}
-
-
-def _check_keys(config: dict) -> str:
-    if "command" not in config:
-        raise ConfigError("missing key: command")
-    command = config["command"]
-    if command not in _SCHEMAS:
-        raise ConfigError(f"unknown command: {command!r}")
-    allowed = _SCHEMAS[command] | _COMMON_KEYS
-    unknown = sorted(set(config) - allowed)
-    if unknown:
-        raise ConfigError(f"unknown keys for {command}: {', '.join(unknown)}")
-    return command
-
-
 def _measure_from(config: dict) -> AprioriMeasure:
     spec = config.get("measure", {"kind": "rademacher"})
     if spec.get("kind") == "rademacher":
@@ -90,137 +65,153 @@ def _terminal_from(config: dict, mu: AprioriMeasure) -> TerminalCondition:
     return TerminalCondition(float(config.get("beta", 1.0)), tilt.reshape(d, d), mu)
 
 
-def run_config(config: dict, out_dir: Path, seed_override: int | None, workers: int) -> int:
-    command = _check_keys(config)
-    master = int(config.get("seed", 0)) if seed_override is None else seed_override
-    if command != "verify-all" and "seed" not in config and seed_override is None:
-        raise ConfigError("missing key: seed (stochastic commands require a master seed)")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    artifacts: dict[str, str] = {}
-    status = 0
+# Each handler takes (config, master seed, workers) and returns
+# (artifacts by file name, exit status).
 
-    if command == "eval":
-        mu = _measure_from(config)
-        tc = _terminal_from(config, mu)
-        path = _path_from(config)
-        engine = config.get("engine", "quadrature")
-        cfg = EvalConfig(engine=engine, seed=derive_seed(master, "eval"))
-        rec = recursion_value(path.partition, path.chain, tc, cfg)
-        loc = functional_from_recursion(path.partition, path.chain, tc, rec)
-        lines = [
-            evaluation_record("recursion_value", {"path": path_to_json(path)}, rec, cfg.seed),
-            evaluation_record("local_functional", {"path": path_to_json(path)}, loc, cfg.seed),
-        ]
-        artifacts["evaluations.jsonl"] = "\n".join(lines) + "\n"
 
-    elif command == "pde":
-        mu = _measure_from(config)
-        tc = _terminal_from(config, mu)
-        path = _path_from(config)
-        problem = PdeProblem.from_path(path, tc, spacing=float(config.get("spacing", 0.01)))
-        sol = solve_parisi_pde(problem)
-        rec = recursion_value(path.partition, path.chain, tc, EvalConfig())
-        artifacts["solution.csv"] = sol.to_csv()
-        artifacts["summary.json"] = json.dumps(
-            {"pde_origin": sol.at_origin(), "recursion": rec.value,
-             "difference": abs(sol.at_origin() - rec.value)}
+def _run_eval(config: dict, master: int, workers: int):
+    mu = _measure_from(config)
+    tc = _terminal_from(config, mu)
+    path = _path_from(config)
+    engine = config.get("engine", "quadrature")
+    cfg = EvalConfig(engine=engine, seed=derive_seed(master, "eval"))
+    rec = recursion_value(path.partition, path.chain, tc, cfg)
+    loc = functional_from_recursion(path.partition, path.chain, tc, rec)
+    lines = [
+        evaluation_record("recursion_value", {"path": path_to_json(path)}, rec, cfg.seed),
+        evaluation_record("local_functional", {"path": path_to_json(path)}, loc, cfg.seed),
+    ]
+    return {"evaluations.jsonl": "\n".join(lines) + "\n"}, 0
+
+
+def _run_pde(config: dict, master: int, workers: int):
+    mu = _measure_from(config)
+    tc = _terminal_from(config, mu)
+    path = _path_from(config)
+    problem = PdeProblem.from_path(path, tc, spacing=float(config.get("spacing", 0.01)))
+    sol = solve_parisi_pde(problem)
+    rec = recursion_value(path.partition, path.chain, tc, EvalConfig())
+    summary = {"pde_origin": sol.at_origin(), "recursion": rec.value,
+               "difference": abs(sol.at_origin() - rec.value)}
+    return {"solution.csv": sol.to_csv(), "summary.json": json.dumps(summary)}, 0
+
+
+def _run_rpc(config: dict, master: int, workers: int):
+    spec = CascadeSpec(np.asarray(config["weights"], dtype=float), int(config.get("branching", 128)))
+    replicas = int(config.get("replicas", 256))
+    dist = overlap_distribution_check(spec, replicas, derive_seed(master, "rpc-dist"))
+    pairs = pair_sum_check(spec, replicas, derive_seed(master, "rpc-pairs"))
+    artifacts = {"overlap_distribution.csv": dist.to_csv(), "pair_sums.csv": pairs.to_csv()}
+    return artifacts, 0 if dist.within(3.0) and pairs.within(3.0) else 1
+
+
+def _run_sk(config: dict, master: int, workers: int):
+    experiment = config.get("experiment", "average")
+    beta = float(config.get("beta", 1.0))
+    replicas = int(config.get("replicas", 200))
+    n_sites = int(config.get("n_sites", 8))
+    if experiment == "average":
+        mean, se, vals = disorder_average(
+            n_sites, beta, OverlapConstraint.everything(), SpinSpace.ising(),
+            replicas, derive_seed(master, "sk-average"),
         )
-
-    elif command == "rpc":
-        spec = CascadeSpec(np.asarray(config["weights"], dtype=float), int(config.get("branching", 128)))
-        replicas = int(config.get("replicas", 256))
-        dist = overlap_distribution_check(spec, replicas, derive_seed(master, "rpc-dist"))
-        pairs = pair_sum_check(spec, replicas, derive_seed(master, "rpc-pairs"))
-        artifacts["overlap_distribution.csv"] = dist.to_csv()
-        artifacts["pair_sums.csv"] = pairs.to_csv()
-        if not (dist.within(3.0) and pairs.within(3.0)):
-            status = 1
-
-    elif command == "sk":
-        experiment = config.get("experiment", "average")
-        beta = float(config.get("beta", 1.0))
-        replicas = int(config.get("replicas", 200))
-        n_sites = int(config.get("n_sites", 8))
-        space = SpinSpace.ising()
-        if experiment == "average":
-            mean, se, vals = disorder_average(
-                n_sites, beta, OverlapConstraint.everything(), space,
-                replicas, derive_seed(master, "sk-average"),
-            )
-            rows = ["N,beta,seed,estimate,se"]
-            rows += [f"{n_sites},{beta!r},{i},{v!r}," for i, v in enumerate(vals)]
-            rows.append(f"{n_sites},{beta!r},mean,{mean!r},{se!r}")
-            artifacts["free_energy.csv"] = "\n".join(rows) + "\n"
-        elif experiment == "concentration":
-            table = concentration_experiment(n_sites, beta, replicas, derive_seed(master, "sk-conc"))
-            artifacts["tails.csv"] = table.to_csv()
-            if not table.all_below_bound():
-                status = 1
-        elif experiment == "superadditivity":
-            m_sites = int(config.get("m_sites", n_sites))
-            margin, se = superadditivity_experiment(
-                n_sites, m_sites, beta, replicas, derive_seed(master, "sk-super")
-            )
-            artifacts["margin.csv"] = f"N,M,beta,margin,se\n{n_sites},{m_sites},{beta!r},{margin!r},{se!r}\n"
-            if margin < -3.0 * se:
-                status = 1
-        else:
-            raise ConfigError(f"unknown keys for sk: experiment={experiment!r}")
-
-    elif command == "gaussian":
-        from parisi_lab import gaussian
-
-        c = float(config["c"])
-        u = float(config["u"])
-        h = float(config.get("h", 0.0))
-        beta = float(config.get("beta", 1.0))
-        levels = int(config.get("levels", 1))
-        rep = gaussian.equivalence_check(c, u, h, beta, levels, seed=derive_seed(master, "gaussian"))
-        sol = gaussian.optimal_self_overlap(c, beta)
-        rs = gaussian.optimal_overlap(u, beta)
-        artifacts["closed_forms.csv"] = (
-            "c,u,beta,q_star,regime,closed_value,inf_parisi,inf_cs,gap\n"
-            f"{c!r},{u!r},{beta!r},{rs.overlap!r},{rs.regime},"
-            f"{gaussian.closed_form_value(c, u, beta)!r},"
-            f"{rep.parisi_value!r},{rep.cs_value!r},{rep.gap!r}\n"
+        rows = ["N,beta,seed,estimate,se"]
+        rows += [f"{n_sites},{beta!r},{i},{v!r}," for i, v in enumerate(vals.tolist())]
+        rows.append(f"{n_sites},{beta!r},mean,{mean!r},{se!r}")
+        return {"free_energy.csv": "\n".join(rows) + "\n"}, 0
+    if experiment == "concentration":
+        table = concentration_experiment(n_sites, beta, replicas, derive_seed(master, "sk-conc"))
+        return {"tails.csv": table.to_csv()}, 0 if table.all_below_bound() else 1
+    if experiment == "superadditivity":
+        m_sites = int(config.get("m_sites", n_sites))
+        margin, se = superadditivity_experiment(
+            n_sites, m_sites, beta, replicas, derive_seed(master, "sk-super")
         )
-        artifacts["self_overlap.json"] = json.dumps(
-            {"diverges": sol.diverges, "u_star": sol.self_overlap, "value": sol.value}
-        )
+        csv = f"N,M,beta,margin,se\n{n_sites},{m_sites},{beta!r},{margin!r},{se!r}\n"
+        return {"margin.csv": csv}, 1 if margin < -3.0 * se else 0
+    raise ConfigError(f"unknown keys for sk: experiment={experiment!r}")
 
-    elif command == "saddle":
-        mu = _measure_from(config)
-        beta = float(config.get("beta", 1.0))
-        problem = SaddleProblem(
-            beta=beta,
-            mu=mu,
-            levels=int(config.get("levels", 2)),
-            restarts=int(config.get("restarts", 3)),
-            max_evals=int(config.get("max_evals", 1500)),
-            seed=derive_seed(master, "saddle"),
-            engine=EvalConfig(grid_points=801),
-        )
-        u = np.asarray(config.get("u", [[1.0]]), dtype=float)
-        res = inner_minimize(u, problem)
-        artifacts["saddle.json"] = res.to_json()
 
-    elif command == "verify-all":
-        seed = master if master else acceptance.DEFAULT_MASTER_SEED
-        lines = []
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(lambda c: c(seed), acceptance.ALL_CHECKS))
-        else:
-            results = [c(seed) for c in acceptance.ALL_CHECKS]
-        for res in results:
-            lines.append(res.line())
-            print(res.line())
-        if not all(r.passed for r in results):
-            status = 1
-        artifacts["acceptance.txt"] = "\n".join(lines) + "\n"
-        artifacts["acceptance.json"] = json.dumps(
+def _run_gaussian(config: dict, master: int, workers: int):
+    from parisi_lab import gaussian
+
+    c = float(config["c"])
+    u = float(config["u"])
+    h = float(config.get("h", 0.0))
+    beta = float(config.get("beta", 1.0))
+    levels = int(config.get("levels", 1))
+    rep = gaussian.equivalence_check(c, u, h, beta, levels, seed=derive_seed(master, "gaussian"))
+    sol = gaussian.optimal_self_overlap(c, beta)
+    rs = gaussian.optimal_overlap(u, beta)
+    closed = (
+        "c,u,beta,q_star,regime,closed_value,inf_parisi,inf_cs,gap\n"
+        f"{c!r},{u!r},{beta!r},{rs.overlap!r},{rs.regime},"
+        f"{gaussian.closed_form_value(c, u, beta)!r},"
+        f"{rep.parisi_value!r},{rep.cs_value!r},{rep.gap!r}\n"
+    )
+    self_overlap = {"diverges": sol.diverges, "u_star": sol.self_overlap, "value": sol.value}
+    return {"closed_forms.csv": closed, "self_overlap.json": json.dumps(self_overlap)}, 0
+
+
+def _run_saddle(config: dict, master: int, workers: int):
+    problem = SaddleProblem(
+        beta=float(config.get("beta", 1.0)),
+        mu=_measure_from(config),
+        levels=int(config.get("levels", 2)),
+        restarts=int(config.get("restarts", 3)),
+        max_evals=int(config.get("max_evals", 1500)),
+        seed=derive_seed(master, "saddle"),
+        engine=EvalConfig(grid_points=801),
+    )
+    u = np.asarray(config.get("u", [[1.0]]), dtype=float)
+    return {"saddle.json": inner_minimize(u, problem).to_json()}, 0
+
+
+def _run_verify_all(config: dict, master: int, workers: int):
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        results = list(pool.map(lambda check: check(master), acceptance.ALL_CHECKS))
+    for res in results:
+        print(res.line())
+    # Runtimes go to stdout only, so that a rerun writes identical files.
+    artifacts = {
+        "acceptance.txt": "".join(res.verdict() + "\n" for res in results),
+        "acceptance.json": json.dumps(
             _jsonable([{"name": r.name, "passed": r.passed, "details": r.details} for r in results])
-        )
+        ),
+    }
+    return artifacts, 0 if all(r.passed for r in results) else 1
+
+
+# command -> (keys allowed besides "command" and "seed", handler)
+COMMANDS = {
+    "eval": ({"beta", "tilt", "measure", "path", "engine"}, _run_eval),
+    "pde": ({"beta", "tilt", "measure", "path", "spacing"}, _run_pde),
+    "rpc": ({"weights", "branching", "replicas"}, _run_rpc),
+    "sk": ({"experiment", "n_sites", "m_sites", "beta", "replicas"}, _run_sk),
+    "gaussian": ({"c", "u", "h", "beta", "levels"}, _run_gaussian),
+    "saddle": ({"beta", "levels", "u", "measure", "restarts", "max_evals"}, _run_saddle),
+    "verify-all": (set(), _run_verify_all),
+}
+
+
+def run_config(config: dict, out_dir: Path, seed_override: int | None, workers: int) -> int:
+    if "command" not in config:
+        raise ConfigError("missing key: command")
+    command = config["command"]
+    if command not in COMMANDS:
+        raise ConfigError(f"unknown command: {command!r}")
+    allowed, handler = COMMANDS[command]
+    unknown = sorted(set(config) - allowed - {"command", "seed"})
+    if unknown:
+        raise ConfigError(f"unknown keys for {command}: {', '.join(unknown)}")
+    master = config.get("seed") if seed_override is None else seed_override
+    if master is None:
+        if command != "verify-all":
+            raise ConfigError("missing key: seed (stochastic commands require a master seed)")
+        master = acceptance.DEFAULT_MASTER_SEED
+    master = int(master)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    artifacts, status = handler(config, master, workers)
 
     for name, payload in artifacts.items():
         (out_dir / name).write_text(payload)

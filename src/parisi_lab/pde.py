@@ -24,7 +24,7 @@ the jump times.  Three independent routes are implemented:
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -81,28 +81,27 @@ class PdeSolution:
         j = int(np.argmin(np.abs(self.y)))
         return float(self.values[0, j])
 
+    def _row(self, t: float) -> np.ndarray:
+        """Values on the y grid at time t, linear in t between stored rows."""
+        ti = np.searchsorted(self.times, t, side="right") - 1
+        ti = min(max(ti, 0), len(self.times) - 2)
+        w = (t - self.times[ti]) / (self.times[ti + 1] - self.times[ti])
+        return (1.0 - w) * self.values[ti] + w * self.values[ti + 1]
+
     def interp(self, t: float, y: np.ndarray) -> np.ndarray:
         """Bilinear interpolation in (t, y) used by the feedback policy."""
-        ti = np.searchsorted(self.times, t, side="right") - 1
-        ti = min(max(ti, 0), len(self.times) - 2)
-        w = (t - self.times[ti]) / (self.times[ti + 1] - self.times[ti])
-        row = (1.0 - w) * self.values[ti] + w * self.values[ti + 1]
-        return np.interp(y, self.y, row)
+        return np.interp(y, self.y, self._row(t))
 
     def gradient(self, t: float, y: np.ndarray) -> np.ndarray:
-        ti = np.searchsorted(self.times, t, side="right") - 1
-        ti = min(max(ti, 0), len(self.times) - 2)
-        w = (t - self.times[ti]) / (self.times[ti + 1] - self.times[ti])
-        row = (1.0 - w) * self.values[ti] + w * self.values[ti + 1]
-        grad = np.gradient(row, self.y)
-        return np.interp(y, self.y, grad)
+        return np.interp(y, self.y, np.gradient(self._row(t), self.y))
 
     def to_csv(self) -> str:
         buf = io.StringIO()
         buf.write("t,y,f\n")
-        for i, t in enumerate(self.times):
-            for j, yy in enumerate(self.y):
-                buf.write(f"{t!r},{yy!r},{self.values[i, j]!r}\n")
+        ys = self.y.tolist()
+        for t, row in zip(self.times.tolist(), self.values.tolist()):
+            for yy, f in zip(ys, row):
+                buf.write(f"{t!r},{yy!r},{f!r}\n")
         return buf.getvalue()
 
 
@@ -310,17 +309,7 @@ def convexity_probe(
     v_at_1 = value(p1, cfg)
     v_at_0 = value(p2, cfg)
     chord = gs * v_at_1 + (1.0 - gs) * v_at_0
-    fine = EvalConfig(
-        engine=cfg.engine,
-        nodes=cfg.nodes + 8,
-        grid_points=2 * cfg.grid_points - 1,
-        grid_points_2d=cfg.grid_points_2d,
-        grid_pad=cfg.grid_pad,
-        samples=cfg.samples,
-        replicas=cfg.replicas,
-        seed=cfg.seed,
-        small_x_threshold=cfg.small_x_threshold,
-    )
+    fine = replace(cfg, nodes=cfg.nodes + 8, grid_points=2 * cfg.grid_points - 1)
     probe_g = gs[len(gs) // 2]
     err = abs(value(probe_g * p1 + (1.0 - probe_g) * p2, fine) - vals[len(gs) // 2])
     return ConvexityReport(gs, vals, chord, chord - vals, float(err + 1e-14))

@@ -330,22 +330,6 @@ def functional_from_recursion(
     return RecursionResult(val, rec.std_error, rec.engine)
 
 
-def path_functional(
-    path: DiscretePath,
-    tc: TerminalCondition,
-    cfg: EvalConfig | None = None,
-) -> RecursionResult:
-    """Path form of the functional:
-
-        P = f_rho(0, 0) - (beta^2/2) Int x(t) d||rho(t)||_F^2 - <U, tilt>,
-
-    with the Stieltjes integral taken as the jump sum weighted by the left
-    limit of x at each jump.  Identical by construction to local_functional
-    on the (x, Q) data extracted from the path.
-    """
-    return local_functional(path.partition, path.chain, tc, cfg)
-
-
 def lipschitz_witness(
     path1: DiscretePath,
     path2: DiscretePath,

@@ -360,7 +360,7 @@ def stationarity_residual(result: SaddleResult, problem: SaddleProblem, step: fl
                 dn[k, j, i] = dn[k, i, j]
                 try:
                     residuals.append((value(up, tilt) - value(dn, tilt)) / (2.0 * h))
-                except Exception:
+                except INFEASIBLE:
                     residuals.append(np.nan)
     for i in range(d):
         for j in range(i, d):

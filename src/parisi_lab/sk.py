@@ -6,11 +6,16 @@ ordered site pairs with an UNsymmetrized matrix of standard normals; the
 model's covariance is then exactly the squared Frobenius norm of the mutual
 overlap matrix, which the variance tests rely on.
 
-Disorder entries are rounded to the dyadic grid 2^-26.  Every partial sum
-appearing in the enumeration is then an exact multiple of 2^-26 far below
-the 53-bit mantissa limit, so incremental (Gray-code) and fresh (einsum)
-energy evaluations agree bit for bit; the rounding itself is ~1.5e-8 per
-entry, negligible against every statistical tolerance used here.
+Exact enumeration builds the table of N * X(s) over all S^N configurations
+once per disorder sample, by batched einsum quadratic forms, and takes one
+log-sum-exp per inverse temperature, so a vector of betas costs one table.
+
+Disorder entries are rounded to the dyadic grid 2^-26.  For supports with
++-1 coordinates (Ising, hypercubes) every partial sum of those quadratic
+forms is then an exact multiple of 2^-26 far below the 53-bit mantissa
+limit, so the energies do not depend on summation order, batch size or
+BLAS; the rounding itself is ~1.5e-8 per entry, negligible against every
+statistical tolerance used here.
 """
 
 from __future__ import annotations
@@ -147,70 +152,23 @@ def _energies_fresh(digits: np.ndarray, space: SpinSpace, disorder: Disorder) ->
     return out
 
 
-def _energies_gray(space: SpinSpace, disorder: Disorder) -> tuple[np.ndarray, np.ndarray]:
-    """Gray-code enumeration for one-dimensional two-point supports.
-
-    Returns (config index in lexicographic order, N*X) walking the hypercube
-    with single-site flips and incremental local-field updates.  All updates
-    are exact dyadic arithmetic (quantized disorder), so the energies agree
-    bit for bit with the fresh quadratic forms.
-    """
-    if space.dim != 1 or space.size != 2:
-        raise ValueError("gray enumeration requires a two-point 1-D support")
-    n = disorder.n_sites
-    total = 2**n
-    if total > ENUMERATION_BUDGET:
-        raise BudgetError(f"{total} states exceed the enumeration budget")
-    lo, hi = float(space.points[0, 0]), float(space.points[1, 0])
-    g = disorder.matrix
-    gsym = g + g.T
-    s = np.full(n, lo)
-    energy = float(s @ g @ s)
-    current = 0  # bit j set means site j sits at the second support point
-    energies = np.empty(total)
-    lex = np.empty(total, dtype=np.int64)
-    energies[0] = energy
-    lex[0] = 0
-    field = gsym @ s  # field[i] = sum_j (g_ij + g_ji) s_j
-    for step in range(1, total):
-        flip = (step & -step).bit_length() - 1  # Gray order: lowest set bit
-        site = n - 1 - flip  # keep lexicographic digit order of _all_configs
-        old = s[site]
-        new = hi if old == lo else lo
-        delta = new - old
-        energy += delta * field[site] + g[site, site] * delta * delta
-        field += gsym[:, site] * delta
-        s[site] = new
-        current ^= 1 << flip
-        energies[step] = energy
-        lex[step] = current
-    order = np.empty(total, dtype=np.int64)
-    order[lex] = np.arange(total)
-    return order, energies
-
-
 def exact_local_free_energy(
     disorder: Disorder,
-    beta: float,
+    beta: float | np.ndarray,
     constraint: OverlapConstraint,
     space: SpinSpace,
-    engine: str = "gray",
-) -> float:
+) -> float | np.ndarray:
     """(1/N) log sum over admissible configurations of
     exp(beta sqrt(N) X(s)) prod_i w(s_i), by full enumeration.
 
-    engine "gray" uses incremental single-flip updates when the support
-    allows it and falls back to fresh evaluation otherwise; engine "fresh"
-    always recomputes.  Both produce bit-identical results.
+    ``beta`` is a scalar or a 1-D array.  The energy table is built once and
+    the log-sum-exp is taken separately for each beta, so an array gives
+    exactly the values of one scalar call per entry.  A scalar beta returns
+    a float, an array an array.
     """
     n = disorder.n_sites
     digits = _all_configs(space, n)
-    use_gray = engine == "gray" and space.dim == 1 and space.size == 2
-    if use_gray:
-        order, energies_gray = _energies_gray(space, disorder)
-        nx = energies_gray[order]
-    else:
-        nx = _energies_fresh(digits, space, disorder)
+    nx = _energies_fresh(digits, space, disorder)
     logw = np.log(space.weights)[digits].sum(axis=1)
     if constraint.center is not None:
         pts = space.points
@@ -221,27 +179,42 @@ def exact_local_free_energy(
             raise ValueError("empty constraint set: enlarge the overlap ball")
     else:
         mask = slice(None)
-    expo = beta * nx / np.sqrt(n) + logw
-    expo = expo[mask]
-    top = expo.max()
-    return float((top + np.log(np.sum(np.exp(expo - top)))) / n)
+    betas = np.asarray(beta, dtype=float)
+    values = np.empty(betas.size)
+    for k, b in enumerate(betas.ravel()):
+        expo = b * nx / np.sqrt(n) + logw
+        expo = expo[mask]
+        top = expo.max()
+        values[k] = (top + np.log(np.sum(np.exp(expo - top)))) / n
+    return float(values[0]) if betas.ndim == 0 else values
 
 
 def disorder_average(
     n_sites: int,
-    beta: float,
+    beta: float | np.ndarray,
     constraint: OverlapConstraint,
     space: SpinSpace,
     replicas: int,
     seed: int,
 ):
-    """Mean and standard error of the exact local free energy over disorder."""
+    """Mean and standard error over disorder of the exact local free energy,
+    plus the per-sample values.
+
+    ``beta`` is a scalar or a 1-D array; each disorder sample's energy table
+    serves every beta.  For a scalar the mean and standard error are floats
+    and the values have shape (replicas,); for an array they are arrays over
+    beta and the values have shape (len(beta), replicas).
+    """
     seeds = np.random.SeedSequence(seed).spawn(replicas)
-    vals = np.empty(replicas)
+    vals = np.empty(np.shape(beta) + (replicas,))
     for i, s in enumerate(seeds):
         dis = Disorder.sample(n_sites, s)
-        vals[i] = exact_local_free_energy(dis, beta, constraint, space)
-    return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(replicas)), vals
+        vals[..., i] = exact_local_free_energy(dis, beta, constraint, space)
+    mean = vals.mean(axis=-1)
+    se = vals.std(axis=-1, ddof=1) / np.sqrt(replicas)
+    if np.ndim(beta) == 0:
+        return float(mean), float(se), vals
+    return mean, se, vals
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +371,8 @@ class TailTable:
     def to_csv(self) -> str:
         buf = io.StringIO()
         buf.write("t,empirical,upper95,bound\n")
-        for t, e, u, b in zip(self.thresholds, self.empirical, self.upper_conf, self.bound):
+        rows = zip(*(a.tolist() for a in (self.thresholds, self.empirical, self.upper_conf, self.bound)))
+        for t, e, u, b in rows:
             buf.write(f"{t!r},{e!r},{u!r},{b!r}\n")
         return buf.getvalue()
 

@@ -170,3 +170,12 @@ def test_representation_vs_recursion_sk():
     tc = TerminalCondition(0.5, np.zeros((1, 1)), RADEMACHER)
     est, se, rec = representation_vs_recursion(spec, chain, tc, replicas=256, seed=5)
     assert abs(est - rec) <= 3 * se
+
+
+def test_identity_check_csv_holds_plain_numbers():
+    chk = pair_sum_check(CascadeSpec([0.25, 0.6], branching=16), replicas=16, seed=3)
+    header, *rows = chk.to_csv().splitlines()
+    assert header == "k,estimate,se,target"
+    assert [row.split(",")[0] for row in rows] == [str(lab) for lab in chk.labels]
+    parsed = np.array([[float(v) for v in row.split(",")[1:]] for row in rows])
+    assert np.array_equal(parsed, np.column_stack([chk.estimates, chk.std_errors, chk.targets]))

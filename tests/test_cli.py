@@ -74,3 +74,33 @@ def test_verify_all_writes_its_artifacts(tmp_path, monkeypatch):
     assert rows[1]["details"] == {"within": True, "error": 1e-9}
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["artifacts"] == ["acceptance.json", "acceptance.txt"]
+
+
+def test_verify_all_is_reproducible_and_records_its_seed(tmp_path, monkeypatch):
+    seen = []
+
+    def stub(seed):
+        seen.append(seed)
+        # A runtime that differs on every call must not reach the artifacts.
+        return acceptance.CheckResult("stub", True, float(len(seen)), {"seed": seed})
+
+    monkeypatch.setattr(acceptance, "ALL_CHECKS", [stub])
+    runs = [
+        ("first", {"command": "verify-all"}, None, 1),
+        ("second", {"command": "verify-all"}, None, 2),
+        ("zero", {"command": "verify-all", "seed": 0}, None, 1),
+        ("override", {"command": "verify-all", "seed": 0}, 5, 1),
+    ]
+    for name, config, override, workers in runs:
+        assert run_config(config, tmp_path / name, override, workers) == 0
+    assert seen == [acceptance.DEFAULT_MASTER_SEED, acceptance.DEFAULT_MASTER_SEED, 0, 5]
+
+    def files(name):
+        return {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()}
+
+    assert files("first") == files("second")
+    assert files("first")["acceptance.txt"] == b"[PASS] stub\n"
+    for name, *_ in runs:
+        manifest = json.loads(files(name)["manifest.json"])
+        details = json.loads(files(name)["acceptance.json"])[0]["details"]
+        assert manifest["master_seed"] == details["seed"]

@@ -1,0 +1,92 @@
+"""The documented CLI contract: every command runs on a tiny config with exit
+0, a rerun writes byte-identical files, and malformed configs exit 2."""
+
+import json
+
+import numpy as np
+import pytest
+
+from parisi_lab.cli import main, run_config
+from parisi_lab.paths import DiscretePath, MonotoneChain, UnitPartition, path_to_json
+from parisi_lab.seeds import derive_seed
+from parisi_lab.sk import OverlapConstraint, SpinSpace, disorder_average
+
+PATH = json.loads(
+    path_to_json(
+        DiscretePath(
+            UnitPartition.from_interior([0.25, 0.6]),
+            MonotoneChain([[[0.0]], [[0.3]], [[0.7]], [[1.0]]]),
+        )
+    )
+)
+RADEMACHER = {"kind": "rademacher"}
+
+TINY = {
+    "eval": {"command": "eval", "beta": 0.5, "measure": RADEMACHER, "path": PATH},
+    "pde": {"command": "pde", "beta": 0.5, "measure": RADEMACHER, "path": PATH, "spacing": 0.05},
+    "rpc": {"command": "rpc", "weights": [0.25, 0.6], "branching": 8, "replicas": 32},
+    "sk_average": {"command": "sk", "experiment": "average", "n_sites": 6, "replicas": 4},
+    "sk_concentration": {"command": "sk", "experiment": "concentration", "n_sites": 8, "replicas": 200},
+    "sk_superadditivity": {"command": "sk", "experiment": "superadditivity", "n_sites": 2,
+                           "m_sites": 3, "replicas": 20},
+    "gaussian": {"command": "gaussian", "c": 3.0, "u": 0.5, "beta": 1.0, "levels": 1},
+    "saddle": {"command": "saddle", "beta": 0.5, "levels": 1, "u": [[1.0]], "restarts": 1,
+               "max_evals": 30},
+}
+
+
+def _files(directory):
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+@pytest.mark.parametrize("label", sorted(TINY))
+def test_command_exits_zero_and_reruns_identically(label, tmp_path):
+    config = dict(TINY[label], seed=11)
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert run_config(config, first, None, 1) == 0
+    assert run_config(config, second, None, 1) == 0
+    written = _files(first)
+    assert "manifest.json" in written and len(written) >= 2
+    assert written == _files(second)
+    # Artifacts hold plain numbers, not numpy reprs such as np.float64(0.5).
+    assert not [name for name, payload in written.items() if b"np." in payload]
+    manifest = json.loads(written["manifest.json"])
+    assert manifest["master_seed"] == 11
+    assert manifest["artifacts"] == sorted(set(written) - {"manifest.json"})
+
+
+def test_free_energy_csv_equals_disorder_average(tmp_path):
+    run_config(dict(TINY["sk_average"], seed=11), tmp_path, None, 1)
+    header, *rows = (tmp_path / "free_energy.csv").read_text().splitlines()
+    assert header == "N,beta,seed,estimate,se"
+    mean, se, vals = disorder_average(
+        6, 1.0, OverlapConstraint.everything(), SpinSpace.ising(), 4, derive_seed(11, "sk-average")
+    )
+    assert np.array_equal([float(row.split(",")[3]) for row in rows[:-1]], vals)
+    assert rows[-1] == f"6,1.0,mean,{mean!r},{se!r}"
+    assert float(rows[-1].split(",")[3]) == mean
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"command": "teleport", "seed": 1}, "unknown command: 'teleport'"),
+        ({"command": "rpc", "seed": 1, "weights": [0.5], "colour": "red"}, "unknown keys for rpc: colour"),
+        ({"command": "rpc", "weights": [0.5]}, "missing key: seed"),
+        ({"command": "sk", "seed": 1, "experiment": "magic"}, "unknown keys for sk: experiment='magic'"),
+        ({"seed": 1}, "missing key: command"),
+    ],
+)
+def test_bad_config_exits_two(config, message, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+
+
+def test_unreadable_config_exits_two(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text("{not json")
+    assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")

@@ -15,7 +15,6 @@ from parisi_lab.recursion import (
     lipschitz_witness,
     local_functional,
     overlap_energy_term,
-    path_functional,
     propagate_segment,
     recursion_from_levels,
     recursion_value,
@@ -150,18 +149,18 @@ def test_monotone_in_terminal():
     assert v2 == pytest.approx(v1 + 0.2, abs=1e-9)
 
 
-def test_path_functional_identity():
-    # The path form and the (x, Q) form are the same formula by construction.
-    rng = np.random.default_rng(11)
-    for _ in range(10):
-        n = int(rng.integers(1, 4))
-        x_int = np.sort(rng.uniform(0.1, 0.9, n))
-        qs = np.sort(rng.uniform(0.05, 0.95, n))
-        x, chain, tc = scalar_setup(list(x_int), list(qs), beta=float(rng.uniform(0.2, 1.0)))
-        path = DiscretePath(x, chain)
-        a = path_functional(path, tc, EvalConfig(grid_points=801)).value
-        b = local_functional(x, chain, tc, EvalConfig(grid_points=801)).value
-        assert a == b
+def test_propagate_segment_identity_and_collapse():
+    axes = [np.linspace(-6, 6, 801)]
+    cfg = EvalConfig()
+    tc = TerminalCondition(0.5, np.zeros((1, 1)), RADEMACHER)
+    ident = propagate_segment(tc, 0.5, np.zeros((1, 1)), axes, cfg)
+    assert np.allclose(ident.values, tc(axes[0].reshape(-1, 1)), atol=1e-12)
+    # weight one is the plain log-average linearization
+    full = propagate_segment(tc, 1.0, np.array([[0.3]]), axes, cfg)
+    zs = np.sqrt(2 * 0.3) * hermgauss(cfg.nodes)[0]
+    ws = hermgauss(cfg.nodes)[1] / np.sqrt(np.pi)
+    direct = np.log(sum(w * np.exp(tc(np.array([[0.0 + z]]))[0]) for w, z in zip(ws, zs)))
+    assert full.at_origin() == pytest.approx(float(direct), abs=1e-9)
 
 
 def test_overlap_energy_term():

@@ -122,6 +122,27 @@ def test_stationarity_residual_gaussian_optimum():
     assert stationarity_residual(res, prob) <= 1e-3
 
 
+@pytest.mark.parametrize("error, propagates", [(TypeError, True), (PathError, False)])
+def test_stationarity_residual_rejects_only_infeasible_points(monkeypatch, error, propagates):
+    prob = quick_problem(0.0, max_evals=30, restarts=1)
+    res = inner_minimize([[1.0]], prob)
+    original = saddle.local_functional
+    calls = []
+
+    def fails_once(*args):
+        calls.append(1)
+        if len(calls) == 1:
+            raise error("raised by the first chain perturbation")
+        return original(*args)
+
+    monkeypatch.setattr(saddle, "local_functional", fails_once)
+    if propagates:
+        with pytest.raises(TypeError):
+            stationarity_residual(res, prob)
+    else:
+        assert np.isfinite(stationarity_residual(res, prob))
+
+
 def test_result_serializes():
     res = inner_minimize([[1.0]], quick_problem(0.3, levels=1, restarts=1, max_evals=300))
     blob = res.to_json()

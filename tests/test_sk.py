@@ -9,7 +9,6 @@ from parisi_lab.sk import (
     SpinSpace,
     _all_configs,
     _energies_fresh,
-    _energies_gray,
     bound_check,
     concentration_experiment,
     disorder_average,
@@ -75,16 +74,43 @@ def test_paired_overlap_block_psd():
         assert np.all(np.linalg.eigvalsh(block) >= -1e-10)
 
 
-def test_gray_equals_fresh_bit_exact():
-    for n in (4, 8, 10):
+def test_energies_fresh_match_hamiltonian():
+    # N = 4 and 8 are powers of two, so N * X(s) is exact on both sides.
+    hypercube = SpinSpace.from_measure(AprioriMeasure.hypercube(2))
+    for space, n in ((ISING, 4), (ISING, 8), (hypercube, 4)):
         dis = Disorder.sample(n, 42 + n)
-        digits = _all_configs(ISING, n)
-        fresh = _energies_fresh(digits, ISING, dis)
-        order, eg = _energies_gray(ISING, dis)
-        assert np.array_equal(eg[order], fresh)
-        p_gray = exact_local_free_energy(dis, 1.0, OverlapConstraint.everything(), ISING, engine="gray")
-        p_fresh = exact_local_free_energy(dis, 1.0, OverlapConstraint.everything(), ISING, engine="fresh")
-        assert p_gray == p_fresh
+        digits = _all_configs(space, n)
+        direct = [n * hamiltonian(space.points[row], dis) for row in digits]
+        assert np.array_equal(_energies_fresh(digits, space, dis), direct)
+
+
+def _weighted_square():
+    square = SpinSpace.from_measure(AprioriMeasure.hypercube(2))
+    return SpinSpace(square.points, np.array([0.1, 0.2, 0.3, 0.4]))
+
+
+@pytest.mark.parametrize(
+    "space, constraint, n",
+    [
+        (ISING, OverlapConstraint.everything(), 8),
+        (_weighted_square(), OverlapConstraint.everything(), 4),
+        (_weighted_square(), OverlapConstraint.ball(np.eye(2), 0.8), 4),
+    ],
+    ids=["ising", "weighted-square", "overlap-ball"],
+)
+def test_beta_vector_equals_scalar_calls(space, constraint, n):
+    betas = np.array([0.0, 0.3, 0.9, 1.7])
+    dis = Disorder.sample(n, 5)
+    vec = exact_local_free_energy(dis, betas, constraint, space)
+    scalars = [exact_local_free_energy(dis, float(b), constraint, space) for b in betas]
+    assert all(type(v) is float for v in scalars)
+    assert vec.shape == betas.shape and np.array_equal(vec, scalars)
+    mean, se, vals = disorder_average(n, betas, constraint, space, 6, 3)
+    assert vals.shape == (betas.size, 6)
+    for k, b in enumerate(betas):
+        m, s, v = disorder_average(n, float(b), constraint, space, 6, 3)
+        assert type(m) is float and type(s) is float
+        assert mean[k] == m and se[k] == s and np.array_equal(vals[k], v)
 
 
 def test_beta_zero_probability_measure():
@@ -158,6 +184,15 @@ def test_concentration_beta_zero_and_table():
     table = concentration_experiment(8, 1.0, 400, 2)
     assert np.all(np.diff(table.bound) < 0)  # bound decreasing in t
     assert table.all_below_bound()
+
+
+def test_tail_table_csv_holds_plain_numbers():
+    table = concentration_experiment(8, 1.0, 50, 3)
+    header, *rows = table.to_csv().splitlines()
+    assert header == "t,empirical,upper95,bound"
+    parsed = np.array([[float(v) for v in row.split(",")] for row in rows])
+    source = np.column_stack([table.thresholds, table.empirical, table.upper_conf, table.bound])
+    assert np.array_equal(parsed, source)
 
 
 def test_superadditivity_beta_zero_and_margin():
