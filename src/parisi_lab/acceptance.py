@@ -408,11 +408,3 @@ ALL_CHECKS = [
     check_diagonal_consistency,
 ]
 
-
-def run_all(seed: int = DEFAULT_MASTER_SEED, printer=print) -> list[CheckResult]:
-    results = []
-    for check in ALL_CHECKS:
-        res = check(seed)
-        results.append(res)
-        printer(res.line())
-    return results

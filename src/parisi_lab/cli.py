@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from parisi_lab import __version__, acceptance
-from parisi_lab.measures import AprioriMeasure, EvalConfig, TerminalCondition
+from parisi_lab.measures import AprioriMeasure, EvalConfig, MeasureError, TerminalCondition
 from parisi_lab.paths import DiscretePath, path_from_json, path_to_json
 from parisi_lab.pde import PdeProblem, solve_parisi_pde
 # local_functional is no longer called here.  It stays in this namespace
@@ -30,7 +30,7 @@ from parisi_lab.recursion import (  # noqa: F401
     local_functional,
     recursion_value,
 )
-from parisi_lab.saddle import SaddleProblem, inner_minimize
+from parisi_lab.saddle import SaddleProblem, SelfOverlapError, inner_minimize
 from parisi_lab.seeds import derive_seed
 from parisi_lab.sk import (
     OverlapConstraint,
@@ -46,17 +46,31 @@ class ConfigError(ValueError):
     pass
 
 
+def _required(config: dict, key: str):
+    if key not in config:
+        raise ConfigError(f"missing key: {key}")
+    return config[key]
+
+
 def _measure_from(config: dict) -> AprioriMeasure:
     spec = config.get("measure", {"kind": "rademacher"})
-    if spec.get("kind") == "rademacher":
+    kind = spec.get("kind")
+    if kind == "rademacher":
         return AprioriMeasure.rademacher()
-    if spec.get("kind") == "hypercube":
+    if kind == "hypercube":
         return AprioriMeasure.hypercube(int(spec.get("d", 1)))
-    return AprioriMeasure.from_json_dict(spec)
+    if kind not in ("discrete", "gaussian"):
+        raise ConfigError(f"unknown measure kind: {kind!r}")
+    try:
+        return AprioriMeasure.from_json_dict(spec)
+    except KeyError as exc:
+        raise ConfigError(f"missing key in {kind} measure: {exc.args[0]}") from exc
+    except MeasureError as exc:
+        raise ConfigError(f"invalid {kind} measure: {exc}") from exc
 
 
 def _path_from(config: dict) -> DiscretePath:
-    return path_from_json(json.dumps(config["path"]))
+    return path_from_json(json.dumps(_required(config, "path")))
 
 
 def _terminal_from(config: dict, mu: AprioriMeasure) -> TerminalCondition:
@@ -97,7 +111,11 @@ def _run_pde(config: dict, master: int, workers: int):
 
 
 def _run_rpc(config: dict, master: int, workers: int):
-    spec = CascadeSpec(np.asarray(config["weights"], dtype=float), int(config.get("branching", 128)))
+    weights = _required(config, "weights")
+    try:
+        spec = CascadeSpec(np.asarray(weights, dtype=float), int(config.get("branching", 128)))
+    except ValueError as exc:
+        raise ConfigError(f"invalid cascade: {exc}") from exc
     replicas = int(config.get("replicas", 256))
     dist = overlap_distribution_check(spec, replicas, derive_seed(master, "rpc-dist"))
     pairs = pair_sum_check(spec, replicas, derive_seed(master, "rpc-pairs"))
@@ -135,8 +153,8 @@ def _run_sk(config: dict, master: int, workers: int):
 def _run_gaussian(config: dict, master: int, workers: int):
     from parisi_lab import gaussian
 
-    c = float(config["c"])
-    u = float(config["u"])
+    c = float(_required(config, "c"))
+    u = float(_required(config, "u"))
     h = float(config.get("h", 0.0))
     beta = float(config.get("beta", 1.0))
     levels = int(config.get("levels", 1))
@@ -164,7 +182,11 @@ def _run_saddle(config: dict, master: int, workers: int):
         engine=EvalConfig(grid_points=801),
     )
     u = np.asarray(config.get("u", [[1.0]]), dtype=float)
-    return {"saddle.json": inner_minimize(u, problem).to_json()}, 0
+    try:
+        result = inner_minimize(u, problem)
+    except SelfOverlapError as exc:
+        raise ConfigError(str(exc)) from exc
+    return {"saddle.json": result.to_json()}, 0
 
 
 def _run_verify_all(config: dict, master: int, workers: int):

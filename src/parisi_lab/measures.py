@@ -217,6 +217,42 @@ class TerminalCondition:
             return float(vals[0])
         return vals.reshape(pts.shape[:-1])
 
+    def derivatives(self, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """g, grad g and the tilted second moment <s s^T>, which is the
+        derivative of g in the tilt, at the rows of y (shape (m, d)); the
+        shapes are (m,), (m, d) and (m, d, d).
+
+        Under the tilted measure nu_y(ds) ~ exp(sqrt(2) beta <y, s> +
+        <tilt s, s>) mu(ds), grad g = sqrt(2) beta <s>.  For Gaussian mu,
+        nu_y is Gaussian with covariance (C - 2 tilt)^-1 and mean
+        (C - 2 tilt)^-1 w.  The value of g agrees with ``__call__`` to
+        rounding, not bit for bit: it comes out of the same exponentials as
+        the derivatives.
+        """
+        flat = np.asarray(y, dtype=float).reshape(-1, self.dim)
+        root2b = np.sqrt(2.0) * self.beta
+        if self.mu.kind == "discrete":
+            sigma = self.mu.points
+            quad = np.einsum("ij,jk,ik->i", sigma, self.tilt, sigma)
+            logits = root2b * flat @ sigma.T + (np.log(self.mu.weights) + quad)[None, :]
+            # Column-wise max and a matrix-vector row sum: faster than row
+            # reductions over the few support points.
+            top = reduce(np.maximum, logits.T)
+            gibbs = np.exp(logits - top[:, None])
+            total = gibbs @ np.ones(len(sigma))
+            gibbs /= total[:, None]
+            value = top + np.log(total)
+            mean = gibbs @ sigma
+            outer = sigma[:, :, None] * sigma[:, None, :]
+            moment = (gibbs @ outer.reshape(len(sigma), -1)).reshape(-1, self.dim, self.dim)
+        else:
+            const, minv = self._gaussian_data()
+            w = self.mu.shift[None, :] + root2b * flat
+            mean = w @ minv
+            value = const + 0.5 * np.einsum("ij,ij->i", w, mean)
+            moment = minv[None] + mean[:, :, None] * mean[:, None, :]
+        return value, root2b * mean, moment
+
     def gradient_sup_bound(self) -> float:
         """Computable sup-norm-squared bound on grad g: 2 beta^2 r^2 d for
         discrete measures with support radius r."""

@@ -19,11 +19,17 @@ are provided:
 Level weights may be arbitrary values in [0, 1] (not only the partition
 points); this generality is used by the monotonicity and convexity probes
 where convex combinations of step profiles appear as weights.
+
+``local_functional_gradient`` adds the first derivatives of the local
+functional in the weights, the chain and the tilt: every one is an
+expectation under the level reweightings, taken by one forward pass over
+the grids the quadrature engine's backward pass built.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass
 from functools import lru_cache
@@ -135,6 +141,17 @@ class GridFunction:
             return self._spline(axes[0][None, :] + shifts[:, 0:1])
         return np.stack([self._spline(axes[0] + s[0], axes[1] + s[1]) for s in shifts])
 
+    def gradient_on_shifted_grids(self, axes: list[np.ndarray], shifts: np.ndarray) -> np.ndarray:
+        """Spline gradient on the grids {axes + s}, shape (len(shifts),) +
+        grid shape + (d,)."""
+        if self.dim == 1:
+            return self._spline(axes[0][None, :] + shifts[:, 0:1], 1)[..., None]
+        parts = [
+            np.stack([self._spline(axes[0] + s[0], axes[1] + s[1], dx=dx, dy=1 - dx) for s in shifts])
+            for dx in (1, 0)
+        ]
+        return np.stack(parts, axis=-1)
+
     def at_origin(self) -> float:
         if self.dim == 1:
             return float(self._spline(0.0))
@@ -189,7 +206,10 @@ def propagate_segment(
     return GridFunction(axes, out)
 
 
-def _quadrature_value(terminal, levels: list[Level], cfg: EvalConfig) -> float:
+def _backward_pass(terminal, levels: list[Level], cfg: EvalConfig) -> tuple[list[GridFunction], float]:
+    """The quadrature engine: X_1 .. X_n as grid functions (X_k at index
+    k - 1) and X_0 at the origin.  Only the level functions are kept; the
+    per-node value blocks of each level are freed once it is done."""
     d = levels[0].cov.shape[0]
     if d > 2:
         raise ValueError("quadrature engine supports d <= 2; use monte_carlo")
@@ -201,23 +221,126 @@ def _quadrature_value(terminal, levels: list[Level], cfg: EvalConfig) -> float:
     for lv in levels:
         acc = acc + 2.0 * np.sqrt(np.clip(np.diag(lv.cov), 0.0, None)) * xmax
         halfw.append(acc.copy())
-    axes_for = lambda w: [np.linspace(-wi, wi, per_axis) for wi in w]
 
+    fs = []
     f = None
-    for k in range(len(levels) - 1, -1, -1):
-        axes = axes_for(halfw[k - 1]) if k > 0 else [np.zeros(1)] * d
-        target = terminal if f is None else f
-        if k == 0:
-            # Outermost level: evaluate at the origin only.
-            shifts, wgt = _gh_nodes(levels[0].cov, cfg.nodes)
-            if f is None:
-                vals = np.asarray(terminal(shifts))
+    for k in range(len(levels) - 1, 0, -1):
+        axes = [np.linspace(-wi, wi, per_axis) for wi in halfw[k - 1]]
+        f = propagate_segment(terminal if f is None else f, levels[k].weight, levels[k].cov, axes, cfg)
+        fs.append(f)
+    fs.reverse()
+    # Outermost level: evaluate at the origin only.
+    shifts, wgt = _gh_nodes(levels[0].cov, cfg.nodes)
+    vals = np.asarray(terminal(shifts)) if f is None else f(shifts)
+    return fs, float(_log_avg_exp(levels[0].weight, vals, wgt, cfg.small_x_threshold))
+
+
+def _deposit(mass: np.ndarray, coords: list[np.ndarray], axes: list[np.ndarray]) -> np.ndarray:
+    """Spread point masses onto the uniform tensor grid ``axes`` with linear
+    (d = 1) or bilinear (d = 2) weights.  ``coords[i]`` holds the i-th
+    coordinate of every point, in the shape of ``mass``.  Total mass and the
+    first moments are kept exactly; points outside the grid go to its edge."""
+    cells = []
+    for c, a in zip(coords, axes):
+        t = np.clip((c - a[0]) / (a[1] - a[0]), 0.0, a.size - 1.0).ravel()
+        i = np.minimum(t.astype(np.intp), a.size - 2)
+        cells.append((i, t - i))
+    shape = tuple(a.size for a in axes)
+    out = np.zeros(int(np.prod(shape)))
+    for corner in itertools.product((0, 1), repeat=len(axes)):
+        wgt = mass.ravel()
+        flat = 0
+        for (i, frac), upper, a in zip(cells, corner, axes):
+            wgt = wgt * (frac if upper else 1.0 - frac)
+            flat = flat * a.size + i + upper
+        out += np.bincount(flat, wgt, minlength=out.size)
+    return out.reshape(shape)
+
+
+def _forward_pass(tc: TerminalCondition, levels: list[Level], fs: list[GridFunction], x0: float, cfg: EvalConfig):
+    """First derivatives of X_0 in each level's weight w_k and covariance
+    increment dQ_k and in the tilt, from one sweep over the grids of
+    ``_backward_pass``.
+
+    The sweep carries pi_k, the law of y_k under the level reweightings,
+    starting from the point mass at the origin.  Node j of level k moves
+    mass pi_k(y) p_j(y) to y + z_j, where p_j = wgt_j exp(w_k (X_{k+1}(y +
+    z_j) - X_k(y))) is the derivative of X_k(y) in X_{k+1}(y + z_j); the
+    moved mass is deposited on the grid of level k + 1.  Along the way
+
+        dX_0/dw_k  = E_pi[(E^{W_k} X_{k+1} - X_k) / w_k]   (1/2 Var below
+                     small_x_threshold, as in _log_avg_exp),
+        dX_0/ddQ_k = sym(A_k dQ_k^+ / 2),  A_k = E_pi[grad X_{k+1}(y + z_j) z_j^T],
+        dX_0/dtilt = E_pi[<s s^T>] at the terminal level,
+
+    with X_{k+1} and its gradient read from the level splines and, at the
+    last level, from ``TerminalCondition.derivatives``.  The dQ_k formula is
+    the derivative of the quadrature sum itself: its nodes z_j = sqrt(2) L
+    xi_j move with the factor L L^T = dQ_k.  By Gaussian integration by parts
+    it equals the continuum 1/2 E_pi[Hess X_{k+1} + w_k grad X_{k+1}
+    grad X_{k+1}^T], but it needs no second derivative, whose node sum is
+    far less accurate where X_{k+1} bends sharply (large beta).  It is exact
+    at d = 1; at d = 2 it leaves out how the tensor node grid turns with the
+    eigenvectors of dQ_k, a quadrature artifact.  Directions outside the
+    range of dQ_k, where the nodes do not move, read 0.  Matrix derivatives
+    pair with a symmetric perturbation by the Frobenius product.
+    """
+    d = tc.dim
+    n = len(levels) - 1
+    d_weight = np.zeros(n + 1)
+    d_cov = np.zeros((n + 1, d, d))
+    d_tilt = np.zeros((d, d))
+    axes = [np.zeros(1)] * d
+    here = np.full((1,) * d, x0)  # X_k on the level-k grid
+    mass = np.ones((1,) * d)      # pi_k on the level-k grid
+    for k, lv in enumerate(levels):
+        shifts, wgt = _gh_nodes(lv.cov, cfg.nodes)
+        shape = here.shape
+        mesh = np.meshgrid(*axes, indexing="ij")
+        base = np.stack([m.ravel() for m in mesh], axis=1)
+        last = k == n
+        small = lv.weight < cfg.small_x_threshold
+        sum_v = np.zeros(shape)   # sum_j p_j v_j, or wgt_j v_j below the threshold
+        sum_sq = np.zeros(shape)  # sum_j wgt_j v_j^2 below the threshold
+        moves = np.zeros((d, d))  # A_k
+        moved = None if last else np.zeros(fs[k].values.shape)
+        expand = (slice(None),) + (None,) * d
+        step = max(1, BLOCK_POINTS // here.size)
+        for start in range(0, shifts.shape[0], step):
+            block = shifts[start : start + step]
+            if last:
+                pts = (base[None, :, :] + block[:, None, :]).reshape(-1, d)
+                vals, grad, moment = tc.derivatives(pts)
+                vals = vals.reshape((len(block),) + shape)
             else:
-                vals = f(shifts)
-            out = _log_avg_exp(levels[0].weight, vals, wgt, cfg.small_x_threshold)
-            return float(out)
-        f = propagate_segment(target, levels[k].weight, levels[k].cov, axes, cfg)
-    raise AssertionError("unreachable")
+                vals = fs[k].on_shifted_grids(axes, block)
+                grad = fs[k].gradient_on_shifted_grids(axes, block)
+            node_w = wgt[start : start + step][expand]
+            p = node_w * np.exp(lv.weight * (vals - here[None]))
+            if small:
+                sum_v += (node_w * vals).sum(axis=0)
+                sum_sq += (node_w * vals * vals).sum(axis=0)
+            else:
+                sum_v += (p * vals).sum(axis=0)
+            moving = mass[None] * p
+            flat = moving.reshape(len(block), -1)
+            moves += np.einsum("bm,bmi,bj->ij", flat, grad.reshape(flat.shape + (d,)), block)
+            if last:
+                d_tilt += np.tensordot(flat.ravel(), moment, axes=1)
+            else:
+                coords = [m[None] + block[expand + (i,)] for i, m in enumerate(mesh)]
+                moved += _deposit(moving, coords, fs[k].axes)
+        back = np.linalg.pinv(sqrt_factor(lv.cov))
+        half = 0.5 * moves @ back.T @ back
+        d_cov[k] = 0.5 * (half + half.T)
+        if small:
+            per_point = 0.5 * np.maximum(sum_sq - sum_v * sum_v, 0.0)
+        else:
+            per_point = (sum_v - here) / lv.weight
+        d_weight[k] = float(np.sum(mass * per_point))
+        if not last:
+            mass, here, axes = moved, fs[k].values, fs[k].axes
+    return d_weight, d_cov, d_tilt
 
 
 def _mc_value(terminal, levels: list[Level], cfg: EvalConfig, rng: np.random.Generator) -> float:
@@ -270,7 +393,7 @@ def recursion_from_levels(terminal, levels: list[Level], cfg: EvalConfig) -> Rec
         if not 0.0 <= lv.weight <= 1.0:
             raise ValueError(f"level weight {lv.weight} outside [0, 1]")
     if cfg.engine == "quadrature":
-        return RecursionResult(_quadrature_value(terminal, levels, cfg), 0.0, "quadrature")
+        return RecursionResult(_backward_pass(terminal, levels, cfg)[1], 0.0, "quadrature")
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.replicas)
     vals = np.array(
         [_mc_value(terminal, levels, cfg, np.random.default_rng(s)) for s in seeds]
@@ -311,6 +434,53 @@ def local_functional(
         f = -<tilt, U> - (beta^2/2) sum_k x_k (||Q[k+1]||^2 - ||Q[k]||^2) + X_0.
     """
     return functional_from_recursion(x, chain, tc, recursion_value(x, chain, tc, cfg))
+
+
+@dataclass(frozen=True)
+class FunctionalGradient:
+    """First derivatives of the local functional in the interior partition
+    points x_1..x_n (shape (n,)), the interior chain matrices Q_1..Q_n
+    (shape (n, d, d)) and the tilt (d, d).  Matrix derivatives are symmetric
+    and pair with a symmetric perturbation by the Frobenius product:
+    df = sum_k <chain[k], dQ_{k+1}> + <tilt, dtilt>."""
+
+    x: np.ndarray
+    chain: np.ndarray
+    tilt: np.ndarray
+
+
+def local_functional_gradient(
+    x: UnitPartition,
+    chain: MonotoneChain,
+    tc: TerminalCondition,
+    cfg: EvalConfig | None = None,
+) -> tuple[RecursionResult, FunctionalGradient]:
+    """The local functional, bit-identical to ``local_functional``, and its
+    gradient: one quadrature backward pass plus one forward reweighting
+    pass (``_forward_pass``) over the same grids.  With w_k = x_k and
+    dQ_k = Q[k+1] - Q[k],
+
+        df/dx_k = dX_0/dw_k - (beta^2/2) (||Q[k+1]||^2 - ||Q[k]||^2),
+        df/dQ_k = dX_0/ddQ_{k-1} - dX_0/ddQ_k + beta^2 (x_k - x_{k-1}) Q[k],
+        df/dtilt = dX_0/dtilt - U.
+
+    Only the quadrature engine is supported.
+    """
+    cfg = cfg or EvalConfig()
+    if cfg.engine != "quadrature":
+        raise ValueError("the functional gradient needs the quadrature engine")
+    levels = levels_from_order_params(x, chain)
+    fs, x0 = _backward_pass(tc, levels, cfg)
+    d_weight, d_cov, d_tilt = _forward_pass(tc, levels, fs, x0, cfg)
+    result = functional_from_recursion(x, chain, tc, RecursionResult(x0, 0.0, "quadrature"))
+    mats = chain.matrices
+    n = chain.levels
+    sq_norms = np.array([frobenius_norm(m) ** 2 for m in mats])
+    beta2 = tc.beta**2
+    grad_x = d_weight[1:] - 0.5 * beta2 * np.diff(sq_norms)[1:]
+    steps = np.diff(x.values)[:n]
+    grad_chain = d_cov[:-1] - d_cov[1:] + beta2 * steps[:, None, None] * mats[1:-1]
+    return result, FunctionalGradient(grad_x, grad_chain, d_tilt - chain.terminal)
 
 
 def functional_from_recursion(

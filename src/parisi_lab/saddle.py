@@ -8,13 +8,16 @@ chain is parameterized through PSD factor fractions
     S = sum_k B_k,
 
 so monotonicity and the terminal constraint hold exactly for every parameter
-vector.  Outer problem: maximize the inner value over a domain of admissible
-self-overlap matrices (a fixed U, a diagonal eigenvalue grid, or a PSD
-operator-norm ball walked by projected ascent).
+vector.  The inner solver is L-BFGS-B on the analytic gradient: the
+recursion's first-order formula (``recursion.local_functional_gradient``)
+pulled back through this parameterization.  Outer problem: maximize the
+inner value over a domain of admissible self-overlap matrices, a fixed U or
+an explicit grid of them.
 
-All inner evaluations share one engine configuration; with the quadrature
-engine the optimization is fully deterministic, with the Monte Carlo engine
-the fixed seed acts as common random numbers across evaluations.
+For a discrete measure, U must lie in the convex hull of {s s^T : s in the
+support}; outside it the inner infimum is -infinity and ``inner_minimize``
+raises ``SelfOverlapError``.  Evaluations use the quadrature engine, so the
+optimization is fully deterministic.
 """
 
 from __future__ import annotations
@@ -23,19 +26,23 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import linprog, minimize
 
 from parisi_lab.gaussian import PAIR_SCALE, FeasibilityError, minimize_parisi_1d
-from parisi_lab.matrices import MatrixError, eigh_jacobi, frobenius_norm, project_psd, operator_norm, sym_sqrt
+from parisi_lab.matrices import MatrixError, eigh_jacobi, project_psd, sym_sqrt
 from parisi_lab.measures import AprioriMeasure, EvalConfig, MeasureError, TerminalCondition
-from parisi_lab.paths import MonotoneChain, PathError, UnitPartition, validate_chain
-from parisi_lab.recursion import local_functional
+from parisi_lab.paths import MonotoneChain, PathError, UnitPartition
+from parisi_lab.recursion import FunctionalGradient, local_functional, local_functional_gradient
 
 # Errors that mark a parameter vector as infeasible.  The inner objective
-# rejects such a point with a large value; any other exception is a bug and
-# propagates.
+# rejects such a point with a large value and a zero gradient; any other
+# exception is a bug and propagates.
 INFEASIBLE = (FeasibilityError, MeasureError, MatrixError, PathError)
 REJECTED_VALUE = 1e6
+
+
+class SelfOverlapError(ValueError):
+    """Raised when the terminal self-overlap U is not admissible for the measure."""
 
 
 @dataclass(frozen=True)
@@ -44,7 +51,6 @@ class SaddleProblem:
     mu: AprioriMeasure
     levels: int = 2
     engine: EvalConfig = field(default_factory=EvalConfig)
-    hadamard_penalty: bool = False
     restarts: int = 5
     max_evals: int = 2500
     seed: int = 0
@@ -66,6 +72,11 @@ class SaddleResult:
     all_restart_values: list
     value_paired: float | None = None  # doubled-units value for closed-form layers
     rejections: dict = field(default_factory=dict)  # rejected evals by error type
+    restart_evaluations: list = field(default_factory=list)  # objective evals per restart
+    nit: list = field(default_factory=list)  # L-BFGS-B iterations per restart
+    # Per restart: stopped by a tolerance at a feasible point (an infeasible
+    # start has a zero gradient and stops at once, unconverged).
+    converged: list = field(default_factory=list)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -78,6 +89,9 @@ class SaddleResult:
                 "U": self.self_overlap.tolist(),
                 "evaluations": self.evaluations,
                 "restart_values": self.all_restart_values,
+                "restart_evaluations": self.restart_evaluations,
+                "nit": self.nit,
+                "converged": self.converged,
             }
         )
 
@@ -87,18 +101,21 @@ def _tri_indices(d: int):
 
 
 def _unpack(theta: np.ndarray, d: int, n: int, u_mat: np.ndarray, u_half: np.ndarray):
-    """Parameter vector -> (partition, chain, tilt)."""
+    """Parameter vector -> (partition, chain, tilt, pullback), where
+    ``pullback`` maps a ``FunctionalGradient`` at that point to the gradient
+    in theta by the chain rule."""
     ntri = d * (d + 1) // 2
+    tri = _tri_indices(d)
     gaps_raw = theta[: n + 1]
     pos = 0 + n + 1
     facs = []
     for _ in range(n + 1):
-        tri = np.zeros((d, d))
-        tri[_tri_indices(d)] = theta[pos : pos + ntri]
-        facs.append(tri)
+        fac = np.zeros((d, d))
+        fac[tri] = theta[pos : pos + ntri]
+        facs.append(fac)
         pos += ntri
     tilt = np.zeros((d, d))
-    tilt[_tri_indices(d)] = theta[pos : pos + ntri]
+    tilt[tri] = theta[pos : pos + ntri]
     tilt = 0.5 * (tilt + tilt.T)
     pos += ntri
 
@@ -111,49 +128,90 @@ def _unpack(theta: np.ndarray, d: int, n: int, u_mat: np.ndarray, u_half: np.nda
     bs = [f @ f.T + eps * np.eye(d) for f in facs]
     s = sum(bs)
     w, v = eigh_jacobi(s)
-    s_inv_half = v @ np.diag(1.0 / np.sqrt(np.maximum(w, 1e-14))) @ v.T
+    root = np.sqrt(np.maximum(w, 1e-14))
+    s_inv_half = v @ np.diag(1.0 / root) @ v.T
     mats = [np.zeros((d, d))]
     for b in bs:
         inc = u_half @ s_inv_half @ b @ s_inv_half @ u_half
         mats.append(mats[-1] + 0.5 * (inc + inc.T))
     mats[-1] = u_mat  # exact terminal, kills accumulated rounding
     chain = MonotoneChain(mats, allow_equal=True)
-    return partition, chain, tilt
+
+    def pullback(grad: FunctionalGradient) -> np.ndarray:
+        out = np.empty_like(theta)
+        # x_k = sum_{i<k} p_i with p = softmax(gaps_raw); Q[k] = sum_{i<k} dQ_i.
+        p = e / e.sum()
+        g_p = np.concatenate((np.cumsum(grad.x[::-1])[::-1], [0.0]))
+        out[: n + 1] = p * (g_p - p @ g_p)
+        g_inc = np.concatenate((np.cumsum(grad.chain[::-1], axis=0)[::-1], np.zeros((1, d, d))))
+        g_inc = [u_half @ g @ u_half for g in g_inc]
+        # S^{-1/2} pulls back through the Daleckii-Krein divided differences
+        # of t^{-1/2}: (a^-1 - b^-1) / (a^2 - b^2) = -1 / (a b (a + b)).
+        g_root = sum(g @ s_inv_half @ b + b @ s_inv_half @ g for g, b in zip(g_inc, bs))
+        divided = -1.0 / (root[:, None] * root[None, :] * (root[:, None] + root[None, :]))
+        g_s = v @ (divided * (v.T @ g_root @ v)) @ v.T
+        pos = n + 1
+        for g, fac in zip(g_inc, facs):
+            g_b = s_inv_half @ g @ s_inv_half + g_s
+            out[pos : pos + ntri] = (2.0 * g_b @ fac)[tri]
+            pos += ntri
+        out[pos:] = grad.tilt[tri]
+        return out
+
+    return partition, chain, tilt, pullback
 
 
-def _hadamard_violation(chain: MonotoneChain) -> float:
-    rep = validate_chain(chain, require_hadamard=True)
-    bad = [abs(v[2]) for v in rep.violations if v[0] == "hadamard"]
-    return sum(bad)
+def _check_self_overlap(u_mat: np.ndarray, mu: AprioriMeasure) -> None:
+    """Raise SelfOverlapError if U has the wrong shape or, for discrete mu,
+    lies outside conv{s s^T : s in supp mu}: there -<tilt, U> + X_0 is
+    unbounded below in the tilt.  Membership is a linear feasibility
+    problem in the convex weights of the support points."""
+    d = mu.dim
+    if u_mat.shape != (d, d):
+        raise SelfOverlapError("self-overlap shape disagrees with the measure dimension")
+    if mu.kind != "discrete":
+        return
+    tri = _tri_indices(d)
+    outer = np.array([np.outer(s, s)[tri] for s in mu.points]).T
+    a_eq = np.vstack((outer, np.ones(len(mu.points))))
+    b_eq = np.concatenate((u_mat[tri], [1.0]))
+    res = linprog(np.zeros(len(mu.points)), A_eq=a_eq, b_eq=b_eq, bounds=(0.0, None), method="highs")
+    if res.status != 0:
+        raise SelfOverlapError(
+            f"self-overlap {u_mat.tolist()} lies outside the convex hull of s s^T over the "
+            "support; the inner infimum is -infinity there"
+        )
 
 
 def inner_minimize(u_matrix, problem: SaddleProblem) -> SaddleResult:
-    """Infimum of the local functional at fixed terminal self-overlap."""
+    """Infimum of the local functional at fixed terminal self-overlap.
+
+    Raises SelfOverlapError when U is not admissible for the measure (see
+    ``_check_self_overlap``).  ``problem.max_evals`` is L-BFGS-B's
+    ``maxfun``, which scipy checks between iterations, so a restart may end
+    a few evaluations past it."""
     u_mat = project_psd(np.atleast_2d(np.asarray(u_matrix, dtype=float)))
+    _check_self_overlap(u_mat, problem.mu)
     d = problem.dim
     n = problem.levels
-    if u_mat.shape != (d, d):
-        raise ValueError("self-overlap shape disagrees with the measure dimension")
     u_half = sym_sqrt(u_mat)
     ntri = d * (d + 1) // 2
     size = (n + 1) + (n + 1) * ntri + ntri
     evals = 0
     rejections: dict[str, int] = {}
 
-    def objective(theta: np.ndarray) -> float:
+    def objective(theta: np.ndarray):
         nonlocal evals
         evals += 1
         try:
-            part, chain, tilt = _unpack(theta, d, n, u_mat, u_half)
+            part, chain, tilt, pullback = _unpack(theta, d, n, u_mat, u_half)
             tc = TerminalCondition(problem.beta, tilt, problem.mu)
-            val = local_functional(part, chain, tc, problem.engine).value
-            if problem.hadamard_penalty:
-                val += 10.0 * _hadamard_violation(chain)
-            return val
+            result, grad = local_functional_gradient(part, chain, tc, problem.engine)
         except INFEASIBLE as exc:
             kind = type(exc).__name__
             rejections[kind] = rejections.get(kind, 0) + 1
-            return REJECTED_VALUE
+            return REJECTED_VALUE, np.zeros(size)
+        return result.value, pullback(grad)
 
     # Feasible symmetric start: uniform gaps, equal increments, zero tilt.
     base = np.zeros(size)
@@ -171,23 +229,19 @@ def inner_minimize(u_matrix, problem: SaddleProblem) -> SaddleResult:
         starts.append(base + rng.normal(scale=0.4, size=size))
 
     best = None
-    restart_values = []
+    restart_values, restart_evals, nit, converged = [], [], [], []
     for s0 in starts:
+        before = evals
         res = minimize(
-            objective,
-            s0,
-            method="Nelder-Mead",
-            options={
-                "maxfev": problem.max_evals,
-                "xatol": 1e-8,
-                "fatol": 1e-10,
-                "adaptive": True,
-            },
+            objective, s0, jac=True, method="L-BFGS-B", options={"maxfun": problem.max_evals}
         )
         restart_values.append(float(res.fun))
+        restart_evals.append(evals - before)
+        nit.append(int(res.nit))
+        converged.append(bool(res.success and res.fun < REJECTED_VALUE))
         if best is None or res.fun < best.fun:
             best = res
-    part, chain, tilt = _unpack(best.x, d, n, u_mat, u_half)
+    part, chain, tilt, _ = _unpack(best.x, d, n, u_mat, u_half)
     return SaddleResult(
         value=float(best.fun),
         partition=part,
@@ -199,6 +253,9 @@ def inner_minimize(u_matrix, problem: SaddleProblem) -> SaddleResult:
         all_restart_values=restart_values,
         value_paired=float(PAIR_SCALE * best.fun),
         rejections=dict(sorted(rejections.items())),
+        restart_evaluations=restart_evals,
+        nit=nit,
+        converged=converged,
     )
 
 
@@ -263,70 +320,25 @@ def diagonal_outer(
 
 
 # ---------------------------------------------------------------------------
-# General outer ascent and stationarity diagnostics
+# Outer maximization and stationarity diagnostics
 
 
-def outer_maximize(
-    problem: SaddleProblem,
-    u_domain: str,
-    u_init=None,
-    radius: float | None = None,
-    grid=None,
-    steps: int = 20,
-    step_size: float = 0.1,
-) -> SaddleResult:
+def outer_maximize(problem: SaddleProblem, u_domain: str, u_init=None, grid=None) -> SaddleResult:
     """sup over the admissible self-overlap domain of the inner infimum.
 
     u_domain "fixed": singleton domain, returns inner_minimize(u_init).
-    u_domain "psd_ball": projected finite-difference ascent inside
-    {U PSD, operator norm <= radius}.
     u_domain "grid": best inner value over an explicit list of matrices.
     """
     if u_domain == "fixed":
         return inner_minimize(u_init, problem)
-    if u_domain == "grid":
-        best = None
-        for u in grid:
-            res = inner_minimize(u, problem)
-            if best is None or res.value > best.value:
-                best = res
-        return best
-    if u_domain != "psd_ball":
+    if u_domain != "grid":
         raise ValueError(f"unknown outer domain {u_domain!r}")
-    d = problem.dim
-    u = project_psd(np.atleast_2d(np.asarray(u_init, dtype=float)))
-    r = radius if radius is not None else 2.0
-    current = inner_minimize(u, problem)
-    h = 0.05
-    for _ in range(steps):
-        grad = np.zeros((d, d))
-        for i in range(d):
-            for j in range(i, d):
-                pert = np.zeros((d, d))
-                pert[i, j] = pert[j, i] = h
-                up = _cap_norm(project_psd(u + pert), r)
-                dn = _cap_norm(project_psd(u - pert), r)
-                vp = inner_minimize(up, problem).value
-                vn = inner_minimize(dn, problem).value
-                grad[i, j] = grad[j, i] = (vp - vn) / (2.0 * h)
-        if frobenius_norm(grad) < 1e-7:
-            break
-        cand_u = _cap_norm(project_psd(u + step_size * grad), r)
-        cand = inner_minimize(cand_u, problem)
-        if cand.value > current.value + 1e-12:
-            u, current = cand_u, cand
-        else:
-            step_size *= 0.5
-            if step_size < 1e-4:
-                break
-    return current
-
-
-def _cap_norm(m: np.ndarray, radius: float) -> np.ndarray:
-    nrm = operator_norm(m)
-    if nrm > radius:
-        return m * (radius / nrm)
-    return m
+    best = None
+    for u in grid:
+        res = inner_minimize(u, problem)
+        if best is None or res.value > best.value:
+            best = res
+    return best
 
 
 def stationarity_residual(result: SaddleResult, problem: SaddleProblem, step: float = 1e-4):

@@ -75,6 +75,19 @@ def test_free_energy_csv_equals_disorder_average(tmp_path):
         ({"command": "rpc", "weights": [0.5]}, "missing key: seed"),
         ({"command": "sk", "seed": 1, "experiment": "magic"}, "unknown keys for sk: experiment='magic'"),
         ({"seed": 1}, "missing key: command"),
+        ({"command": "gaussian", "seed": 1, "u": 0.5}, "missing key: c"),
+        ({"command": "eval", "seed": 1, "measure": {"kind": "potts"}, "path": PATH},
+         "unknown measure kind: 'potts'"),
+        ({"command": "eval", "seed": 1, "measure": {"kind": "gaussian", "shift": [0.0]}, "path": PATH},
+         "missing key in gaussian measure: precision"),
+        ({"command": "eval", "seed": 1, "measure": {"kind": "discrete", "points": [[1.0]], "weights": [-1.0]},
+          "path": PATH}, "invalid discrete measure: weights must be positive"),
+        ({"command": "rpc", "seed": 1, "weights": [0.6, 0.25]},
+         "invalid cascade: weights must be strictly increasing"),
+        ({"command": "rpc", "seed": 1}, "missing key: weights"),
+        ({"command": "saddle", "seed": 1, "measure": {"kind": "hypercube", "d": 2},
+          "u": [[0.6, 0.2], [0.2, 0.5]], "restarts": 1, "max_evals": 5},
+         "lies outside the convex hull"),
     ],
 )
 def test_bad_config_exits_two(config, message, tmp_path, capsys):

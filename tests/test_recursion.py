@@ -2,18 +2,23 @@ import numpy as np
 import pytest
 from numpy.polynomial.hermite import hermgauss
 
+from parisi_lab.matrices import sym_sqrt
 from parisi_lab.measures import AprioriMeasure, EvalConfig, TerminalCondition
 from parisi_lab.paths import DiscretePath, MonotoneChain, UnitPartition
 from parisi_lab.recursion import (
     BLOCK_POINTS,
+    FunctionalGradient,
     GridFunction,
     Level,
+    RecursionResult,
     _gauss_hermite,
     _gh_nodes,
     _log_avg_exp,
+    functional_from_recursion,
     levels_from_order_params,
     lipschitz_witness,
     local_functional,
+    local_functional_gradient,
     overlap_energy_term,
     propagate_segment,
     recursion_from_levels,
@@ -269,3 +274,167 @@ def test_gauss_hermite_table_cached_read_only():
     shifts, weights = _gh_nodes(np.array([[0.5]]), 16)
     assert not weights.flags.writeable
     assert weights.sum() == pytest.approx(1.0, abs=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# Gradient of the local functional against central differences
+
+D1 = EvalConfig(grid_points=801)
+D2 = EvalConfig(nodes=12, grid_points_2d=81)
+
+
+def central_gradient(value, x, chain, tilt, h=1e-5):
+    """Central differences of value(x values, chain matrices, tilt) in
+    x_1..x_n, Q_1..Q_n and the tilt, as a FunctionalGradient: each symmetric
+    matrix entry is moved together with its mirror, and an off-diagonal
+    difference is halved to match the Frobenius pairing."""
+    xv, mats = x.values, chain.matrices
+    n, d = chain.levels, chain.dim
+    grad_x = []
+    for k in range(1, n + 1):
+        step = min(h, 0.25 * min(xv[k] - xv[k - 1], xv[k + 1] - xv[k]))
+        up, dn = xv.copy(), xv.copy()
+        up[k] += step
+        dn[k] -= step
+        grad_x.append((value(up, mats, tilt) - value(dn, mats, tilt)) / (2 * step))
+
+    def matrix_gradient(shift):
+        out = np.zeros((d, d))
+        for i in range(d):
+            for j in range(i, d):
+                e = np.zeros((d, d))
+                e[i, j] = e[j, i] = h
+                diff = (shift(e) - shift(-e)) / (2 * h)
+                out[i, j] = out[j, i] = diff if i == j else 0.5 * diff
+        return out
+
+    def moved(k, e):
+        out = mats.copy()
+        out[k] += e
+        return out
+
+    grad_chain = [matrix_gradient(lambda e, k=k: value(xv, moved(k, e), tilt)) for k in range(1, n + 1)]
+    grad_tilt = matrix_gradient(lambda e: value(xv, mats, tilt + e))
+    return FunctionalGradient(np.array(grad_x), np.array(grad_chain), grad_tilt)
+
+
+def recursion_functional(mu, beta, cfg):
+    def value(xv, mats, tilt):
+        tc = TerminalCondition(beta, tilt, mu)
+        return local_functional(UnitPartition(xv), MonotoneChain(mats, allow_equal=True), tc, cfg).value
+
+    return value
+
+
+def random_point(rng, d, n, u, tilt_scale=0.1):
+    x = UnitPartition.from_interior(np.sort(rng.uniform(0.05, 0.95, n)))
+    bs = [w @ w.T + 0.05 * np.eye(d) for w in rng.normal(size=(n + 1, d, d))]
+    w_eig, v_eig = np.linalg.eigh(sum(bs))
+    s_inv_half = v_eig @ np.diag(1.0 / np.sqrt(w_eig)) @ v_eig.T
+    u_half = sym_sqrt(u)
+    mats = [np.zeros((d, d))]
+    for b in bs:
+        inc = u_half @ s_inv_half @ b @ s_inv_half @ u_half
+        mats.append(mats[-1] + 0.5 * (inc + inc.T))
+    mats[-1] = u
+    tilt = rng.normal(scale=tilt_scale, size=(d, d))
+    return x, MonotoneChain(mats, allow_equal=True), 0.5 * (tilt + tilt.T)
+
+
+def max_gradient_error(grad, ref):
+    return max(np.abs(grad.x - ref.x).max(), np.abs(grad.chain - ref.chain).max(),
+               np.abs(grad.tilt - ref.tilt).max())
+
+
+def gradient_case(mu, beta, x, chain, tilt, cfg):
+    tc = TerminalCondition(beta, tilt, mu)
+    result, grad = local_functional_gradient(x, chain, tc, cfg)
+    assert np.array_equal(result.value, local_functional(x, chain, tc, cfg).value)
+    ref = central_gradient(recursion_functional(mu, beta, cfg), x, chain, tc.tilt)
+    return max_gradient_error(grad, ref)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_gradient_matches_central_differences_rademacher(n):
+    rng = np.random.default_rng(100 + n)
+    x, chain, tilt = random_point(rng, 1, n, np.array([[1.0]]))
+    if n == 3:
+        # The first weight sits below small_x_threshold, in the variance branch.
+        x = UnitPartition(np.concatenate(([0.0, 5e-7], x.values[2:])))
+    for beta in (0.5, 1.5):
+        assert gradient_case(RADEMACHER, beta, x, chain, tilt, D1) <= 2e-4
+
+
+def test_gradient_matches_central_differences_gaussian_d1():
+    rng = np.random.default_rng(7)
+    mu = AprioriMeasure.gaussian(np.array([[3.0]]), np.array([0.2]))
+    x, chain, tilt = random_point(rng, 1, 2, np.array([[0.6]]))
+    assert gradient_case(mu, 1.0, x, chain, tilt, D1) <= 2e-4
+
+
+# At d = 2 (12 nodes per axis, 81 x 81 grids) the measured differences are
+# up to 7e-4 on these points: the spline second derivatives and the bilinear
+# deposit are coarser than at d = 1.
+@pytest.mark.parametrize(
+    "mu, u",
+    [
+        (AprioriMeasure.hypercube(2), np.array([[1.0, 0.2], [0.2, 1.0]])),
+        (AprioriMeasure.gaussian(np.array([[3.0, 0.4], [0.4, 4.0]]), np.array([0.1, -0.2])),
+         np.array([[0.5, 0.1], [0.1, 0.6]])),
+    ],
+    ids=["hypercube", "gaussian"],
+)
+def test_gradient_matches_central_differences_d2(mu, u):
+    rng = np.random.default_rng(11)
+    x, chain, tilt = random_point(rng, 2, 1, u)
+    assert gradient_case(mu, 0.8, x, chain, tilt, D2) <= 2e-3
+
+
+@pytest.mark.parametrize("d, n", [(1, 1), (1, 3), (2, 2)])
+def test_gradient_matches_closed_form_differences(d, n):
+    # Independent route: central differences of the Gaussian closed form
+    # for X_0, plus the explicit terms of the local functional.
+    from parisi_lab.acceptance import _random_gaussian_instance
+    from parisi_lab.gaussian import closed_form_recursion
+
+    rng = np.random.default_rng(20 + 10 * d + n)
+    x, chain, tilt, c, h, beta = _random_gaussian_instance(rng, d, n)
+
+    def closed(xv, mats, tl):
+        part, ch = UnitPartition(xv), MonotoneChain(mats, allow_equal=True)
+        tc = TerminalCondition(beta, tl, AprioriMeasure.gaussian(c, h))
+        rec = RecursionResult(closed_form_recursion(part, ch, tl, c, h, beta), 0.0, "closed")
+        return functional_from_recursion(part, ch, tc, rec).value
+
+    tc = TerminalCondition(beta, tilt, AprioriMeasure.gaussian(c, h))
+    _, grad = local_functional_gradient(x, chain, tc, D1 if d == 1 else D2)
+    error = max_gradient_error(grad, central_gradient(closed, x, chain, tc.tilt))
+    assert error <= (2e-4 if d == 1 else 2e-3)
+
+
+def test_gradient_needs_quadrature():
+    x, chain, tc = scalar_setup([0.5], [0.5])
+    with pytest.raises(ValueError, match="quadrature"):
+        local_functional_gradient(x, chain, tc, EvalConfig(engine="monte_carlo"))
+
+
+def test_terminal_derivatives_match_differences():
+    # g from derivatives() agrees with __call__, and grad g and
+    # <s s^T> = dg/dtilt agree with central differences of __call__.
+    tilt = np.array([[0.1, -0.05], [-0.05, 0.2]])
+    pts = np.array([[0.3, -0.4], [1.2, 0.5], [-0.7, 0.0]])
+    gauss = AprioriMeasure.gaussian(np.array([[3.0, 0.4], [0.4, 4.0]]), np.array([0.3, -0.2]))
+    uneven = AprioriMeasure.discrete([[0.0, 1.0], [2.0, -1.0], [0.5, 0.5]], [1.0, 0.5, 2.0])
+    h = 1e-5
+    for mu in (AprioriMeasure.hypercube(2), gauss, uneven):
+        tc = TerminalCondition(0.7, tilt, mu)
+        value, grad, moment = tc.derivatives(pts)
+        assert np.allclose(value, tc(pts), rtol=0.0, atol=1e-13)
+        for i, e in enumerate(np.eye(2)):
+            assert np.allclose(grad[:, i], (tc(pts + h * e) - tc(pts - h * e)) / (2 * h), atol=1e-8)
+        for i in range(2):
+            for j in range(2):
+                e = np.zeros((2, 2))
+                e[i, j] = e[j, i] = h
+                diff = TerminalCondition(0.7, tilt + e, mu)(pts) - TerminalCondition(0.7, tilt - e, mu)(pts)
+                assert np.allclose(moment[:, i, j], diff / (2 * h) / (1 if i == j else 2), atol=1e-8)

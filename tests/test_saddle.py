@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -5,9 +7,11 @@ from parisi_lab import saddle
 from parisi_lab.gaussian import PAIR_SCALE, closed_form_value, optimal_self_overlap
 from parisi_lab.measures import AprioriMeasure, EvalConfig
 from parisi_lab.paths import PathError
+from parisi_lab.recursion import FunctionalGradient
 from parisi_lab.saddle import (
     REJECTED_VALUE,
     SaddleProblem,
+    SelfOverlapError,
     diagonal_inner,
     diagonal_outer,
     inner_minimize,
@@ -105,7 +109,7 @@ def test_general_matches_diagonal_d2():
     )
     res = inner_minimize(np.diag([0.5, 0.5]), prob)
     diag = diagonal_inner([3.0, 4.0], [0.5, 0.5], 1.0, 1, seed=0)
-    assert res.value >= diag.value - 2e-3
+    assert abs(res.value - diag.value) <= 2e-3
 
 
 def test_stationarity_residual_beta_zero():
@@ -150,7 +154,7 @@ def test_result_serializes():
 
 
 def test_objective_counts_infeasible_rejections(monkeypatch):
-    original = saddle.local_functional
+    original = saddle.local_functional_gradient
     calls = []
 
     def every_third_infeasible(*args):
@@ -159,10 +163,10 @@ def test_objective_counts_infeasible_rejections(monkeypatch):
             raise PathError("partition values must be strictly increasing")
         return original(*args)
 
-    monkeypatch.setattr(saddle, "local_functional", every_third_infeasible)
+    monkeypatch.setattr(saddle, "local_functional_gradient", every_third_infeasible)
     res = inner_minimize([[1.0]], quick_problem(0.5, restarts=1, max_evals=60,
                                                 engine=EvalConfig(grid_points=101)))
-    assert res.evaluations == len(calls)
+    assert res.evaluations == len(calls) == sum(res.restart_evaluations)
     assert res.rejections == {"PathError": len(calls) // 3}
     assert res.value < REJECTED_VALUE
 
@@ -172,8 +176,9 @@ def test_objective_counts_infeasible_rejections(monkeypatch):
     [
         (AprioriMeasure.hypercube(2), {}),
         # The third start's tilt leaves the set where C - 2 tilt is positive
-        # definite, so every eval of that restart is rejected.
-        (AprioriMeasure.gaussian(np.array([[1.0, 0.3], [0.3, 1.2]])), {"MeasureError": 40}),
+        # definite: that restart is rejected at its start, where the zero
+        # gradient stops it.
+        (AprioriMeasure.gaussian(np.array([[1.0, 0.3], [0.3, 1.2]])), {"MeasureError": 1}),
     ],
 )
 def test_d2_rejections_are_infeasibility_errors(mu, expected):
@@ -186,16 +191,80 @@ def test_d2_rejections_are_infeasibility_errors(mu, expected):
         max_evals=40,
         seed=0,
     )
-    res = inner_minimize(np.array([[0.6, 0.2], [0.2, 0.5]]), prob)
-    assert res.evaluations == 120
+    # U has unit diagonal: inside the hypercube's hull conv{s s^T}.
+    res = inner_minimize(np.array([[1.0, 0.2], [0.2, 1.0]]), prob)
+    assert res.evaluations == sum(res.restart_evaluations)
+    assert len(res.restart_evaluations) == len(res.nit) == len(res.converged) == 3
     assert res.rejections == expected
     assert res.value < REJECTED_VALUE
+    if expected:
+        assert res.restart_evaluations[2] == 1 and not res.converged[2]
 
 
 def test_objective_propagates_programming_errors(monkeypatch):
     def broken(*args):
         raise TypeError("not an infeasible point")
 
-    monkeypatch.setattr(saddle, "local_functional", broken)
+    monkeypatch.setattr(saddle, "local_functional_gradient", broken)
     with pytest.raises(TypeError):
         inner_minimize([[1.0]], quick_problem(0.5, restarts=1, max_evals=20))
+
+
+@pytest.mark.parametrize(
+    "mu, u",
+    [
+        (AprioriMeasure.hypercube(2), [[0.6, 0.2], [0.2, 0.5]]),  # diagonal must be 1
+        (RADEMACHER, [[1.5]]),
+        (AprioriMeasure.discrete([[0.0], [2.0]]), [[4.5]]),
+        (RADEMACHER, [[1.0, 0.0], [0.0, 1.0]]),  # wrong dimension
+    ],
+)
+def test_infeasible_self_overlap_is_rejected(mu, u):
+    prob = SaddleProblem(beta=1.0, mu=mu, levels=1, restarts=1, max_evals=5)
+    with pytest.raises(SelfOverlapError):
+        inner_minimize(np.array(u), prob)
+
+
+def test_feasible_self_overlap_inside_the_hull():
+    # conv{s s^T} for the support {0, 2} is [0, 4].
+    prob = quick_problem(0.5, mu=AprioriMeasure.discrete([[0.0], [2.0]]), restarts=1, max_evals=30,
+                         engine=EvalConfig(grid_points=101))
+    assert inner_minimize([[1.0]], prob).value < REJECTED_VALUE
+
+
+def test_monte_carlo_engine_is_refused():
+    prob = quick_problem(0.5, restarts=1, max_evals=5, engine=EvalConfig(engine="monte_carlo"))
+    with pytest.raises(ValueError, match="quadrature"):
+        inner_minimize([[1.0]], prob)
+
+
+def test_result_reports_solver_state():
+    res = inner_minimize([[1.0]], quick_problem(0.5, levels=2, restarts=2, max_evals=200))
+    blob = json.loads(res.to_json())
+    assert blob["restart_evaluations"] == res.restart_evaluations
+    assert sum(res.restart_evaluations) == res.evaluations == blob["evaluations"]
+    assert blob["nit"] == res.nit and blob["converged"] == res.converged
+    assert res.converged[0] and 0 < res.nit[0] < res.restart_evaluations[0] <= 200
+
+
+@pytest.mark.parametrize("d, n", [(1, 1), (1, 3), (2, 2)])
+def test_unpack_pullback_is_the_chain_rule(d, n):
+    # For a linear functional of (x, Q, tilt) the pullback must equal central
+    # differences of that functional through _unpack.
+    rng = np.random.default_rng(5)
+    u = np.array([[1.0]]) if d == 1 else np.array([[0.7, 0.2], [0.2, 0.5]])
+    u_half = saddle.sym_sqrt(u)
+    ntri = d * (d + 1) // 2
+    theta = rng.normal(scale=0.7, size=(n + 1) * (1 + ntri) + ntri)
+    sym = lambda a: a + np.swapaxes(a, -1, -2)
+    coef = FunctionalGradient(rng.normal(size=n), sym(rng.normal(size=(n, d, d))), sym(rng.normal(size=(d, d))))
+
+    def linear(th):
+        part, chain, tilt, _ = saddle._unpack(th, d, n, u, u_half)
+        return (coef.x @ part.interior + np.sum(coef.chain * chain.matrices[1:-1])
+                + np.sum(coef.tilt * tilt))
+
+    pullback = saddle._unpack(theta, d, n, u, u_half)[3]
+    h = 1e-6
+    central = [(linear(theta + h * e) - linear(theta - h * e)) / (2 * h) for e in np.eye(theta.size)]
+    assert np.allclose(pullback(coef), central, rtol=0.0, atol=1e-7)
