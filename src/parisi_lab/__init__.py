@@ -4,8 +4,8 @@ The package evaluates the nested Gaussian log-moment recursion behind the
 Parisi variational bound for the Sherrington-Kirkpatrick model with vector
 spins, and cross-checks it against every independently computable route:
 a semi-linear parabolic PDE solved by finite differences, exact Gaussian
-closed forms, Ruelle-probability-cascade sampling, and exact/Monte-Carlo
-finite-size spin simulations.
+closed forms, Ruelle-probability-cascade sampling, and exact enumeration of
+finite-size spin systems.
 """
 
 from parisi_lab.matrices import (

@@ -53,12 +53,13 @@ class CascadeSpec:
         return self.branching**self.levels
 
 
-def top_poisson_atoms(x_k: float, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Largest ``count`` atoms of the Poisson process with intensity
-    x_k t^{-x_k-1} dt, in strictly decreasing order."""
+def top_poisson_atoms(x_k: float, shape, rng: np.random.Generator) -> np.ndarray:
+    """Largest atoms of the Poisson process with intensity x_k t^{-x_k-1} dt,
+    in strictly decreasing order along the last axis; every row along that
+    axis is an independent process."""
     if not 0.0 < x_k < 1.0:
         raise ValueError("the cascade exponent must lie in (0, 1)")
-    gamma = np.cumsum(rng.exponential(size=count))
+    gamma = np.cumsum(rng.exponential(size=shape), axis=-1)
     return gamma ** (-1.0 / x_k)
 
 
@@ -85,28 +86,12 @@ def build_cascade(spec: CascadeSpec, seed) -> CascadeTree:
     leaf = np.ones(1)
     share = 0.0
     for k, xk in enumerate(spec.weights):
-        nodes = m**k
-        gamma = np.cumsum(rng.exponential(size=(nodes, m)), axis=1)
-        a = gamma ** (-1.0 / xk)
+        a = top_poisson_atoms(xk, (m**k, m), rng)
         atoms.append(a)
         share = max(share, float(np.max(a[:, -1] / a.sum(axis=1))))
         leaf = (leaf[:, None] * a).reshape(-1)
     total = leaf.sum()
     return CascadeTree(spec, tuple(atoms), leaf, leaf / total, share)
-
-
-def lexicographic_overlap(alpha1, alpha2) -> int:
-    """1 + length of the maximal common prefix of two branch multi-indices."""
-    a1 = np.asarray(alpha1)
-    a2 = np.asarray(alpha2)
-    if a1.shape != a2.shape or a1.ndim != 1:
-        raise ValueError("multi-indices must share the same length")
-    overlap = 1
-    for u, v in zip(a1, a2):
-        if u != v:
-            break
-        overlap += 1
-    return overlap
 
 
 def _prefix_masses(tree: CascadeTree) -> list[np.ndarray]:

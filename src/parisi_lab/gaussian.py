@@ -24,9 +24,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
+from scipy.optimize import minimize
 
 from parisi_lab.matrices import MatrixError, as_sym, eigh_jacobi
 from parisi_lab.paths import MonotoneChain, UnitPartition
@@ -107,10 +108,10 @@ def _check_scalar_order_params(x, q, u: float):
     if xv.ndim != 1 or qv.ndim != 1 or xv.size != qv.size:
         raise ValueError("x and q must be 1-D arrays of equal length")
     if xv.size and (np.any(np.diff(xv) <= 0.0) or xv[0] <= 0.0 or xv[-1] > 1.0):
-        raise ValueError("x must be strictly increasing inside (0, 1]")
+        raise FeasibilityError("x must be strictly increasing inside (0, 1]")
     full_q = np.concatenate(([0.0], qv, [u]))
     if np.any(np.diff(full_q) < 0.0):
-        raise ValueError("q must be nondecreasing from 0 to u")
+        raise FeasibilityError("q must be nondecreasing from 0 to u")
     return xv, qv
 
 
@@ -151,6 +152,9 @@ def parisi_1d(x, q, u: float, lam: float, c: float, h: float, beta: float) -> fl
         # accurate down to vanishing weights (plain log cancels catastrophically).
         gap = full_q[l + 1] - full_q[l]
         ratio = 2.0 * beta**2 * xv[l - 1] * gap / d[l]
+        if ratio >= 1.0:
+            # d[l-1] > 0 only up to rounding: the level is at the boundary.
+            raise FeasibilityError("scalar level precision not positive")
         if xv[l - 1] > 0.0:
             total += -math.log1p(-ratio) / xv[l - 1]
         else:
@@ -273,6 +277,33 @@ class ScalarOptimum:
     converged: bool
 
 
+def _multistart(functional, searches, maxiter: int) -> ScalarOptimum:
+    """Nelder-Mead on ``functional(*unpack(theta))`` from each (unpack, start)
+    pair in turn; the lowest value wins, the earliest on ties.  ``unpack``
+    maps a parameter vector to (x, q, lam).  An infeasible point scores 1e6;
+    any other error propagates."""
+    best = None
+    for unpack, s0 in searches:
+
+        def objective(theta, unpack=unpack) -> float:
+            try:
+                return functional(*unpack(theta))
+            except FeasibilityError:
+                return 1e6
+
+        res = minimize(
+            objective,
+            s0,
+            method="Nelder-Mead",
+            options={"maxiter": maxiter, "xatol": 1e-10, "fatol": 1e-12},
+        )
+        x, q, lam = unpack(res.x)
+        cand = ScalarOptimum(float(res.fun), x, q, lam, int(res.nit), bool(res.success))
+        if best is None or cand.value < best.value:
+            best = cand
+    return best
+
+
 def minimize_parisi_1d(
     c: float,
     u: float,
@@ -302,37 +333,21 @@ def minimize_parisi_1d(
         lam = float(theta[nx + n])
         return x, q, lam
 
-    def objective(theta, pinned: bool) -> float:
-        x, q, lam = unpack(theta, pinned)
-        try:
-            return parisi_1d(x, q, u, lam, c, h, beta)
-        except (FeasibilityError, ValueError):
-            return 1e6
-
     # Warm start near the restricted-problem stationary point.
     gap = u - optimal_overlap(u, beta).overlap
     lam_warm = c - 2.0 * beta**2 * gap - 1.0 / gap
 
-    best = None
+    searches = []
     for pinned in (True, False) if pin_top else (False,):
         size = (n - 1 if pinned else n) + n + 1
         warm = np.zeros(size)
         warm[-1] = lam_warm
         starts = [np.zeros(size), warm]
         starts += [rng.normal(scale=1.0, size=size) for _ in range(max(0, restarts - 1))]
-        for s0 in starts:
-            res = minimize(
-                objective,
-                s0,
-                args=(pinned,),
-                method="Nelder-Mead",
-                options={"maxiter": maxiter, "xatol": 1e-10, "fatol": 1e-12},
-            )
-            x, q, lam = unpack(res.x, pinned)
-            cand = ScalarOptimum(float(res.fun), x, q, lam, int(res.nit), bool(res.success))
-            if best is None or cand.value < best.value:
-                best = cand
-    return best
+        searches += [(partial(unpack, pinned=pinned), s0) for s0 in starts]
+    return _multistart(
+        lambda x, q, lam: parisi_1d(x, q, u, lam, c, h, beta), searches, maxiter
+    )
 
 
 def minimize_cs_1d(
@@ -352,29 +367,14 @@ def minimize_cs_1d(
     def unpack(theta):
         x = np.concatenate((_cumfrac(theta[: n - 1], n - 1), [1.0]))
         q = u * _cumfrac(theta[n - 1 :], n)
-        return x, q
+        return x, q, None
 
-    def objective(theta) -> float:
-        x, q = unpack(theta)
-        try:
-            return crisanti_sommers(x, q, u, c, h, beta)
-        except (FeasibilityError, ValueError):
-            return 1e6
-
-    best = None
     starts = [np.zeros(size)] + [rng.normal(scale=1.0, size=size) for _ in range(restarts)]
-    for s0 in starts:
-        res = minimize(
-            objective,
-            s0,
-            method="Nelder-Mead",
-            options={"maxiter": maxiter, "xatol": 1e-10, "fatol": 1e-12},
-        )
-        x, q = unpack(res.x)
-        cand = ScalarOptimum(float(res.fun), x, q, None, int(res.nit), bool(res.success))
-        if best is None or cand.value < best.value:
-            best = cand
-    return best
+    return _multistart(
+        lambda x, q, lam: crisanti_sommers(x, q, u, c, h, beta),
+        [(unpack, s0) for s0 in starts],
+        maxiter,
+    )
 
 
 @dataclass(frozen=True)

@@ -97,12 +97,6 @@ def frobenius_norm(a) -> float:
     return float(np.sqrt(np.sum(m * m)))
 
 
-def operator_norm(a) -> float:
-    """Spectral norm, computed as the largest absolute eigenvalue."""
-    w, _ = eigh_jacobi(a)
-    return float(np.abs(w).max())
-
-
 def loewner_leq(a, b, tol: float = PSD_TOL) -> bool:
     """True iff ``a`` precedes ``b`` in the Loewner (quadratic-form) order.
 
@@ -112,11 +106,6 @@ def loewner_leq(a, b, tol: float = PSD_TOL) -> bool:
     _check_same_dim(ma, mb)
     diff = mb - ma
     return eigmin(diff) >= -tol * (1.0 + frobenius_norm(diff))
-
-
-def is_psd(a, tol: float = PSD_TOL) -> bool:
-    m = as_sym(a)
-    return eigmin(m) >= -tol * (1.0 + frobenius_norm(m))
 
 
 def hadamard_power(a, p: float) -> np.ndarray:

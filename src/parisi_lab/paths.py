@@ -2,8 +2,9 @@
 matrix chains, and the piecewise-constant matrix paths they define.
 
 A path is the right-continuous step function rho(t) = Q[k] on [x_k, x_{k+1})
-with a final jump to the terminal matrix U at t = 1.  Distances and norms are
-computed exactly on merged jump grids; no quadrature is involved.
+with a final jump to the terminal matrix U at t = 1.  The distance between
+inverse profiles is computed exactly on merged value grids; no quadrature is
+involved.
 """
 
 from __future__ import annotations
@@ -13,14 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from parisi_lab.matrices import (
-    PSD_TOL,
-    MatrixError,
-    as_sym,
-    eigmin,
-    frobenius_norm,
-    hadamard_power,
-)
+from parisi_lab.matrices import PSD_TOL, MatrixError, as_sym, eigmin, frobenius_norm
 
 
 class PathError(ValueError):
@@ -100,41 +94,6 @@ class MonotoneChain:
 
 
 @dataclass(frozen=True)
-class ValidationReport:
-    monotone_ok: bool
-    hadamard_ok: bool | None
-    violations: tuple
-
-
-def validate_chain(chain, require_hadamard: bool = False) -> ValidationReport:
-    """Check Loewner monotonicity and, optionally, monotonicity of the
-    entrywise squares.  Accepts a MonotoneChain or a raw list of matrices
-    (so that invalid candidates can be reported); failures are reported,
-    never raised."""
-    violations = []
-    mats = chain.matrices if isinstance(chain, MonotoneChain) else np.asarray(
-        [as_sym(m) for m in chain], dtype=float
-    )
-    for k in range(mats.shape[0] - 1):
-        inc = mats[k + 1] - mats[k]
-        lo = eigmin(inc)
-        if lo < -PSD_TOL * (1.0 + frobenius_norm(inc)):
-            violations.append(("monotone", k, lo))
-    monotone_ok = not violations
-    hadamard_ok: bool | None = None
-    if require_hadamard:
-        hadamard_ok = True
-        squares = [hadamard_power(m, 2) for m in mats[1:]]
-        for k in range(len(squares) - 1):
-            inc = squares[k + 1] - squares[k]
-            lo = eigmin(inc)
-            if lo < -PSD_TOL * (1.0 + frobenius_norm(inc)):
-                hadamard_ok = False
-                violations.append(("hadamard", k + 1, lo))
-    return ValidationReport(monotone_ok, hadamard_ok, tuple(violations))
-
-
-@dataclass(frozen=True)
 class DiscretePath:
     """Piecewise-constant matrix path: partition plus chain sharing n levels."""
 
@@ -164,36 +123,6 @@ class DiscretePath:
             return self.chain.terminal
         k = int(np.searchsorted(self.partition.values, t, side="right") - 1)
         return self.chain.matrices[k]
-
-
-def path_norm(path: DiscretePath) -> float:
-    """Integral of ||rho(t)||_F over [0, 1], exact for step paths."""
-    x = path.partition.values
-    gaps = np.diff(x)
-    norms = np.array([frobenius_norm(q) for q in path.chain.matrices[:-1]])
-    return float(np.dot(gaps, norms))
-
-
-def _merged_grid(p1: UnitPartition, p2: UnitPartition) -> np.ndarray:
-    return np.unique(np.concatenate((p1.values, p2.values)))
-
-
-def path_distance(p1: DiscretePath, p2: DiscretePath, allow_terminal_mismatch: bool = False) -> float:
-    """Integral of ||rho1(t) - rho2(t)||_F over [0, 1] on the merged jump grid.
-
-    Distinct terminal matrices are rejected unless the caller opts in; the
-    final jump at t = 1 has Lebesgue measure zero either way.
-    """
-    if p1.dim != p2.dim:
-        raise MatrixError(f"dimension mismatch: {p1.dim} vs {p2.dim}")
-    if not allow_terminal_mismatch:
-        if frobenius_norm(p1.terminal - p2.terminal) > 1e-12 * (1.0 + frobenius_norm(p1.terminal)):
-            raise PathError("paths have different terminal matrices (pass allow_terminal_mismatch)")
-    grid = _merged_grid(p1.partition, p2.partition)
-    total = 0.0
-    for a, b in zip(grid[:-1], grid[1:]):
-        total += (b - a) * frobenius_norm(p1.value(a) - p2.value(a))
-    return float(total)
 
 
 def inverse_profile_distance(p1: DiscretePath, p2: DiscretePath) -> float:
@@ -259,35 +188,6 @@ class PiecewiseLinearPath:
 def linear_interpolant(path: DiscretePath) -> PiecewiseLinearPath:
     """Piecewise-linear path through (x_k, Q[k]) with PSD slopes."""
     return PiecewiseLinearPath(path.partition.values.copy(), path.chain.matrices.copy())
-
-
-def diagonal_path(u_eigs, basis, shape_partition, shape_levels, allow_equal: bool = False) -> DiscretePath:
-    """Path whose values are simultaneously diagonal in the given orthogonal basis.
-
-    ``u_eigs`` are the terminal eigenvalues, ``shape_levels`` the scalar level
-    values: either one shared scalar profile of length n+2 rising from 0 to 1,
-    or an (n+2, d) array of per-coordinate profiles.  Level k is
-    basis.T @ diag(u * shape[k]) @ basis.
-    """
-    u = np.asarray(u_eigs, dtype=float)
-    if np.any(u < 0.0):
-        raise PathError("terminal eigenvalues must be nonnegative")
-    o = np.asarray(basis, dtype=float)
-    d = u.size
-    if o.shape != (d, d) or frobenius_norm(o @ o.T - np.eye(d)) > 1e-12 * d:
-        raise PathError("basis must be orthogonal")
-    part = shape_partition if isinstance(shape_partition, UnitPartition) else UnitPartition(shape_partition)
-    levels = np.asarray(shape_levels, dtype=float)
-    if levels.ndim == 1:
-        levels = np.repeat(levels[:, None], d, axis=1)
-    if levels.shape != (part.values.size, d):
-        raise PathError("shape levels must align with the partition")
-    if np.any(levels[0] != 0.0) or np.any(np.abs(levels[-1] - 1.0) > 1e-12):
-        raise PathError("shape profiles must rise from 0 to 1")
-    if np.any(np.diff(levels, axis=0) < -1e-12):
-        raise PathError("shape profiles must be nondecreasing")
-    mats = [o.T @ np.diag(u * lv) @ o for lv in levels]
-    return DiscretePath(part, MonotoneChain(mats, allow_equal=allow_equal))
 
 
 def path_to_json(path: DiscretePath) -> str:

@@ -11,8 +11,7 @@ so monotonicity and the terminal constraint hold exactly for every parameter
 vector.  The inner solver is L-BFGS-B on the analytic gradient: the
 recursion's first-order formula (``recursion.local_functional_gradient``)
 pulled back through this parameterization.  Outer problem: maximize the
-inner value over a domain of admissible self-overlap matrices, a fixed U or
-an explicit grid of them.
+inner value over an explicit grid of admissible self-overlap matrices.
 
 For a discrete measure, U must lie in the convex hull of {s s^T : s in the
 support}; outside it the inner infimum is -infinity and ``inner_minimize``
@@ -323,16 +322,8 @@ def diagonal_outer(
 # Outer maximization and stationarity diagnostics
 
 
-def outer_maximize(problem: SaddleProblem, u_domain: str, u_init=None, grid=None) -> SaddleResult:
-    """sup over the admissible self-overlap domain of the inner infimum.
-
-    u_domain "fixed": singleton domain, returns inner_minimize(u_init).
-    u_domain "grid": best inner value over an explicit list of matrices.
-    """
-    if u_domain == "fixed":
-        return inner_minimize(u_init, problem)
-    if u_domain != "grid":
-        raise ValueError(f"unknown outer domain {u_domain!r}")
+def outer_maximize(problem: SaddleProblem, grid) -> SaddleResult:
+    """Best inner value over an explicit list of self-overlap matrices."""
     best = None
     for u in grid:
         res = inner_minimize(u, problem)

@@ -1,5 +1,5 @@
-"""Finite-size vector-spin simulator: exact enumeration, Monte Carlo
-estimation, and the concentration / superadditivity / upper-bound experiments.
+"""Finite-size vector-spin simulator: exact enumeration, disorder averages,
+and the concentration and superadditivity experiments.
 
 The interaction energy is X(s) = (1/N) sum_{i,j} g_ij <s_i, s_j> over all
 ordered site pairs with an UNsymmetrized matrix of standard normals; the
@@ -218,143 +218,6 @@ def disorder_average(
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo estimator (thermodynamic integration with parallel tempering)
-
-
-def mc_free_energy(
-    disorder: Disorder,
-    beta: float,
-    constraint: OverlapConstraint,
-    space: SpinSpace,
-    sweeps: int = 400,
-    ladder: int = 16,
-    swap_every: int = 10,
-    seed: int = 0,
-):
-    """Thermodynamic-integration estimate of the local free energy:
-
-        p(beta) = p(0) + Int_0^beta <X>_b / sqrt(N) db,
-
-    with the thermal averages estimated by parallel-tempering Metropolis over
-    a ladder from 0 to beta (swaps every ``swap_every`` sweeps) and the
-    integral taken by the trapezoid rule on the ladder.  Returns
-    (estimate, std_error, diagnostics); the standard error combines batch
-    means of the integrand across the ladder.
-    """
-    rng = np.random.default_rng(seed)
-    n = disorder.n_sites
-    if beta == 0.0:
-        return _log_mass_constrained(space, n, constraint, rng), 0.0, {"acceptance": 1.0}
-    betas = np.concatenate(([0.0], np.geomspace(beta / 50.0, beta, ladder - 1)))
-    pts = space.points
-    state_idx = rng.integers(0, space.size, size=(ladder, n))
-    if constraint.center is not None:
-        state_idx = _feasible_start(space, n, constraint, rng)[None, :].repeat(ladder, axis=0)
-    g = disorder.matrix
-    gsym = g + g.T
-    logw = np.log(space.weights)
-
-    def energy_of(idx_row):
-        s = pts[idx_row]
-        return float(np.einsum("id,ij,jd->", s, g, s))
-
-    energies = np.array([energy_of(row) for row in state_idx])
-    samples = [[] for _ in range(ladder)]
-    swap_accepts = 0
-    swap_trials = 0
-    half = sweeps // 2
-    for sweep in range(sweeps):
-        for t in range(ladder):
-            idx_row = state_idx[t]
-            s = pts[idx_row]
-            field = gsym @ s  # (n, d)
-            for site in rng.permutation(n):
-                old = idx_row[site]
-                new = int(rng.integers(0, space.size))
-                if new == old:
-                    continue
-                ds = pts[new] - pts[old]
-                # field already counts 2 g_ii <old, ds>; the flip adds g_ii <ds, ds>.
-                dE = float(field[site] @ ds) + float(g[site, site]) * float(ds @ ds)
-                if constraint.center is not None:
-                    trial = s.copy()
-                    trial[site] = pts[new]
-                    if not bool(constraint.admits((trial.T @ trial / n)[None, ...])[0]):
-                        continue
-                logr = betas[t] / np.sqrt(n) * dE + logw[new] - logw[old]
-                if logr >= 0.0 or np.log(rng.uniform()) < logr:
-                    idx_row[site] = new
-                    field += np.outer(gsym[:, site], ds)
-                    s[site] = pts[new]
-                    energies[t] += dE
-            if sweep >= half:
-                samples[t].append(energies[t] / n)
-        if sweep % swap_every == swap_every - 1:
-            for t in range(ladder - 1):
-                swap_trials += 1
-                logr = (betas[t + 1] - betas[t]) / np.sqrt(n) * (energies[t] - energies[t + 1])
-                if logr >= 0.0 or np.log(rng.uniform()) < logr:
-                    state_idx[[t, t + 1]] = state_idx[[t + 1, t]]
-                    energies[[t, t + 1]] = energies[[t + 1, t]]
-                    swap_accepts += 1
-    means = np.array([np.mean(s) for s in samples])  # <X>_b per rung
-    # batch-mean errors per rung, propagated through the trapezoid weights
-    errs = np.array([_batch_error(np.asarray(s)) for s in samples])
-    integral = float(np.trapezoid(means, betas)) / np.sqrt(n)
-    wts = _trapezoid_weights(betas) / np.sqrt(n)
-    int_err = float(np.sqrt(np.sum((wts * errs) ** 2)))
-    p0 = _log_mass_constrained(space, n, constraint, rng)
-    acc = swap_accepts / max(swap_trials, 1)
-    diag = {"acceptance": acc, "converged": acc >= 0.10}
-    return p0 + integral, int_err, diag
-
-
-def _trapezoid_weights(xs: np.ndarray) -> np.ndarray:
-    w = np.zeros_like(xs)
-    w[:-1] += np.diff(xs) / 2.0
-    w[1:] += np.diff(xs) / 2.0
-    return w
-
-
-def _batch_error(series: np.ndarray, batches: int = 10) -> float:
-    if series.size < 2 * batches:
-        return float(series.std(ddof=1) / np.sqrt(series.size)) if series.size > 1 else 0.0
-    cut = series.size // batches * batches
-    means = series[:cut].reshape(batches, -1).mean(axis=1)
-    return float(means.std(ddof=1) / np.sqrt(batches))
-
-
-def _log_mass_constrained(space: SpinSpace, n: int, constraint: OverlapConstraint, rng) -> float:
-    """(1/N) log of the a priori mass of the admissible set."""
-    log_site_mass = float(np.log(space.weights.sum()))
-    if constraint.center is None:
-        return log_site_mass
-    if space.size**n <= ENUMERATION_BUDGET:
-        digits = _all_configs(space, n)
-        s_all = space.points[digits]
-        self_ov = np.einsum("bnd,bne->bde", s_all, s_all) / n
-        mask = constraint.admits(self_ov)
-        logw = np.log(space.weights)[digits].sum(axis=1)
-        top = logw[mask].max()
-        return float((top + np.log(np.sum(np.exp(logw[mask] - top)))) / n)
-    probs = space.weights / space.weights.sum()
-    draws = rng.choice(space.size, size=(20000, n), p=probs)
-    s_all = space.points[draws]
-    self_ov = np.einsum("bnd,bne->bde", s_all, s_all) / n
-    frac = float(np.mean(constraint.admits(self_ov)))
-    return log_site_mass + np.log(max(frac, 1e-300)) / n
-
-
-def _feasible_start(space: SpinSpace, n: int, constraint: OverlapConstraint, rng) -> np.ndarray:
-    for _ in range(100000):
-        idx = rng.integers(0, space.size, size=n)
-        s = space.points[idx]
-        if bool(constraint.admits((s.T @ s / n)[None, ...])[0]):
-            return idx
-    raise ValueError("could not find a feasible start inside the overlap ball")
-
-
-# ---------------------------------------------------------------------------
 # Experiments
 
 
@@ -395,7 +258,13 @@ def concentration_experiment(
     thresholds=None,
 ) -> TailTable:
     """Empirical tails of N * (p_N - mean) against the Gaussian concentration
-    bound 2 exp(-t^2 / (4 beta^2 r^4 N)), with 95% binomial upper confidence."""
+    bound 2 exp(-t^2 / (4 beta^2 r^4 N)), with 95% binomial upper confidence.
+
+    The default thresholds are twelve evenly spaced points up to
+    t_max = min(12, scale sqrt(log(2 / floor))), where floor is the upper
+    confidence limit at zero exceedances.  Beyond t_max the bound lies below
+    every limit the replicas can give, so no disorder sample could pass there.
+    """
     space = space or SpinSpace.ising()
     constraint = OverlapConstraint.everything()
     mean, _, vals = disorder_average(n_sites, beta, constraint, space, replicas, seed)
@@ -406,7 +275,11 @@ def concentration_experiment(
     dev = n_sites * np.abs(vals - mean)
     r = space.radius
     scale = np.sqrt(4.0 * beta**2 * r**4 * n_sites)
-    ts = np.asarray(thresholds if thresholds is not None else np.linspace(1.0, 12.0, 12))
+    if thresholds is None:
+        floor = clopper_pearson_upper(0, replicas)
+        t_max = min(12.0, float(scale * np.sqrt(np.log(2.0 / floor))))
+        thresholds = np.linspace(t_max / 12.0, t_max, 12)
+    ts = np.asarray(thresholds)
     emp = np.array([np.mean(dev > t) for t in ts])
     upper = np.array([clopper_pearson_upper(int(np.sum(dev > t)), replicas) for t in ts])
     bound = 2.0 * np.exp(-((ts / scale) ** 2))
@@ -441,36 +314,3 @@ def superadditivity_experiment(
         )
         margins[i] = (n_small + m_small) * pnm - n_small * pn - m_small * pm
     return float(margins.mean()), float(margins.std(ddof=1) / np.sqrt(replicas))
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    n_sites: int
-    beta: float
-    mean: float
-    std_error: float
-    saddle_value: float
-
-    @property
-    def gap(self) -> float:
-        return self.saddle_value - self.mean
-
-    @property
-    def holds(self) -> bool:
-        return self.mean <= self.saddle_value + 3.0 * self.std_error
-
-
-def bound_check(
-    n_sites: int,
-    beta: float,
-    saddle_value: float,
-    replicas: int = 200,
-    seed: int = 0,
-    space: SpinSpace | None = None,
-) -> BoundReport:
-    """E_disorder[p_N] against a variational upper-bound witness."""
-    space = space or SpinSpace.ising()
-    mean, se, _ = disorder_average(
-        n_sites, beta, OverlapConstraint.everything(), space, replicas, seed
-    )
-    return BoundReport(n_sites, beta, mean, se, saddle_value)

@@ -6,7 +6,6 @@ from parisi_lab.cascades import (
     CascadeSpec,
     build_cascade,
     cascade_representation,
-    lexicographic_overlap,
     overlap_distribution_check,
     pair_sum_check,
     representation_vs_recursion,
@@ -55,6 +54,17 @@ def test_build_cascade_shapes():
     assert np.all(tree.normalized > 0)
 
 
+def test_build_cascade_draws_atoms_level_by_level():
+    # Each level's (nodes, M) block is Gamma^{-1/x_k} of row-wise cumulative
+    # exponentials, drawn in row-major order from the cascade's generator.
+    spec = CascadeSpec([0.3, 0.6], branching=8)
+    tree = build_cascade(spec, 3)
+    rng = np.random.default_rng(3)
+    for k, (x_k, atoms) in enumerate(zip(spec.weights, tree.level_atoms)):
+        gamma = np.cumsum(rng.exponential(size=(8**k, 8)), axis=1)
+        assert np.array_equal(atoms, gamma ** (-1.0 / x_k))
+
+
 def test_normalization_scale_invariant():
     spec = CascadeSpec([0.4], branching=16)
     tree = build_cascade(spec, 5)
@@ -71,14 +81,6 @@ def test_sibling_permutation_invariance():
     # subtree masses (and hence all overlap statistics) are permutation-invariant
     assert np.allclose(np.sort(permuted.sum(axis=1)), np.sort(w.sum(axis=1)))
     assert np.sum(permuted**2) == pytest.approx(np.sum(w**2))
-
-
-def test_lexicographic_overlap():
-    assert lexicographic_overlap([1, 2, 3], [1, 2, 3]) == 4
-    assert lexicographic_overlap([2, 2, 3], [1, 2, 3]) == 1
-    assert lexicographic_overlap([1, 2, 3], [1, 2, 5]) == 3
-    with pytest.raises(ValueError):
-        lexicographic_overlap([1, 2], [1, 2, 3])
 
 
 def test_overlap_distribution_identities():

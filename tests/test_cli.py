@@ -76,6 +76,26 @@ def test_verify_all_writes_its_artifacts(tmp_path, monkeypatch):
     assert manifest["artifacts"] == ["acceptance.json", "acceptance.txt"]
 
 
+def test_verify_all_runs_real_checks(tmp_path, monkeypatch):
+    checks = [
+        acceptance.check_gaussian_closed_forms,
+        acceptance.check_pde_vs_recursion,
+        acceptance.check_cascade_identities,
+    ]
+    monkeypatch.setattr(acceptance, "ALL_CHECKS", checks)
+    assert run_config({"command": "verify-all"}, tmp_path, None, 1) == 0
+    rows = json.loads((tmp_path / "acceptance.json").read_text())
+    assert [r["name"] for r in rows] == [
+        "1 gaussian closed forms",
+        "4 recursion vs pde",
+        "5 cascade identities",
+    ]
+    for row, check in zip(rows, checks):
+        direct = check(acceptance.DEFAULT_MASTER_SEED)
+        assert row["passed"] is True
+        assert row["details"] == json.loads(json.dumps(_jsonable(direct.details)))
+
+
 def test_verify_all_is_reproducible_and_records_its_seed(tmp_path, monkeypatch):
     seen = []
 

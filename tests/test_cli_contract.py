@@ -27,6 +27,10 @@ TINY = {
     "rpc": {"command": "rpc", "weights": [0.25, 0.6], "branching": 8, "replicas": 32},
     "sk_average": {"command": "sk", "experiment": "average", "n_sites": 6, "replicas": 4},
     "sk_concentration": {"command": "sk", "experiment": "concentration", "n_sites": 8, "replicas": 200},
+    # Below N = 8 the default thresholds stop where the replicas can still
+    # resolve the bound.
+    "sk_concentration_n6": {"command": "sk", "experiment": "concentration", "n_sites": 6,
+                            "replicas": 200},
     "sk_superadditivity": {"command": "sk", "experiment": "superadditivity", "n_sites": 2,
                            "m_sites": 3, "replicas": 20},
     "gaussian": {"command": "gaussian", "c": 3.0, "u": 0.5, "beta": 1.0, "levels": 1},

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from parisi_lab import gaussian
 from parisi_lab.gaussian import (
     FeasibilityError,
     PAIR_SCALE,
@@ -230,6 +231,31 @@ def test_stationarity_identities_at_optimum():
     s1 = opt.x[0] * gap
     d1 = c - lam - 2 * beta**2 * s1
     assert s1 == pytest.approx(1.0 / d1, abs=1e-5)
+
+
+def test_order_violations_are_infeasible():
+    with pytest.raises(FeasibilityError):
+        parisi_1d([0.6, 0.4], [0.1, 0.2], 0.5, 0.0, 3.0, 0.0, 1.0)  # x decreasing
+    with pytest.raises(FeasibilityError):
+        crisanti_sommers([1.0], [0.7], 0.5, 3.0, 0.0, 1.0)  # q above u
+    # d[0] rounds to a positive number while 2 beta^2 x_1 dq_1 / d[1] rounds
+    # to at least 1, which math.log1p rejects with a plain ValueError.
+    with pytest.raises(FeasibilityError):
+        parisi_1d([0.6854133486410346], [0.2919856310257475], 0.7507573844567521,
+                  1.649469901384772, 3.0, 0.0, 1.465421373617181)
+
+
+@pytest.mark.parametrize(
+    "functional, minimizer",
+    [("parisi_1d", minimize_parisi_1d), ("crisanti_sommers", minimize_cs_1d)],
+)
+def test_scalar_minimizers_propagate_programming_errors(functional, minimizer, monkeypatch):
+    def broken(*args):
+        raise ValueError("not an infeasible point")
+
+    monkeypatch.setattr(gaussian, functional, broken)
+    with pytest.raises(ValueError, match="not an infeasible point"):
+        minimizer(3.0, 0.5, 0.0, 1.0, 1)
 
 
 def test_minimize_cs_matches_closed_form():

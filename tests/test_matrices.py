@@ -9,7 +9,6 @@ from parisi_lab.matrices import (
     frobenius_norm,
     hadamard_power,
     loewner_leq,
-    operator_norm,
     project_psd,
     sqrt_factor,
     sym_sqrt,
@@ -129,10 +128,6 @@ def test_jacobi_matches_lapack():
         w_ref = np.linalg.eigvalsh(m)
         assert np.allclose(w, w_ref, atol=1e-10)
         assert np.allclose(v @ np.diag(w) @ v.T, m, atol=1e-10)
-
-
-def test_operator_norm():
-    assert operator_norm(np.diag([3.0, -5.0])) == pytest.approx(5.0)
 
 
 def test_sqrt_factor_rank():

@@ -1,20 +1,15 @@
 import numpy as np
 import pytest
 
-from parisi_lab.matrices import frobenius_norm
 from parisi_lab.paths import (
     DiscretePath,
     MonotoneChain,
     PathError,
     UnitPartition,
-    diagonal_path,
     inverse_profile_distance,
     linear_interpolant,
-    path_distance,
     path_from_json,
-    path_norm,
     path_to_json,
-    validate_chain,
 )
 
 
@@ -46,77 +41,6 @@ def test_chain_validation():
     MonotoneChain([[[0.0]], [[0.5]], [[0.5]]], allow_equal=True)
 
 
-def test_validate_chain_reports():
-    ch = MonotoneChain([[[0.0]], [[0.3]], [[1.0]]])
-    rep = validate_chain(ch, require_hadamard=True)
-    assert rep.monotone_ok and rep.hadamard_ok
-    d2 = MonotoneChain([np.zeros((2, 2)), np.diag([0.5, 0.1]), np.eye(2)])
-    rep2 = validate_chain(d2, require_hadamard=True)
-    assert rep2.monotone_ok and rep2.hadamard_ok
-    bad = [np.zeros((2, 2)), np.diag([0.5, 0.1]), np.diag([0.4, 0.6]), np.eye(2)]
-    rep3 = validate_chain(bad)
-    assert not rep3.monotone_ok
-    assert rep3.violations[0][1] == 1  # index of the violating increment
-
-
-def test_hadamard_holds_for_diagonal_chains():
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        q, _ = np.linalg.qr(rng.normal(size=(2, 2)))
-        u = rng.uniform(0.2, 1.0, 2)
-        levels = np.concatenate(([0.0], np.sort(rng.uniform(0.05, 0.95, 2)), [1.0]))
-        path = diagonal_path(u, q, UnitPartition.from_interior([0.3, 0.6]), levels)
-        rep = validate_chain(path.chain, require_hadamard=True)
-        assert rep.hadamard_ok
-
-
-def test_path_norm_examples():
-    trivial = scalar_path([0.5], [0.0], allow_equal=True)
-    assert path_norm(trivial) == 0.0
-    p = scalar_path([0.5], [0.5])
-    assert path_norm(p) == pytest.approx(0.25)
-    p2 = scalar_path([0.5], [1.0], u=2.0)
-    assert path_norm(p2) == pytest.approx(2 * path_norm(scalar_path([0.5], [0.5])))
-
-
-def test_path_norm_bounded_by_terminal():
-    rng = np.random.default_rng(1)
-    for _ in range(30):
-        n = int(rng.integers(1, 4))
-        qs = np.sort(rng.uniform(0.05, 0.95, n))
-        p = scalar_path(list(np.sort(rng.uniform(0.1, 0.9, n))), qs)
-        assert path_norm(p) <= frobenius_norm(p.terminal) + 1e-12
-
-
-def test_path_norm_refinement_invariance():
-    p = scalar_path([0.4], [0.3])
-    refined = scalar_path([0.4, 0.7], [0.3, 0.3], allow_equal=True)
-    assert path_norm(p) == pytest.approx(path_norm(refined), abs=1e-15)
-
-
-def test_path_distance():
-    p = scalar_path([0.5], [0.5])
-    assert path_distance(p, p) == 0.0
-    p1 = scalar_path([0.5], [0.5])
-    p2 = scalar_path([0.5], [0.7])
-    assert path_distance(p1, p2) == pytest.approx(0.1)
-    rng = np.random.default_rng(2)
-    for _ in range(20):
-        ps = [scalar_path([float(rng.uniform(0.2, 0.8))], [float(rng.uniform(0.1, 0.9))]) for _ in range(3)]
-        d01 = path_distance(ps[0], ps[1])
-        d12 = path_distance(ps[1], ps[2])
-        d02 = path_distance(ps[0], ps[2])
-        assert d02 <= d01 + d12 + 1e-12
-
-
-def test_distance_terminal_mismatch_flag():
-    p1 = scalar_path([0.5], [0.5], u=1.0)
-    p2 = scalar_path([0.5], [0.5], u=1.2)
-    with pytest.raises(PathError):
-        path_distance(p1, p2)
-    assert path_distance(p1, p2, allow_terminal_mismatch=True) >= 0.0
-
-
 def test_linear_interpolant():
     p = scalar_path([], [], u=2.0)  # single segment 0 -> U
     interp = linear_interpolant(p)
@@ -127,24 +51,6 @@ def test_linear_interpolant():
         assert np.allclose(interp2.value(t), p2.chain.matrices[k])
     for seg in range(interp2.segments):
         assert interp2.slope(seg)[0, 0] >= 0.0
-
-
-def test_diagonal_path():
-    # d=1 reduces to the scalar path itself
-    levels = np.array([0.0, 0.4, 1.0])
-    p = diagonal_path([1.0], np.eye(1), UnitPartition.from_interior([0.5]), levels)
-    assert np.allclose(p.chain.matrices[1], [[0.4]])
-    # conjugation round trip at d=2
-    rng = np.random.default_rng(3)
-    q, _ = np.linalg.qr(rng.normal(size=(2, 2)))
-    u = np.array([0.5, 1.0])
-    p2 = diagonal_path(u, q, UnitPartition.from_interior([0.5]), levels)
-    for k, lv in enumerate(levels):
-        recovered = q @ p2.chain.matrices[k] @ q.T
-        assert np.allclose(recovered, np.diag(u * lv), atol=1e-12)
-    # eigen-profiles monotone per coordinate
-    diffs = np.diff([np.diag(q @ m @ q.T) for m in p2.chain.matrices], axis=0)
-    assert np.all(diffs >= -1e-12)
 
 
 def test_json_round_trip_bit_exact():

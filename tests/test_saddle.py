@@ -71,17 +71,10 @@ def test_gaussian_inner_matches_closed_form():
 def test_outer_grid_gaussian():
     mu = AprioriMeasure.gaussian(np.array([[3.0]]))
     prob = quick_problem(1.0, levels=1, mu=mu, restarts=2, max_evals=700)
-    res = outer_maximize(prob, "grid", grid=[[[u]] for u in np.linspace(0.2, 0.9, 8)])
+    res = outer_maximize(prob, [[[u]] for u in np.linspace(0.2, 0.9, 8)])
     sol = optimal_self_overlap(3.0, 1.0)
     assert abs(res.self_overlap[0, 0] - sol.self_overlap) <= 0.06
     assert res.value_paired == pytest.approx(sol.value, abs=5e-3)
-
-
-def test_outer_fixed_is_inner():
-    prob = quick_problem(0.5, levels=1, restarts=1, max_evals=400)
-    a = outer_maximize(prob, "fixed", u_init=[[1.0]])
-    b = inner_minimize([[1.0]], prob)
-    assert a.value == b.value
 
 
 def test_diagonal_inner_and_outer():

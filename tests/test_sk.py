@@ -9,12 +9,10 @@ from parisi_lab.sk import (
     SpinSpace,
     _all_configs,
     _energies_fresh,
-    bound_check,
     concentration_experiment,
     disorder_average,
     exact_local_free_energy,
     hamiltonian,
-    mc_free_energy,
     overlap,
     superadditivity_experiment,
 )
@@ -156,28 +154,6 @@ def test_relabeling_and_flip_invariance():
     assert exact_local_free_energy(dis, 0.7, OverlapConstraint.everything(), space_flipped) == pytest.approx(p, abs=1e-12)
 
 
-def test_mc_free_energy():
-    dis = Disorder.sample(8, 99)
-    exact = exact_local_free_energy(dis, 1.0, OverlapConstraint.everything(), ISING)
-    est, se, diag = mc_free_energy(dis, 1.0, OverlapConstraint.everything(), ISING, sweeps=600, seed=5)
-    assert diag["acceptance"] >= 0.10
-    assert abs(est - exact) <= 3 * max(se, 1e-4)
-    est0, se0, _ = mc_free_energy(dis, 0.0, OverlapConstraint.everything(), ISING, seed=1)
-    assert est0 == pytest.approx(np.log(2)) and se0 == 0.0
-
-
-def test_mc_monotone_in_beta():
-    dis = Disorder.sample(8, 123)
-    vals = []
-    errs = []
-    for beta in (0.4, 0.8, 1.2):
-        est, se, _ = mc_free_energy(dis, beta, OverlapConstraint.everything(), ISING, sweeps=500, seed=3)
-        vals.append(est)
-        errs.append(se)
-    for a, b, ea, eb in zip(vals[:-1], vals[1:], errs[:-1], errs[1:]):
-        assert b >= a - 3 * np.hypot(ea, eb)
-
-
 def test_concentration_beta_zero_and_table():
     table0 = concentration_experiment(6, 0.0, 50, 1)
     assert np.all(table0.empirical == 0.0)
@@ -215,7 +191,3 @@ def test_superadditivity_constrained_d2_eps_grid():
         assert abs(m1 - m2) <= 0.5 + 3 * np.hypot(s1, s2)
 
 
-def test_bound_check_beta_zero():
-    rep = bound_check(6, 0.0, float(np.log(2)), replicas=20, seed=7)
-    assert rep.gap == pytest.approx(0.0, abs=1e-12)
-    assert rep.holds
