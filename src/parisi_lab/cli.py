@@ -1,6 +1,7 @@
 """Batch front door: JSON config in, CSV/JSON artifacts plus a manifest out.
 
-Exit codes: 0 success, 1 assertion/check failure, 2 configuration error.
+Exit codes: 0 success, 1 assertion/check failure, 2 configuration error,
+including a config whose work exceeds an engine's budget (``sk.BudgetError``).
 Manifests contain the config hash, derived seeds and artifact list but no
 timestamps, so rerunning the same config and seed writes byte-identical
 output.
@@ -33,6 +34,7 @@ from parisi_lab.recursion import (  # noqa: F401
 from parisi_lab.saddle import SaddleProblem, SelfOverlapError, inner_minimize
 from parisi_lab.seeds import derive_seed
 from parisi_lab.sk import (
+    BudgetError,
     OverlapConstraint,
     SpinSpace,
     concentration_experiment,
@@ -285,7 +287,7 @@ def main(argv=None) -> int:
     out_dir = args.out or Path(os.environ.get("PARISI_LAB_OUT", "parisi_lab_out"))
     try:
         return run_config(config, Path(out_dir), args.seed, max(args.workers, 1))
-    except ConfigError as exc:
+    except (ConfigError, BudgetError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

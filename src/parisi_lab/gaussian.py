@@ -149,16 +149,14 @@ def parisi_1d(x, q, u: float, lam: float, c: float, h: float, beta: float) -> fl
     full_q = np.concatenate(([0.0], qv, [u]))
     for l in range(1, n + 1):
         # d[l-1] = d[l] (1 - 2 beta^2 x_l dq_l / d[l]); log1p keeps the ratio
-        # accurate down to vanishing weights (plain log cancels catastrophically).
+        # accurate down to vanishing weights (plain log cancels catastrophically);
+        # every x_l > 0 after _check_scalar_order_params.
         gap = full_q[l + 1] - full_q[l]
         ratio = 2.0 * beta**2 * xv[l - 1] * gap / d[l]
         if ratio >= 1.0:
             # d[l-1] > 0 only up to rounding: the level is at the boundary.
             raise FeasibilityError("scalar level precision not positive")
-        if xv[l - 1] > 0.0:
-            total += -math.log1p(-ratio) / xv[l - 1]
-        else:
-            total += 2.0 * beta**2 * gap / d[l]
+        total += -math.log1p(-ratio) / xv[l - 1]
         total -= beta**2 * xv[l - 1] * (full_q[l + 1] ** 2 - full_q[l] ** 2)
     total += math.log(c / (c - lam))
     return float(total)

@@ -62,6 +62,49 @@ def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def shifted_grid_points(axes: list[np.ndarray], shifts: np.ndarray) -> np.ndarray:
+    """The points of the tensor grids {axes + s} for each row s of shifts,
+    shape (len(shifts),) + grid shape + (d,).  Coordinate i of every point is
+    the single sum axes[i] + s[i], so the points are the same floats as a
+    meshgrid of ``axes`` plus each shift."""
+    d = len(axes)
+    shape = tuple(a.size for a in axes)
+    pts = np.empty((len(shifts),) + shape + (d,))
+    for i, a in enumerate(axes):
+        view = [1] * (d + 1)
+        view[i + 1] = a.size
+        pts[..., i] = a.reshape(view) + shifts[:, i].reshape((-1,) + (1,) * d)
+    return pts
+
+
+def _quadratic_form(w, a: np.ndarray) -> np.ndarray:
+    """sum_jk (w_j a_jk) w_k for components w_j that broadcast together.
+
+    The terms are added in the order of np.einsum("ij,jk,ik->i", w, a, w)
+    (j outer, k inner), so the result agrees with it bit for bit.  A term
+    that involves one component only, such as the j = k terms when the
+    components are tables along different grid axes, costs a table, not a
+    grid."""
+    total = None
+    for j, wj in enumerate(w):
+        for k, wk in enumerate(w):
+            term = (wj * a[j, k]) * wk
+            if total is None:
+                total = term
+                continue
+            # Sum into whichever operand already has the result's shape;
+            # addition commutes, so either order gives the same bits.
+            shape = np.broadcast_shapes(total.shape, term.shape)
+            if total.shape == shape:
+                total += term
+            elif term.shape == shape:
+                term += total
+                total = term
+            else:
+                total = total + term
+    return total
+
+
 @dataclass(frozen=True)
 class AprioriMeasure:
     """Finite a priori spin measure: discrete support or Gaussian density."""
@@ -191,12 +234,13 @@ class TerminalCondition:
         """g(y) for y of shape (..., d); scalar input allowed at d = 1.
 
         One call evaluates any number of points, so callers stack all their
-        points into one array instead of calling once per quadrature node
-        (``recursion.propagate_segment`` passes blocks of up to 2**16
-        points).  The discrete log-sum-exp over the support is
-        ``_logsumexp_rows``: it replicates scipy's ``logsumexp`` formula so
-        that every value stays bit-identical to scipy's, at a fraction of
-        its per-call cost.
+        points into one array instead of calling once per point.  The
+        discrete log-sum-exp over the support is ``_logsumexp_rows``: it
+        replicates scipy's ``logsumexp`` formula so that every value stays
+        bit-identical to scipy's, at a fraction of its per-call cost.  The
+        Gaussian quadratic form is ``_quadratic_form``, the formula
+        ``on_shifted_grids`` evaluates on grid tables, so the two agree bit
+        for bit.
         """
         pts = np.asarray(y, dtype=float)
         scalar_in = pts.ndim == 0
@@ -212,10 +256,35 @@ class TerminalCondition:
         else:
             const, minv = self._gaussian_data()
             w = self.mu.shift[None, :] + root2b * flat
-            vals = const + 0.5 * np.einsum("ij,jk,ik->i", w, minv, w)
+            vals = const + 0.5 * _quadratic_form(w.T, minv)
         if scalar_in:
             return float(vals[0])
         return vals.reshape(pts.shape[:-1])
+
+    def on_shifted_grids(self, axes: list[np.ndarray], shifts: np.ndarray) -> np.ndarray:
+        """g on the tensor grids {axes + s} for each row s of shifts, shape
+        (len(shifts),) + grid shape, bit-identical to ``__call__`` on
+        ``shifted_grid_points(axes, shifts)``.
+
+        For Gaussian mu no point array is built: component i of
+        w = h + sqrt(2) beta y is a (len(shifts), n_i) table along grid
+        axis i, and ``_quadratic_form`` broadcasts the tables into the grid.
+        Discrete mu evaluates the stacked points, because its K = d matrix
+        product cannot be split into per-axis tables bit for bit.
+        """
+        if self.mu.kind == "discrete":
+            return self(shifted_grid_points(axes, shifts))
+        const, minv = self._gaussian_data()
+        root2b = np.sqrt(2.0) * self.beta
+        d = self.dim
+        w = []
+        for i, a in enumerate(axes):
+            table = self.mu.shift[i] + root2b * (a[None, :] + shifts[:, i : i + 1])
+            w.append(table.reshape((len(shifts),) + tuple(a.size if j == i else 1 for j in range(d))))
+        vals = _quadratic_form(w, minv)
+        vals *= 0.5
+        vals += const
+        return vals
 
     def derivatives(self, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """g, grad g and the tilted second moment <s s^T>, which is the

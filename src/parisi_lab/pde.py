@@ -96,12 +96,15 @@ class PdeSolution:
         return np.interp(y, self.y, np.gradient(self._row(t), self.y))
 
     def to_csv(self) -> str:
+        """One "t,y,f" line per grid point, each number as its repr.  The
+        repr of each y and of each time is made once, not once per line."""
         buf = io.StringIO()
         buf.write("t,y,f\n")
-        ys = self.y.tolist()
+        ys = [f",{yy!r}," for yy in self.y.tolist()]
         for t, row in zip(self.times.tolist(), self.values.tolist()):
+            tr = repr(t)
             for yy, f in zip(ys, row):
-                buf.write(f"{t!r},{yy!r},{f!r}\n")
+                buf.write(f"{tr}{yy}{f!r}\n")
         return buf.getvalue()
 
 

@@ -39,8 +39,9 @@ from numpy.polynomial.hermite import hermgauss
 from scipy.interpolate import CubicSpline, RectBivariateSpline
 
 from parisi_lab.matrices import frobenius_inner, frobenius_norm, sqrt_factor
-from parisi_lab.measures import EvalConfig, TerminalCondition
+from parisi_lab.measures import EvalConfig, TerminalCondition, shifted_grid_points
 from parisi_lab.paths import DiscretePath, MonotoneChain, UnitPartition
+from parisi_lab.sk import BudgetError
 
 
 @dataclass(frozen=True)
@@ -65,6 +66,11 @@ def levels_from_order_params(x: UnitPartition, chain: MonotoneChain) -> list[Lev
 # quadrature nodes as fit under this budget: every d=1 level is one call and
 # d=2 temporaries stay near 1 MB.
 BLOCK_POINTS = 2**16
+
+# Largest number of terminal points, (2 * half)**levels, that one nested
+# Monte Carlo estimate may evaluate: each is d floats, so the budget caps the
+# point array near 128 MB per dimension.
+MC_POINT_BUDGET = 2**24
 
 
 @lru_cache(maxsize=None)
@@ -103,14 +109,20 @@ def _log_avg_exp(weight: float, vals: np.ndarray, wgt: np.ndarray, small_x: floa
 
     Below the small-weight threshold the expansion mean + (w/2) * variance is
     used, removing the cancellation of the w -> 0 plain-expectation limit.
+
+    The value block ``vals`` is consumed: it is shifted, scaled and
+    exponentiated (or squared) in place, so the reduction needs no second
+    block.  Callers pass a block they no longer need.
     """
-    mean = np.tensordot(wgt, vals, axes=(0, 0))
     if weight < small_x:
-        sq = np.tensordot(wgt, vals * vals, axes=(0, 0))
+        mean = np.tensordot(wgt, vals, axes=(0, 0))
+        sq = np.tensordot(wgt, np.multiply(vals, vals, out=vals), axes=(0, 0))
         var = np.maximum(sq - mean * mean, 0.0)
         return mean + 0.5 * weight * var
     top = vals.max(axis=0)
-    shifted = np.exp(weight * (vals - top[None, ...]))
+    vals -= top[None, ...]
+    vals *= weight
+    shifted = np.exp(vals, out=vals)
     return top + np.log(np.tensordot(wgt, shifted, axes=(0, 0))) / weight
 
 
@@ -175,28 +187,27 @@ def propagate_segment(
 
         f(y) = (1/w) log E exp(w * f_next(y + z)),  z ~ N(0, cov),
 
-    evaluated at every grid point of ``axes``.  ``f_next`` may be a
-    GridFunction (shifted-grid fast path) or any vectorized callable.
-    This is the exact propagator for a single segment of the associated
-    semi-linear PDE, for any dimension the grid machinery supports.
+    evaluated at every grid point of ``axes``.  This is the exact propagator
+    for a single segment of the associated semi-linear PDE, for any
+    dimension the grid machinery supports.
 
     The quadrature nodes are evaluated in blocks: a block is as many whole
-    nodes as fit in BLOCK_POINTS (2**16) grid points, and each block is one
-    call of ``f_next`` on the stacked (block * grid, d) points, or one
-    ``GridFunction.on_shifted_grids`` call.  Every point gets the same
-    arithmetic as in a call per node, so the values do not depend on the
-    block size.
+    nodes as fit in BLOCK_POINTS (2**16) grid points.  An ``f_next`` with an
+    ``on_shifted_grids`` method (a GridFunction or a TerminalCondition) gets
+    one such call per block and builds its grids its own way; any other
+    vectorized callable gets the stacked (block * grid, d) points of
+    ``shifted_grid_points``.  Every point gets the same arithmetic as in a
+    call per node, so the values do not depend on the block size.  The
+    value block of all nodes is then reduced in place by ``_log_avg_exp``.
     """
     shifts, wgt = _gh_nodes(cov, cfg.nodes)
     shape = tuple(a.size for a in axes)
     size = int(np.prod(shape))
-    if isinstance(f_next, GridFunction):
+    if hasattr(f_next, "on_shifted_grids"):
         evaluate = lambda block: f_next.on_shifted_grids(axes, block)
     else:
-        mesh = np.meshgrid(*axes, indexing="ij")
-        base = np.stack([m.ravel() for m in mesh], axis=1)
         evaluate = lambda block: np.asarray(
-            f_next((base[None, :, :] + block[:, None, :]).reshape(-1, base.shape[1]))
+            f_next(shifted_grid_points(axes, block).reshape(-1, len(axes)))
         ).reshape((len(block),) + shape)
     step = max(1, BLOCK_POINTS // size)
     vals = np.empty((shifts.shape[0],) + shape)
@@ -296,8 +307,6 @@ def _forward_pass(tc: TerminalCondition, levels: list[Level], fs: list[GridFunct
     for k, lv in enumerate(levels):
         shifts, wgt = _gh_nodes(lv.cov, cfg.nodes)
         shape = here.shape
-        mesh = np.meshgrid(*axes, indexing="ij")
-        base = np.stack([m.ravel() for m in mesh], axis=1)
         last = k == n
         small = lv.weight < cfg.small_x_threshold
         sum_v = np.zeros(shape)   # sum_j p_j v_j, or wgt_j v_j below the threshold
@@ -308,9 +317,9 @@ def _forward_pass(tc: TerminalCondition, levels: list[Level], fs: list[GridFunct
         step = max(1, BLOCK_POINTS // here.size)
         for start in range(0, shifts.shape[0], step):
             block = shifts[start : start + step]
+            pts = shifted_grid_points(axes, block)
             if last:
-                pts = (base[None, :, :] + block[:, None, :]).reshape(-1, d)
-                vals, grad, moment = tc.derivatives(pts)
+                vals, grad, moment = tc.derivatives(pts.reshape(-1, d))
                 vals = vals.reshape((len(block),) + shape)
             else:
                 vals = fs[k].on_shifted_grids(axes, block)
@@ -328,8 +337,7 @@ def _forward_pass(tc: TerminalCondition, levels: list[Level], fs: list[GridFunct
             if last:
                 d_tilt += np.tensordot(flat.ravel(), moment, axes=1)
             else:
-                coords = [m[None] + block[expand + (i,)] for i, m in enumerate(mesh)]
-                moved += _deposit(moving, coords, fs[k].axes)
+                moved += _deposit(moving, [pts[..., i] for i in range(d)], fs[k].axes)
         back = np.linalg.pinv(sqrt_factor(lv.cov))
         half = 0.5 * moves @ back.T @ back
         d_cov[k] = 0.5 * (half + half.T)
@@ -344,8 +352,17 @@ def _forward_pass(tc: TerminalCondition, levels: list[Level], fs: list[GridFunct
 
 
 def _mc_value(terminal, levels: list[Level], cfg: EvalConfig, rng: np.random.Generator) -> float:
-    """Nested Monte Carlo with antithetic pairs and half-sample debiasing."""
+    """Nested Monte Carlo with antithetic pairs and half-sample debiasing.
+
+    Raises BudgetError, before any draw, when the (2 * half)**levels
+    terminal points exceed MC_POINT_BUDGET."""
     half = max(4, cfg.samples // 2)
+    points = (2 * half) ** len(levels)
+    if points > MC_POINT_BUDGET:
+        raise BudgetError(
+            f"{points} Monte Carlo points exceed the budget of {MC_POINT_BUDGET}; "
+            "use fewer samples or levels"
+        )
     draws = []
     for lv in levels:
         fac = sqrt_factor(lv.cov)

@@ -20,6 +20,15 @@ PATH = json.loads(
     )
 )
 RADEMACHER = {"kind": "rademacher"}
+# Three interior points: four Monte Carlo levels of 128 samples each.
+DEEP_PATH = json.loads(
+    path_to_json(
+        DiscretePath(
+            UnitPartition.from_interior([0.2, 0.5, 0.8]),
+            MonotoneChain([[[0.0]], [[0.1]], [[0.3]], [[0.6]], [[1.0]]]),
+        )
+    )
+)
 
 TINY = {
     "eval": {"command": "eval", "beta": 0.5, "measure": RADEMACHER, "path": PATH},
@@ -92,6 +101,10 @@ def test_free_energy_csv_equals_disorder_average(tmp_path):
         ({"command": "saddle", "seed": 1, "measure": {"kind": "hypercube", "d": 2},
           "u": [[0.6, 0.2], [0.2, 0.5]], "restarts": 1, "max_evals": 5},
          "lies outside the convex hull"),
+        ({"command": "sk", "experiment": "average", "n_sites": 30, "replicas": 1, "seed": 1},
+         "states exceed the enumeration budget"),
+        ({"command": "eval", "seed": 1, "measure": RADEMACHER, "path": DEEP_PATH, "engine": "monte_carlo"},
+         "Monte Carlo points exceed the budget"),
     ],
 )
 def test_bad_config_exits_two(config, message, tmp_path, capsys):
@@ -100,6 +113,7 @@ def test_bad_config_exits_two(config, message, tmp_path, capsys):
     assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and message in err
+    assert err.count("\n") == 1
 
 
 def test_unreadable_config_exits_two(tmp_path, capsys):

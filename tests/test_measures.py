@@ -8,6 +8,8 @@ from parisi_lab.measures import (
     MeasureError,
     TerminalCondition,
     _logsumexp_rows,
+    _quadratic_form,
+    shifted_grid_points,
 )
 
 
@@ -127,3 +129,45 @@ def test_logsumexp_rows_matches_scipy_with_ties(k):
 def test_logsumexp_rows_non_finite_rows_match_scipy():
     a = np.array([[np.inf, 1.0], [-np.inf, -np.inf], [np.nan, 1.0], [1e308, 1e308], [0.0, -np.inf]])
     assert np.array_equal(_logsumexp_rows(a), logsumexp(a, axis=1), equal_nan=True)
+
+
+def _shifted_grid_cases():
+    tilt1 = np.array([[0.15]])
+    tilt2 = np.array([[0.1, -0.05], [-0.05, 0.2]])
+    gauss1 = AprioriMeasure.gaussian(np.array([[2.5]]), np.array([0.4]))
+    gauss2 = AprioriMeasure.gaussian(np.array([[3.0, 0.4], [0.4, 4.0]]), np.array([0.3, -0.2]))
+    uneven = AprioriMeasure.discrete(
+        np.array([[1.0, 0.0], [-0.5, 2.0], [0.3, -1.2]]), np.array([0.2, 1.5, 0.7])
+    )
+    return {
+        "gaussian_d1": TerminalCondition(0.8, tilt1, gauss1),
+        "gaussian_d2": TerminalCondition(0.6, tilt2, gauss2),
+        "gaussian_d2_untilted": TerminalCondition(1.1, np.zeros((2, 2)), gauss2),
+        "rademacher": TerminalCondition(0.9, tilt1, AprioriMeasure.rademacher()),
+        "uneven_discrete_d2": TerminalCondition(0.7, tilt2, uneven),
+        "hypercube_d2": TerminalCondition(0.7, tilt2, AprioriMeasure.hypercube(2)),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_shifted_grid_cases()))
+def test_on_shifted_grids_is_bit_identical_to_stacked_points(case):
+    tc = _shifted_grid_cases()[case]
+    rng = np.random.default_rng(7)
+    axes = [np.linspace(-3.0, 3.0, 41), np.linspace(-2.5, 2.0, 37)][: tc.dim]
+    shifts = rng.normal(scale=0.8, size=(5, tc.dim))
+    got = tc.on_shifted_grids(axes, shifts)
+    assert got.shape == (5,) + tuple(a.size for a in axes)
+    assert np.array_equal(got, tc(shifted_grid_points(axes, shifts)))
+    # The points are a meshgrid of the axes plus each shift.
+    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    stacked = mesh[None] + shifts.reshape((5,) + (1,) * tc.dim + (tc.dim,))
+    assert np.array_equal(shifted_grid_points(axes, shifts), stacked)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_quadratic_form_is_bit_identical_to_einsum(d):
+    rng = np.random.default_rng(d)
+    w = rng.normal(scale=3.0, size=(5000, d))
+    a = rng.normal(size=(d, d))
+    a = a + a.T
+    assert np.array_equal(_quadratic_form(w.T, a), np.einsum("ij,jk,ik->i", w, a, w))

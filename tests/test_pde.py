@@ -155,3 +155,7 @@ def test_csv_export():
     parsed = np.array([[float(v) for v in line.split(",")] for line in text.splitlines()[1:]])
     tt, yy = np.meshgrid(sol.times, sol.y, indexing="ij")
     assert np.array_equal(parsed, np.column_stack([tt.ravel(), yy.ravel(), sol.values.ravel()]))
+    # Byte for byte the line-by-line format.
+    lines = (f"{t!r},{y!r},{f!r}\n" for t, row in zip(sol.times.tolist(), sol.values.tolist())
+             for y, f in zip(sol.y.tolist(), row))
+    assert text == "t,y,f\n" + "".join(lines)

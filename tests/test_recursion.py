@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.polynomial.hermite import hermgauss
@@ -5,8 +7,10 @@ from numpy.polynomial.hermite import hermgauss
 from parisi_lab.matrices import sym_sqrt
 from parisi_lab.measures import AprioriMeasure, EvalConfig, TerminalCondition
 from parisi_lab.paths import DiscretePath, MonotoneChain, UnitPartition
+from parisi_lab.sk import BudgetError
 from parisi_lab.recursion import (
     BLOCK_POINTS,
+    MC_POINT_BUDGET,
     FunctionalGradient,
     GridFunction,
     Level,
@@ -14,6 +18,7 @@ from parisi_lab.recursion import (
     _gauss_hermite,
     _gh_nodes,
     _log_avg_exp,
+    _mc_value,
     functional_from_recursion,
     levels_from_order_params,
     lipschitz_witness,
@@ -117,6 +122,21 @@ def test_monte_carlo_reproducible():
     a = recursion_value(x, chain, tc, cfg)
     b = recursion_value(x, chain, tc, cfg)
     assert a.value == b.value and a.std_error == b.std_error
+
+
+def test_monte_carlo_point_budget_raises_before_any_draw():
+    x, chain, tc = scalar_setup([0.2, 0.5, 0.8], [0.1, 0.3, 0.6])
+    levels = levels_from_order_params(x, chain)
+    cfg = EvalConfig(engine="monte_carlo")
+    assert cfg.samples ** len(levels) > MC_POINT_BUDGET
+    # No generator: a draw would fail with AttributeError, not BudgetError.
+    with pytest.raises(BudgetError, match="Monte Carlo points exceed the budget"):
+        _mc_value(tc, levels, cfg, None)
+    with pytest.raises(BudgetError):
+        recursion_value(x, chain, tc, cfg)
+    # One level fewer stays inside the budget.
+    fewer = levels_from_order_params(*scalar_setup([0.5, 0.8], [0.3, 0.6])[:2])
+    assert cfg.samples ** len(fewer) <= MC_POINT_BUDGET
 
 
 def test_monte_carlo_d3():
@@ -241,9 +261,11 @@ def _segment_cases():
     cube = TerminalCondition(0.7, tilt2, AprioriMeasure.hypercube(2))
     wide = [np.linspace(-6.0, 6.0, 4001)]
     g1 = TerminalCondition(0.8, np.zeros((1, 1)), RADEMACHER)
+    gauss1 = AprioriMeasure.gaussian(np.array([[2.5]]), np.array([0.4]))
     return {
         "rademacher": (g1, 0.5, cov1, line),
         "hypercube_d2": (cube, 0.4, cov2, plane),
+        "gaussian_d1": (TerminalCondition(0.8, np.array([[0.15]]), gauss1), 0.5, cov1, line),
         "gaussian_d2": (TerminalCondition(0.6, tilt2, gauss2), 0.7, cov2, plane),
         "linear_probe": (LinearProbe(0.7), 0.3, cov1, line),
         "grid_d1": (GridFunction(wide, g1(wide[0][:, None])), 0.6, cov1, line),
@@ -262,6 +284,28 @@ def test_batched_segment_is_bit_identical_to_per_node(case):
     assert np.array_equal(batched, per_node_segment(f_next, weight, cov, axes, cfg))
     if case.startswith("multi_block"):
         assert cfg.nodes * axes[0].size > BLOCK_POINTS
+
+
+@pytest.mark.parametrize("measure", ["gaussian", "hypercube"])
+def test_segment_reduces_its_value_block_in_place(measure):
+    # One d=2 level, 16 nodes per axis on a 161^2 grid: besides the value
+    # block of all 256 nodes, only per-block temporaries are allocated.
+    tilt = np.array([[0.1, -0.05], [-0.05, 0.2]])
+    mu = {
+        "gaussian": AprioriMeasure.gaussian(np.array([[3.0, 0.4], [0.4, 4.0]]), np.array([0.3, -0.2])),
+        "hypercube": AprioriMeasure.hypercube(2),
+    }[measure]
+    tc = TerminalCondition(0.6, tilt, mu)
+    cov = np.array([[0.5, 0.15], [0.15, 0.3]])
+    axes = [np.linspace(-3.0, 3.0, 161), np.linspace(-2.5, 2.5, 161)]
+    value_block = 16**2 * 161**2 * 8
+    tracemalloc.start()
+    try:
+        propagate_segment(tc, 0.7, cov, axes, EvalConfig(nodes=16, grid_points_2d=161))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * value_block
 
 
 def test_gauss_hermite_table_cached_read_only():
