@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from parisi_lab import __version__, acceptance
+from parisi_lab.matrices import MatrixError
 from parisi_lab.measures import AprioriMeasure, EvalConfig, MeasureError, TerminalCondition
 from parisi_lab.paths import DiscretePath, path_from_json, path_to_json
 from parisi_lab.pde import PdeProblem, solve_parisi_pde
@@ -71,14 +72,26 @@ def _measure_from(config: dict) -> AprioriMeasure:
         raise ConfigError(f"invalid {kind} measure: {exc}") from exc
 
 
-def _path_from(config: dict) -> DiscretePath:
-    return path_from_json(json.dumps(_required(config, "path")))
+def _path_from(config: dict, mu: AprioriMeasure) -> DiscretePath:
+    path = path_from_json(json.dumps(_required(config, "path")))
+    if path.dim != mu.dim:
+        raise ConfigError(f"path dimension {path.dim} differs from the measure dimension {mu.dim}")
+    return path
 
 
 def _terminal_from(config: dict, mu: AprioriMeasure) -> TerminalCondition:
     d = mu.dim
     tilt = np.asarray(config.get("tilt", np.zeros((d, d))), dtype=float)
-    return TerminalCondition(float(config.get("beta", 1.0)), tilt.reshape(d, d), mu)
+    if tilt.size != d * d:
+        raise ConfigError(f"tilt must hold {d}x{d} = {d * d} entries, got {tilt.size}")
+    try:
+        tc = TerminalCondition(float(config.get("beta", 1.0)), tilt.reshape(d, d), mu)
+        # g at the origin raises if the tilted Gaussian integral diverges
+        # (precision - 2 tilt not positive definite), before any evaluation.
+        tc(np.zeros(d))
+    except (MeasureError, MatrixError) as exc:
+        raise ConfigError(f"invalid terminal condition: {exc}") from exc
+    return tc
 
 
 # Each handler takes (config, master seed, workers) and returns
@@ -88,9 +101,11 @@ def _terminal_from(config: dict, mu: AprioriMeasure) -> TerminalCondition:
 def _run_eval(config: dict, master: int, workers: int):
     mu = _measure_from(config)
     tc = _terminal_from(config, mu)
-    path = _path_from(config)
-    engine = config.get("engine", "quadrature")
-    cfg = EvalConfig(engine=engine, seed=derive_seed(master, "eval"))
+    path = _path_from(config, mu)
+    try:
+        cfg = EvalConfig(engine=config.get("engine", "quadrature"), seed=derive_seed(master, "eval"))
+    except MeasureError as exc:
+        raise ConfigError(f"invalid eval config: {exc}") from exc
     rec = recursion_value(path.partition, path.chain, tc, cfg)
     loc = functional_from_recursion(path.partition, path.chain, tc, rec)
     lines = [
@@ -103,7 +118,7 @@ def _run_eval(config: dict, master: int, workers: int):
 def _run_pde(config: dict, master: int, workers: int):
     mu = _measure_from(config)
     tc = _terminal_from(config, mu)
-    path = _path_from(config)
+    path = _path_from(config, mu)
     problem = PdeProblem.from_path(path, tc, spacing=float(config.get("spacing", 0.01)))
     sol = solve_parisi_pde(problem)
     rec = recursion_value(path.partition, path.chain, tc, EvalConfig())

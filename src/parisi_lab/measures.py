@@ -8,14 +8,20 @@ The terminal condition bundles (beta, tilt, mu) and evaluates
 
     g(y) = log Integral exp(sqrt(2) * beta * <y, s> + <tilt s, s>) mu(ds).
 
-For discrete mu this is a stabilized log-sum-exp over the support.  For
+For discrete mu this is a stabilized log-sum-exp over the support, taken
+support-major: one logit array per support point s_j, built from the
+coordinates of y one axis at a time, and a columnwise reduction of those K
+arrays that repeats scipy's ``logsumexp`` formula and numpy's summation
+order, so the values equal scipy's bit for bit.  The coordinates may be
+per-axis tables of a tensor grid, so g on a grid needs no point array.  For
 Gaussian mu the integral is exact: completing the square with the quadratic
 tilt turns the precision matrix C into C - 2*tilt (the tilt enters the
 exponent as a full quadratic form, hence the factor 2), giving
 
     g(y) = log det(C (C - 2 tilt)^-1) / 2 + <(C - 2 tilt)^-1 w, w> / 2,
 
-with w = h + sqrt(2) beta y, valid while C - 2 tilt stays positive definite.
+with w = h + sqrt(2) beta y, valid while C - 2 tilt stays positive definite;
+on a grid its quadratic form is summed over broadcast per-axis tables.
 """
 
 from __future__ import annotations
@@ -33,32 +39,80 @@ class MeasureError(ValueError):
     """Raised on invalid measure parameters."""
 
 
-def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
-    """log sum_j exp(a[i, j]) for each row of a real 2-D array.
+def _pairwise_sum(terms: list[np.ndarray]) -> np.ndarray:
+    """Elementwise sum of the arrays in ``terms``, added in the order of
+    numpy's pairwise summation along a contiguous axis, so that it equals
+    ``np.stack(terms, axis=-1).sum(axis=-1)`` bit for bit: one after the
+    other below 8 terms; up to 128 terms, eight running sums over every
+    eighth term, combined as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 +
+    r7)), then the remainder; above 128, the two halves split at a multiple
+    of 8.  Sums in place into the arrays of ``terms``."""
+    n = len(terms)
+    if n < 8:
+        total = terms[0]
+        for t in terms[1:]:
+            total += t
+        return total
+    if n <= 128:
+        r = terms[:8]
+        full = n - n % 8
+        for i in range(8, full, 8):
+            for j in range(8):
+                r[j] += terms[i + j]
+        for a, b in ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (4, 6), (0, 4)):
+            r[a] += r[b]
+        total = r[0]
+        for t in terms[full:]:
+            total += t
+        return total
+    half = n // 2
+    half -= half % 8
+    total = _pairwise_sum(terms[:half])
+    total += _pairwise_sum(terms[half:])
+    return total
 
-    Bit-identical to ``scipy.special.logsumexp(a, axis=1)`` without its
-    per-call array-API overhead, because it repeats scipy's formula step by
-    step: the row maximum is split off and its ties counted (m), the other
-    entries are shifted, exponentiated and summed (s), and the value is
-    log1p(s / m) + log m + max.  The shorter max + log(sum exp(a - max)) is
-    not bit-identical.  The sum of exponentials is a numpy row sum over the
-    same array shape as scipy's, so its order matches for every support size.
-    The maximum and the tie count are exact in any order, so the maximum is
-    taken one column at a time (faster than a row reduction on short rows)
-    and the ties are counted rather than summed.
-    Rows whose result is not finite (an infinite or NaN entry) go to scipy's
-    own logsumexp.
+
+def _logsumexp_columns(cols: list[np.ndarray]) -> np.ndarray:
+    """log sum_j exp(cols[j]) elementwise over K arrays of one shape.
+
+    Bit-identical to ``scipy.special.logsumexp(np.stack(cols, axis=-1),
+    axis=-1)`` without its per-call overhead or a (..., K) block, because it
+    repeats scipy's formula step by step: the maximum is split off and its
+    ties counted (m), the other entries are shifted, exponentiated and
+    summed (s), and the value is log1p(s / m) + log m + max.  The shorter
+    max + log(sum exp(a - max)) is not bit-identical.  The maximum and the
+    tie count are exact in any order; the sum over j is ``_pairwise_sum``,
+    the order of numpy's row sum in scipy.  For a finite maximum an entry
+    ties exactly when its shifted value is 0.
+
+    The arrays are consumed: each is shifted and exponentiated in place.
+    Where the maximum is not finite (an infinite or NaN entry) the value
+    comes from scipy's own logsumexp, on the entries copied out before.
     """
+    top = cols[0].copy()
+    for c in cols[1:]:
+        np.maximum(top, c, out=top)
+    bad = ~np.isfinite(top)
+    saved = np.stack([c[bad] for c in cols], axis=-1) if bad.any() else None
+    m = np.zeros(top.shape)
     with np.errstate(divide="ignore", invalid="ignore"):
-        top = reduce(np.maximum, a.T)
-        ties = a == top[:, None]
-        m = np.count_nonzero(ties, axis=1).astype(a.dtype)
-        s = np.exp(np.where(ties, -np.inf, a) - top[:, None]).sum(axis=1)
-        s = np.where(s == 0, s, s / m)
-        out = np.log1p(s) + np.log(m) + top
-    bad = ~np.isfinite(out)
-    if bad.any():
-        out[bad] = logsumexp(a[bad], axis=1)
+        for c in cols:
+            c -= top
+            tie = c == 0.0
+            m += tie
+            np.exp(c, out=c)
+            # A tie's exponential is exactly 1; subtracting it leaves the
+            # 0 of scipy's exp(-inf) and every other entry unchanged.
+            np.subtract(c, tie, out=c)
+        s = _pairwise_sum(cols)
+        # m >= 1 wherever the maximum is finite, so s == 0 stays 0 as in
+        # scipy's where(s == 0, s, s / m).
+        s /= m
+        out = np.log1p(s)
+        out += np.log(m)
+        out += top
+    if saved is not None:
+        out[bad] = logsumexp(saved, axis=-1)
     return out
 
 
@@ -230,17 +284,40 @@ class TerminalCondition:
             self._cache["gaussian"] = data
         return data
 
+    def _discrete_values(self, coords: list[np.ndarray]) -> np.ndarray:
+        """g for discrete mu from the scaled coordinates coords[i] =
+        sqrt(2) beta y_i, arrays that broadcast together.
+
+        Support point s_j gives the logit array
+        (coords[0] s_j0 + coords[1] s_j1 + ...) + c_j, added left to right,
+        with c_j = log w_j + <tilt s_j, s_j>; ``_logsumexp_columns`` reduces
+        the K arrays.  A logit array has the broadcast shape of the
+        coordinates, so per-axis tables of a grid give logits on the grid
+        and no point array or (points, K) block is formed.
+        """
+        sigma = self.mu.points
+        consts = np.log(self.mu.weights) + np.einsum("ij,jk,ik->i", sigma, self.tilt, sigma)
+        logits = []
+        for s_j, c_j in zip(sigma, consts):
+            acc = coords[0] * s_j[0]
+            for coord, s_ji in zip(coords[1:], s_j[1:]):
+                acc = acc + coord * s_ji
+            acc += c_j
+            logits.append(acc)
+        return _logsumexp_columns(logits)
+
     def __call__(self, y) -> np.ndarray | float:
         """g(y) for y of shape (..., d); scalar input allowed at d = 1.
 
         One call evaluates any number of points, so callers stack all their
-        points into one array instead of calling once per point.  The
-        discrete log-sum-exp over the support is ``_logsumexp_rows``: it
-        replicates scipy's ``logsumexp`` formula so that every value stays
-        bit-identical to scipy's, at a fraction of its per-call cost.  The
-        Gaussian quadratic form is ``_quadratic_form``, the formula
-        ``on_shifted_grids`` evaluates on grid tables, so the two agree bit
-        for bit.
+        points into one array instead of calling once per point.  For
+        discrete mu the columns sqrt(2) beta y_i go to ``_discrete_values``,
+        a log-sum-exp over the support that is bit-identical to scipy's
+        ``logsumexp`` of the logits.  For a +-1 support every product
+        y_i s_ji is exact, so the logits also equal the matrix product
+        sqrt(2) beta y sigma^T bit for bit.  The Gaussian quadratic form is
+        ``_quadratic_form``.  ``on_shifted_grids`` runs the same formulas on
+        grid tables, so the two agree bit for bit for every measure.
         """
         pts = np.asarray(y, dtype=float)
         scalar_in = pts.ndim == 0
@@ -249,10 +326,7 @@ class TerminalCondition:
         flat = pts.reshape(-1, self.dim)
         root2b = np.sqrt(2.0) * self.beta
         if self.mu.kind == "discrete":
-            sigma = self.mu.points
-            quad = np.einsum("ij,jk,ik->i", sigma, self.tilt, sigma)
-            logits = np.log(self.mu.weights) + quad
-            vals = _logsumexp_rows(root2b * flat @ sigma.T + logits[None, :])
+            vals = self._discrete_values([root2b * flat[:, i] for i in range(self.dim)])
         else:
             const, minv = self._gaussian_data()
             w = self.mu.shift[None, :] + root2b * flat
@@ -266,22 +340,27 @@ class TerminalCondition:
         (len(shifts),) + grid shape, bit-identical to ``__call__`` on
         ``shifted_grid_points(axes, shifts)``.
 
-        For Gaussian mu no point array is built: component i of
-        w = h + sqrt(2) beta y is a (len(shifts), n_i) table along grid
-        axis i, and ``_quadratic_form`` broadcasts the tables into the grid.
-        Discrete mu evaluates the stacked points, because its K = d matrix
-        product cannot be split into per-axis tables bit for bit.
+        No point array is built.  Coordinate i of the points, scaled by
+        sqrt(2) beta, is a (len(shifts), n_i) table along grid axis i, and
+        the tables broadcast into the grid.  Gaussian mu adds h_i to each
+        table and takes ``_quadratic_form``.  Discrete mu passes the tables
+        to ``_discrete_values``, whose logits are the same left-to-right
+        sums as in ``__call__``.  For a +-1 support each product is exact,
+        so the values also equal a matrix product of stacked points with the
+        support bit for bit; for other supports at d >= 2 they may differ
+        from such a product by rounding, because BLAS may fuse a multiply
+        and an add.
         """
-        if self.mu.kind == "discrete":
-            return self(shifted_grid_points(axes, shifts))
-        const, minv = self._gaussian_data()
         root2b = np.sqrt(2.0) * self.beta
         d = self.dim
-        w = []
+        tables = []
         for i, a in enumerate(axes):
-            table = self.mu.shift[i] + root2b * (a[None, :] + shifts[:, i : i + 1])
-            w.append(table.reshape((len(shifts),) + tuple(a.size if j == i else 1 for j in range(d))))
-        vals = _quadratic_form(w, minv)
+            table = root2b * (a[None, :] + shifts[:, i : i + 1])
+            tables.append(table.reshape((len(shifts),) + tuple(a.size if j == i else 1 for j in range(d))))
+        if self.mu.kind == "discrete":
+            return self._discrete_values(tables)
+        const, minv = self._gaussian_data()
+        vals = _quadratic_form([h_i + t for h_i, t in zip(self.mu.shift, tables)], minv)
         vals *= 0.5
         vals += const
         return vals

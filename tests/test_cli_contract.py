@@ -105,6 +105,20 @@ def test_free_energy_csv_equals_disorder_average(tmp_path):
          "states exceed the enumeration budget"),
         ({"command": "eval", "seed": 1, "measure": RADEMACHER, "path": DEEP_PATH, "engine": "monte_carlo"},
          "Monte Carlo points exceed the budget"),
+        ({"command": "eval", "seed": 1, "measure": RADEMACHER, "path": PATH, "tilt": [[1, 2]]},
+         "tilt must hold 1x1 = 1 entries, got 2"),
+        ({"command": "eval", "seed": 1, "measure": RADEMACHER, "path": PATH, "beta": -0.5},
+         "beta must be nonnegative"),
+        ({"command": "eval", "seed": 1, "measure": RADEMACHER, "path": PATH, "engine": "bogus"},
+         "unknown engine 'bogus'"),
+        ({"command": "eval", "seed": 1, "measure": {"kind": "gaussian", "precision": [[1.0]], "shift": [0.0]},
+          "path": PATH, "tilt": [[5.0]]}, "tilted Gaussian integral diverges"),
+        ({"command": "eval", "seed": 1, "measure": {"kind": "hypercube", "d": 3}, "path": PATH},
+         "path dimension 1 differs from the measure dimension 3"),
+        ({"command": "pde", "seed": 1, "measure": {"kind": "hypercube", "d": 2}, "path": PATH},
+         "path dimension 1 differs from the measure dimension 2"),
+        ({"command": "eval", "seed": 1, "measure": {"kind": "hypercube", "d": 2}, "path": PATH,
+          "tilt": [[0.0, 1.0], [2.0, 0.0]]}, "matrix is not symmetric"),
     ],
 )
 def test_bad_config_exits_two(config, message, tmp_path, capsys):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from parisi_lab.measures import (
@@ -7,7 +9,7 @@ from parisi_lab.measures import (
     EvalConfig,
     MeasureError,
     TerminalCondition,
-    _logsumexp_rows,
+    _logsumexp_columns,
     _quadratic_form,
     shifted_grid_points,
 )
@@ -116,19 +118,41 @@ def test_discrete_terminal_matches_scipy_logsumexp(k):
     assert np.array_equal(tc(y[:, None]), expected)
 
 
-@pytest.mark.parametrize("k", range(1, 17))
+@pytest.mark.parametrize("k", range(1, 301))
 def test_logsumexp_rows_matches_scipy_with_ties(k):
+    # The kernel sums over the support in numpy's pairwise order, whose
+    # branches switch at 8 and 128 terms.
     rng = np.random.default_rng(k)
     a = rng.normal(scale=5.0, size=(300, k))
     a[::3, -1] = a[::3, 0]
     a[::4] = np.round(a[::4])
     a[::7] = 1.5
-    assert np.array_equal(_logsumexp_rows(a), logsumexp(a, axis=1))
+    assert np.array_equal(_logsumexp_columns(list(a.copy().T)), logsumexp(a, axis=1))
+
+
+def _matrix_product_formula(tc, flat):
+    """The discrete g as one BLAS product of the stacked points with the
+    support and a row log-sum-exp (scipy's formula on an (M, K) block)."""
+    sigma = tc.mu.points
+    logits = np.log(tc.mu.weights) + np.einsum("ij,jk,ik->i", sigma, tc.tilt, sigma)
+    return logsumexp(np.sqrt(2.0) * tc.beta * flat @ sigma.T + logits[None, :], axis=1)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_hypercube_terminal_matches_matrix_product(d):
+    # K = 2**d support points: d = 3 and d = 4 take the eight-accumulator
+    # branch of the support sum.  Products with +-1 coordinates are exact, so
+    # the per-axis sums equal the matrix product bit for bit.
+    rng = np.random.default_rng(30 + d)
+    tilt = rng.normal(scale=0.2, size=(d, d))
+    tc = TerminalCondition(0.8, tilt + tilt.T, AprioriMeasure.hypercube(d))
+    flat = np.concatenate([rng.normal(scale=2.0, size=(2000, d)), np.zeros((3, d))])
+    assert np.array_equal(tc(flat), _matrix_product_formula(tc, flat))
 
 
 def test_logsumexp_rows_non_finite_rows_match_scipy():
     a = np.array([[np.inf, 1.0], [-np.inf, -np.inf], [np.nan, 1.0], [1e308, 1e308], [0.0, -np.inf]])
-    assert np.array_equal(_logsumexp_rows(a), logsumexp(a, axis=1), equal_nan=True)
+    assert np.array_equal(_logsumexp_columns(list(a.copy().T)), logsumexp(a, axis=1), equal_nan=True)
 
 
 def _shifted_grid_cases():
@@ -171,3 +195,31 @@ def test_quadratic_form_is_bit_identical_to_einsum(d):
     a = rng.normal(size=(d, d))
     a = a + a.T
     assert np.array_equal(_quadratic_form(w.T, a), np.einsum("ij,jk,ik->i", w, a, w))
+
+
+@st.composite
+def _discrete_terminals(draw):
+    d = draw(st.sampled_from([1, 2]))
+    k = draw(st.integers(1, 20))
+    plus_minus_one = draw(st.booleans())
+    coord = st.sampled_from([-1.0, 1.0]) if plus_minus_one else st.floats(-3.0, 3.0)
+    points = draw(st.lists(st.lists(coord, min_size=d, max_size=d), min_size=k, max_size=k))
+    weights = draw(st.lists(st.floats(0.05, 5.0), min_size=k, max_size=k))
+    tilt = np.array(draw(st.lists(st.floats(-0.5, 0.5), min_size=d * d, max_size=d * d))).reshape(d, d)
+    beta = draw(st.floats(0.0, 2.0))
+    shifts = draw(st.lists(st.lists(st.floats(-2.0, 2.0), min_size=d, max_size=d), min_size=1, max_size=4))
+    tc = TerminalCondition(beta, tilt + tilt.T, AprioriMeasure.discrete(np.array(points), weights))
+    return tc, plus_minus_one, np.array(shifts)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(_discrete_terminals())
+def test_discrete_on_shifted_grids_property(case):
+    tc, plus_minus_one, shifts = case
+    axes = [np.linspace(-3.0, 3.0, 9), np.linspace(-2.0, 2.5, 7)][: tc.dim]
+    pts = shifted_grid_points(axes, shifts)
+    got = tc.on_shifted_grids(axes, shifts)
+    assert np.array_equal(got, tc(pts))
+    if plus_minus_one:
+        flat = pts.reshape(-1, tc.dim)
+        assert np.array_equal(got.ravel(), _matrix_product_formula(tc, flat))
