@@ -22,7 +22,7 @@ import numpy as np
 from parisi_lab import __version__, acceptance
 from parisi_lab.matrices import MatrixError
 from parisi_lab.measures import AprioriMeasure, EvalConfig, MeasureError, TerminalCondition
-from parisi_lab.paths import DiscretePath, path_from_json, path_to_json
+from parisi_lab.paths import DiscretePath, PathError, path_from_json, path_to_json
 from parisi_lab.pde import PdeProblem, solve_parisi_pde
 # local_functional is no longer called here.  It stays in this namespace
 # because perfbench/spans.py instruments cli.local_functional.
@@ -73,7 +73,14 @@ def _measure_from(config: dict) -> AprioriMeasure:
 
 
 def _path_from(config: dict, mu: AprioriMeasure) -> DiscretePath:
-    path = path_from_json(json.dumps(_required(config, "path")))
+    try:
+        path = path_from_json(json.dumps(_required(config, "path")))
+    except KeyError as exc:
+        raise ConfigError(f"missing key in path: {exc.args[0]}") from exc
+    except TypeError as exc:
+        raise ConfigError("path must be an object with keys x, Q and U") from exc
+    except PathError as exc:
+        raise ConfigError(f"invalid path: {exc}") from exc
     if path.dim != mu.dim:
         raise ConfigError(f"path dimension {path.dim} differs from the measure dimension {mu.dim}")
     return path
@@ -81,7 +88,10 @@ def _path_from(config: dict, mu: AprioriMeasure) -> DiscretePath:
 
 def _terminal_from(config: dict, mu: AprioriMeasure) -> TerminalCondition:
     d = mu.dim
-    tilt = np.asarray(config.get("tilt", np.zeros((d, d))), dtype=float)
+    try:
+        tilt = np.asarray(config.get("tilt", np.zeros((d, d))), dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"tilt must be a {d}x{d} matrix of numbers") from exc
     if tilt.size != d * d:
         raise ConfigError(f"tilt must hold {d}x{d} = {d * d} entries, got {tilt.size}")
     try:
@@ -106,6 +116,8 @@ def _run_eval(config: dict, master: int, workers: int):
         cfg = EvalConfig(engine=config.get("engine", "quadrature"), seed=derive_seed(master, "eval"))
     except MeasureError as exc:
         raise ConfigError(f"invalid eval config: {exc}") from exc
+    if cfg.engine == "quadrature" and mu.dim > 2:
+        raise ConfigError(f"quadrature engine supports d <= 2, got d = {mu.dim}; use monte_carlo")
     rec = recursion_value(path.partition, path.chain, tc, cfg)
     loc = functional_from_recursion(path.partition, path.chain, tc, rec)
     lines = [
@@ -119,6 +131,8 @@ def _run_pde(config: dict, master: int, workers: int):
     mu = _measure_from(config)
     tc = _terminal_from(config, mu)
     path = _path_from(config, mu)
+    if mu.dim != 1:
+        raise ConfigError(f"pde solves one-dimensional problems, got d = {mu.dim}")
     problem = PdeProblem.from_path(path, tc, spacing=float(config.get("spacing", 0.01)))
     sol = solve_parisi_pde(problem)
     rec = recursion_value(path.partition, path.chain, tc, EvalConfig())

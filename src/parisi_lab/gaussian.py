@@ -17,7 +17,10 @@ The scalar (simultaneously diagonal) layer works in doubled units: the
 per-mode functionals below equal exactly twice the per-mode contribution to
 the free-energy-scale functional, with the scalar multiplier lam equal to
 twice the matching tilt eigenvalue.  Conversions happen only at module
-boundaries (PAIR_SCALE).
+boundaries (PAIR_SCALE).  Both scalar functionals return their exact
+gradient with their value, and the scalar minimizers run L-BFGS-B on it,
+pulled back through the parameterizations that keep the order parameters
+feasible.
 """
 
 from __future__ import annotations
@@ -102,33 +105,55 @@ def closed_form_recursion(
 # Scalar (simultaneously diagonal) layer, doubled units
 
 
-def _check_scalar_order_params(x, q, u: float):
+def _scalar_orders(x, q, u: float):
+    """Checked order parameters: x, the levels full_q = (0, q_1..q_n, u),
+    the gaps full_q[l+1] - full_q[l] (l = 1..n) and the tail overlap masses
+    s[l] = sum_{j>=l} x_j gap_j.  Equal weights are feasible: two levels
+    with one weight act as a single level, and the minimizers approach such
+    points whenever the optimum has fewer levels than they search."""
     xv = np.asarray(x, dtype=float)
     qv = np.asarray(q, dtype=float)
     if xv.ndim != 1 or qv.ndim != 1 or xv.size != qv.size:
         raise ValueError("x and q must be 1-D arrays of equal length")
-    if xv.size and (np.any(np.diff(xv) <= 0.0) or xv[0] <= 0.0 or xv[-1] > 1.0):
-        raise FeasibilityError("x must be strictly increasing inside (0, 1]")
+    if xv.size and ((xv[1:] < xv[:-1]).any() or xv[0] <= 0.0 or xv[-1] > 1.0):
+        raise FeasibilityError("x must be nondecreasing inside (0, 1]")
     full_q = np.concatenate(([0.0], qv, [u]))
-    if np.any(np.diff(full_q) < 0.0):
+    steps = np.diff(full_q)
+    if (steps < 0.0).any():
         raise FeasibilityError("q must be nondecreasing from 0 to u")
-    return xv, qv
+    gaps = steps[1:]
+    return xv, full_q, gaps, np.cumsum((xv * gaps)[::-1])[::-1]
 
 
-def _scalar_d(x, q, u: float, lam: float, c: float, beta: float):
-    """d[l] = c - lam - 2 beta^2 s[l] with s[l] the tail overlap mass."""
-    n = x.size
-    full_q = np.concatenate(([0.0], q, [u]))
-    gaps = np.diff(full_q)[1:]  # increments q[l+1] - q[l], l = 1..n
-    tails = np.concatenate((np.cumsum((x * gaps)[::-1])[::-1], [0.0]))
-    d = c - lam - 2.0 * beta**2 * tails
-    if np.any(d <= 0.0):
-        raise FeasibilityError("scalar level precision not positive")
-    return d, tails
+@dataclass(frozen=True)
+class ScalarGradient:
+    """First derivatives of a scalar functional in the weights x_1..x_n, the
+    overlap levels q_1..q_n and the multiplier lam (zero for the
+    Crisanti-Sommers form, which has no multiplier)."""
+
+    x: np.ndarray
+    q: np.ndarray
+    lam: float
 
 
-def parisi_1d(x, q, u: float, lam: float, c: float, h: float, beta: float) -> float:
-    """Scalar variational functional (doubled units):
+def _order_gradient(xv, full_q, gaps, energy: float, g_x, g_gaps, g_tails, g_full):
+    """Finish a scalar functional's gradient in (x, q) by reverse mode.
+
+    The functional reaches (x, q) through the gaps (adjoints ``g_gaps``),
+    the tails (``g_tails``), the term
+    energy * sum_l x_l (full_q[l+1]^2 - full_q[l]^2) and the levels
+    themselves (``g_full``, indexed like full_q); ``g_x`` holds the
+    remaining direct dependence on x."""
+    cum = np.cumsum(g_tails)  # x_j gap_j enters every s[l] with l <= j
+    g_x = g_x + gaps * cum + energy * (full_q[2:] ** 2 - full_q[1:-1] ** 2)
+    g_gaps = g_gaps + xv * cum
+    g_full[2:] += g_gaps + 2.0 * energy * xv * full_q[2:]
+    g_full[1:-1] -= g_gaps + 2.0 * energy * xv * full_q[1:-1]
+    return g_x, g_full[1:-1]
+
+
+def parisi_1d(x, q, u: float, lam: float, c: float, h: float, beta: float) -> tuple[float, ScalarGradient]:
+    """Scalar variational functional (doubled units) and its gradient:
 
         -lam*u + (2 beta^2 q[1] + h^2)/d[1]
         + sum_{l=1..n} (1/x_l) log(d[l+1]/d[l]) + log(c/(c - lam))
@@ -137,60 +162,92 @@ def parisi_1d(x, q, u: float, lam: float, c: float, h: float, beta: float) -> fl
     with d[l] = c - lam - 2 beta^2 sum_{j>=l} x_j (q[j+1]-q[j]) and
     d[n+1] = c - lam.  Equals 2x the per-mode free-energy functional with the
     matching tilt eigenvalue lam/2; the terminal determinant ratio
-    log(c/(c-lam)) carries weight one.
+    log(c/(c-lam)) carries weight one.  Returns (value, ScalarGradient).
     """
-    xv, qv = _check_scalar_order_params(x, q, u)
+    xv, full_q, gaps, tails = _scalar_orders(x, q, u)
     if c - lam <= 0.0:
         raise FeasibilityError("c - lam must be positive")
-    d, _ = _scalar_d(xv, qv, u, lam, c, beta)
+    a = 2.0 * beta**2
+    # d[l] = c - lam - 2 beta^2 s[l], l = 1..n+1, with s[n+1] = 0
+    d = c - lam - a * np.append(tails, 0.0)
+    if (d <= 0.0).any():
+        raise FeasibilityError("scalar level precision not positive")
     n = xv.size
-    q1 = qv[0] if n else u
-    total = -lam * u + (2.0 * beta**2 * q1 + h * h) / d[0]
-    full_q = np.concatenate(([0.0], qv, [u]))
+    first = (a * full_q[1] + h * h) / d[0]
+    total = -lam * u + first
+    ratios = np.empty(n)
+    logs = np.empty(n)
     for l in range(1, n + 1):
         # d[l-1] = d[l] (1 - 2 beta^2 x_l dq_l / d[l]); log1p keeps the ratio
         # accurate down to vanishing weights (plain log cancels catastrophically);
-        # every x_l > 0 after _check_scalar_order_params.
-        gap = full_q[l + 1] - full_q[l]
-        ratio = 2.0 * beta**2 * xv[l - 1] * gap / d[l]
+        # every x_l > 0 after _scalar_orders.
+        ratio = a * xv[l - 1] * gaps[l - 1] / d[l]
         if ratio >= 1.0:
             # d[l-1] > 0 only up to rounding: the level is at the boundary.
             raise FeasibilityError("scalar level precision not positive")
-        total += -math.log1p(-ratio) / xv[l - 1]
+        ratios[l - 1] = ratio
+        logs[l - 1] = -math.log1p(-ratio)
+        total += logs[l - 1] / xv[l - 1]
         total -= beta**2 * xv[l - 1] * (full_q[l + 1] ** 2 - full_q[l] ** 2)
     total += math.log(c / (c - lam))
-    return float(total)
+
+    # The l-th log term depends on x_l, gap_l and d[l+1]; its derivatives in
+    # gap_l and d[l+1] simplify through d[l] = d[l+1] (1 - ratio_l).
+    g_d = np.empty(n + 1)
+    g_d[0] = -first / d[0]
+    g_d[1:] = -ratios / (xv * d[:n])
+    g_full = np.zeros(n + 2)
+    g_full[1] = a / d[0]
+    g_x, g_q = _order_gradient(
+        xv, full_q, gaps, -(beta**2), (ratios / (1.0 - ratios) - logs) / xv**2, a / d[:n],
+        -a * g_d[:n], g_full,
+    )
+    g_lam = -u + 1.0 / (c - lam) - float(g_d.sum())
+    return float(total), ScalarGradient(g_x, g_q, g_lam)
 
 
-def crisanti_sommers(x, q, u: float, c: float, h: float, beta: float) -> float:
-    """Crisanti-Sommers form (doubled units):
+def crisanti_sommers(x, q, u: float, c: float, h: float, beta: float) -> tuple[float, ScalarGradient]:
+    """Crisanti-Sommers form (doubled units) and its gradient:
 
         1 - c*u + h^2 s[1] + q[1]/s[1] + sum_{l=1..n-1} (1/x_l) log(s[l]/s[l+1])
         + log(c (u - q[n])) + beta^2 sum_{l=1..n} x_l (q[l+1]^2 - q[l]^2),
 
     with s[l] = sum_{j>=l} x_j (q[j+1]-q[j]).  The functional realizes the
     equivalence with parisi_1d on the closure where the top weight x_n is one;
-    the minimizers keep that convention.
+    the minimizers keep that convention.  Returns (value, ScalarGradient)
+    with a zero multiplier derivative.
     """
-    xv, qv = _check_scalar_order_params(x, q, u)
+    xv, full_q, gaps, s = _scalar_orders(x, q, u)
     n = xv.size
     if n == 0:
         raise ValueError("Crisanti-Sommers form needs at least one level")
-    if u - qv[-1] <= 0.0:
+    if u - full_q[n] <= 0.0:
         raise FeasibilityError("u must exceed the largest overlap level")
-    full_q = np.concatenate(([0.0], qv, [u]))
-    gaps = np.diff(full_q)[1:]
-    s = np.concatenate((np.cumsum((xv * gaps)[::-1])[::-1], [np.nan]))
-    if np.any(s[:-1] <= 0.0):
+    if (s <= 0.0).any():
         raise FeasibilityError("tail overlap masses must be positive")
-    total = 1.0 - c * u + h * h * s[0] + qv[0] / s[0]
+    total = 1.0 - c * u + h * h * s[0] + full_q[1] / s[0]
     for l in range(1, n):
         # s[l-1] = s[l] + x_l gap_l; log1p form is stable for small weights
         total += math.log1p(xv[l - 1] * gaps[l - 1] / s[l]) / xv[l - 1]
-    total += math.log(c * (u - qv[-1]))
+    total += math.log(c * (u - full_q[n]))
     for l in range(n):
         total += beta**2 * xv[l] * (full_q[l + 2] ** 2 - full_q[l + 1] ** 2)
-    return float(total)
+
+    # The l-th log term depends on x_l, gap_l and s[l+1]; its derivatives in
+    # gap_l and s[l+1] simplify through s[l] = s[l+1] (1 + rho_l).
+    rhos = xv[:-1] * gaps[:-1] / s[1:]
+    g_x = np.zeros(n)
+    g_x[:-1] = (rhos / (1.0 + rhos) - np.log1p(rhos)) / xv[:-1] ** 2
+    g_gaps = np.zeros(n)
+    g_gaps[:-1] = 1.0 / s[:-1]
+    g_s = np.empty(n)
+    g_s[0] = h * h - full_q[1] / s[0] ** 2
+    g_s[1:] = -rhos / (xv[:-1] * s[:-1])
+    g_full = np.zeros(n + 2)
+    g_full[1] = 1.0 / s[0]
+    g_full[n] -= 1.0 / (u - full_q[n])
+    g_x, g_q = _order_gradient(xv, full_q, gaps, beta**2, g_x, g_gaps, g_s, g_full)
+    return float(total), ScalarGradient(g_x, g_q, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -255,51 +312,103 @@ def diagonal_value(c_eigs, u_eigs, beta: float) -> float:
 # Scalar minimizers and the equivalence check
 
 
-def _cumfrac(raw: np.ndarray, count: int) -> np.ndarray:
-    """Map ``count`` reals to ``count`` strictly increasing values in (0, 1)
-    via cumulative fractions over count+1 exponential slots."""
-    if count == 0:
-        return np.zeros(0)
+def _cumfrac(raw: np.ndarray, count: int):
+    """Map ``count`` reals to ``count`` strictly increasing values
+    y = cumsum(p)[:count] in (0, 1), with p the softmax over count+1
+    exponential slots (the last one fixed at zero).  Returns (y, p)."""
     full = np.concatenate((np.asarray(raw, dtype=float)[:count], [0.0]))
     e = np.exp(full - full.max())
-    return np.cumsum(e)[:count] / e.sum()
+    p = e / e.sum()
+    return np.cumsum(e)[:count] / e.sum(), p[:count]
+
+
+def _cumfrac_pullback(y: np.ndarray, p: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """Gradient in ``raw`` of <grad, y> for (y, p) = _cumfrac(raw, count):
+    entry i is p_i (sum_{k>=i} grad_k - sum_k grad_k y_k)."""
+    return p * (np.cumsum(grad[::-1])[::-1] - grad @ y)
+
+
+def _orders_from(theta: np.ndarray, nx: int, n: int, u: float):
+    """Weights and overlap levels from their raw parameters: ``nx`` free
+    weights (the top weight is 1 when nx = n - 1) and n levels.  Returns
+    (x, q, pullback), where pullback(g_x, g_q) is the gradient in
+    theta[:nx + n]."""
+    x, px = _cumfrac(theta[:nx], nx)
+    y, py = _cumfrac(theta[nx : nx + n], n)
+    if nx < n:
+        x = np.append(x, 1.0)
+
+    def pullback(g_x: np.ndarray, g_q: np.ndarray) -> np.ndarray:
+        return np.concatenate(
+            (_cumfrac_pullback(x[:nx], px, g_x[:nx]), u * _cumfrac_pullback(y, py, g_q))
+        )
+
+    return x, u * y, pullback
 
 
 @dataclass(frozen=True)
 class ScalarOptimum:
+    """Best of a multistart search.  ``iterations`` and ``converged`` belong
+    to the winning search; ``evaluations`` counts the value-and-gradient
+    calls of all searches and ``rejections`` their infeasible points by
+    reason."""
+
     value: float
     x: np.ndarray
     q: np.ndarray
     lam: float | None
     iterations: int
     converged: bool
+    evaluations: int
+    rejections: dict
+
+
+# Value and gradient L-BFGS-B sees at an infeasible point.
+REJECTED_VALUE = 1e6
 
 
 def _multistart(functional, searches, maxiter: int) -> ScalarOptimum:
-    """Nelder-Mead on ``functional(*unpack(theta))`` from each (unpack, start)
-    pair in turn; the lowest value wins, the earliest on ties.  ``unpack``
-    maps a parameter vector to (x, q, lam).  An infeasible point scores 1e6;
-    any other error propagates."""
+    """L-BFGS-B on ``functional(*unpack(theta)[:3])`` from each (unpack,
+    start) pair in turn; the lowest value wins, the earliest on ties.
+    ``unpack`` maps a parameter vector to (x, q, lam, pullback), where
+    ``pullback`` maps the functional's ScalarGradient to the gradient in the
+    parameters.  An infeasible point (FeasibilityError) is rejected with
+    REJECTED_VALUE and a zero gradient; any other error propagates."""
+    evaluations = 0
+    rejections: dict[str, int] = {}
+
+    def objective(theta, unpack):
+        nonlocal evaluations
+        evaluations += 1
+        try:
+            x, q, lam, pullback = unpack(theta)
+            value, grad = functional(x, q, lam)
+        except FeasibilityError as exc:
+            rejections[str(exc)] = rejections.get(str(exc), 0) + 1
+            return REJECTED_VALUE, np.zeros_like(theta)
+        return value, pullback(grad)
+
     best = None
     for unpack, s0 in searches:
-
-        def objective(theta, unpack=unpack) -> float:
-            try:
-                return functional(*unpack(theta))
-            except FeasibilityError:
-                return 1e6
-
         res = minimize(
             objective,
             s0,
-            method="Nelder-Mead",
-            options={"maxiter": maxiter, "xatol": 1e-10, "fatol": 1e-12},
+            args=(unpack,),
+            jac=True,
+            method="L-BFGS-B",
+            # Optima often sit where a level merges or vanishes, which the
+            # softmax parameters reach only at infinity with an exponentially
+            # vanishing gradient: the relative-reduction test ends the search.
+            options={"maxiter": maxiter, "ftol": 1e-15, "gtol": 1e-14},
         )
-        x, q, lam = unpack(res.x)
-        cand = ScalarOptimum(float(res.fun), x, q, lam, int(res.nit), bool(res.success))
-        if best is None or cand.value < best.value:
-            best = cand
-    return best
+        if best is None or res.fun < best[0].fun:
+            best = (res, unpack)
+    res, unpack = best
+    x, q, lam, _ = unpack(res.x)
+    return ScalarOptimum(
+        float(res.fun), x, q, lam, int(res.nit), bool(res.success and res.fun < REJECTED_VALUE),
+        evaluations, dict(sorted(rejections.items())),
+    )
 
 
 def minimize_parisi_1d(
@@ -316,20 +425,39 @@ def minimize_parisi_1d(
     """Minimize parisi_1d over (x, q, lam) at fixed level count.
 
     Weights and overlap levels are searched through cumulative-fraction
-    transforms so monotonicity holds by construction.  With pin_top the top
-    weight is fixed at 1 (the closure point where the optimum sits); the open
-    and pinned searches are both run and the better value kept.
+    transforms so monotonicity holds by construction, and the multiplier as
+    lam = c - 2 beta^2 s[1] - exp(eta), so that every level precision
+    d[l] >= d[1] = exp(eta) is positive by construction.  With pin_top the
+    top weight is fixed at 1 (the closure point where the optimum sits); the
+    open and pinned searches are both run and the better value kept.  Each
+    start is drawn in (x, q, lam) and mapped to eta; a start whose lam
+    leaves no positive d[1] starts from d[1] = 1.
     """
     rng = np.random.default_rng(seed)
+    a = 2.0 * beta**2
 
     def unpack(theta, pinned: bool):
-        nx = n - 1 if pinned else n
-        x = _cumfrac(theta[:nx], nx)
-        if pinned:
-            x = np.concatenate((x, [1.0]))
-        q = u * _cumfrac(theta[nx : nx + n], n)
-        lam = float(theta[nx + n])
-        return x, q, lam
+        x, q, pull_orders = _orders_from(theta, n - 1 if pinned else n, n, u)
+        gaps = np.diff(np.append(q, u))
+        eta = float(theta[-1])
+        if eta > 700.0:
+            raise FeasibilityError("level precision d[1] = exp(eta) overflows")
+        d1 = math.exp(eta)
+        lam = c - a * float(x @ gaps) - d1
+
+        def pullback(grad: ScalarGradient) -> np.ndarray:
+            # lam moves with s[1] = sum_l x_l (q[l+1] - q[l]) and with eta.
+            g_x = grad.x - grad.lam * a * gaps
+            g_q = grad.q - grad.lam * a * (np.append(0.0, x[:-1]) - x)
+            return np.append(pull_orders(g_x, g_q), -grad.lam * d1)
+
+        return x, q, lam, pullback
+
+    def start(theta, pinned: bool):
+        """A start drawn as (raw x, raw q, lam), with lam mapped to eta."""
+        x, q, _ = _orders_from(theta, n - 1 if pinned else n, n, u)
+        d1 = c - a * float(x @ np.diff(np.append(q, u))) - theta[-1]
+        return np.append(theta[:-1], math.log(d1) if d1 > 0.0 else 0.0)
 
     # Warm start near the restricted-problem stationary point.
     gap = u - optimal_overlap(u, beta).overlap
@@ -342,7 +470,7 @@ def minimize_parisi_1d(
         warm[-1] = lam_warm
         starts = [np.zeros(size), warm]
         starts += [rng.normal(scale=1.0, size=size) for _ in range(max(0, restarts - 1))]
-        searches += [(partial(unpack, pinned=pinned), s0) for s0 in starts]
+        searches += [(partial(unpack, pinned=pinned), start(s0, pinned)) for s0 in starts]
     return _multistart(
         lambda x, q, lam: parisi_1d(x, q, u, lam, c, h, beta), searches, maxiter
     )
@@ -363,9 +491,8 @@ def minimize_cs_1d(
     size = (n - 1) + n
 
     def unpack(theta):
-        x = np.concatenate((_cumfrac(theta[: n - 1], n - 1), [1.0]))
-        q = u * _cumfrac(theta[n - 1 :], n)
-        return x, q, None
+        x, q, pull_orders = _orders_from(theta, n - 1, n, u)
+        return x, q, None, lambda grad: pull_orders(grad.x, grad.q)
 
     starts = [np.zeros(size)] + [rng.normal(scale=1.0, size=size) for _ in range(restarts)]
     return _multistart(

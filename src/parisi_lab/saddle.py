@@ -11,7 +11,9 @@ so monotonicity and the terminal constraint hold exactly for every parameter
 vector.  The inner solver is L-BFGS-B on the analytic gradient: the
 recursion's first-order formula (``recursion.local_functional_gradient``)
 pulled back through this parameterization.  Outer problem: maximize the
-inner value over an explicit grid of admissible self-overlap matrices.
+inner value over an explicit grid of admissible self-overlap matrices.  The
+diagonal Gaussian scenario splits into scalar problems per eigenmode, which
+``gaussian.minimize_parisi_1d`` solves with L-BFGS-B on exact gradients too.
 
 For a discrete measure, U must lie in the convex hull of {s s^T : s in the
 support}; outside it the inner infimum is -infinity and ``inner_minimize``
@@ -27,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linprog, minimize
 
-from parisi_lab.gaussian import PAIR_SCALE, FeasibilityError, minimize_parisi_1d
+from parisi_lab.gaussian import PAIR_SCALE, REJECTED_VALUE, FeasibilityError, minimize_parisi_1d
 from parisi_lab.matrices import MatrixError, eigh_jacobi, project_psd, sym_sqrt
 from parisi_lab.measures import AprioriMeasure, EvalConfig, MeasureError, TerminalCondition
 from parisi_lab.paths import MonotoneChain, PathError, UnitPartition
@@ -37,7 +39,6 @@ from parisi_lab.recursion import FunctionalGradient, local_functional, local_fun
 # rejects such a point with a large value and a zero gradient; any other
 # exception is a bug and propagates.
 INFEASIBLE = (FeasibilityError, MeasureError, MatrixError, PathError)
-REJECTED_VALUE = 1e6
 
 
 class SelfOverlapError(ValueError):
@@ -298,19 +299,27 @@ def diagonal_outer(
 
     The paired objective is a sum of independent per-mode terms, so the outer
     search also decouples: each mode scans its grid and then golden-refines
-    around the best point.
+    around the best point.  A refinement round repeats u values solved
+    before (always its end points), so each mode solves every exact u once.
     """
     cs = np.asarray(c_eigs, dtype=float)
     best_us = []
     for c, grid in zip(cs, u_grids):
+        solved: dict[float, float] = {}
+
+        def infimum(u, c=c) -> float:
+            if float(u) not in solved:
+                solved[float(u)] = minimize_parisi_1d(c, u, 0.0, beta, levels, seed=seed).value
+            return solved[float(u)]
+
         grid = np.asarray(grid, dtype=float)
-        vals = [minimize_parisi_1d(c, u, 0.0, beta, levels, seed=seed).value for u in grid]
+        vals = [infimum(u) for u in grid]
         j = int(np.argmax(vals))
         lo = grid[max(j - 1, 0)]
         hi = grid[min(j + 1, grid.size - 1)]
         for _ in range(refine):
             mid = np.linspace(lo, hi, 5)
-            vals_m = [minimize_parisi_1d(c, u, 0.0, beta, levels, seed=seed).value for u in mid]
+            vals_m = [infimum(u) for u in mid]
             jj = int(np.argmax(vals_m))
             lo = mid[max(jj - 1, 0)]
             hi = mid[min(jj + 1, mid.size - 1)]

@@ -20,6 +20,14 @@ PATH = json.loads(
     )
 )
 RADEMACHER = {"kind": "rademacher"}
+
+
+def _isotropic_path(d):
+    """x = (0.5), Q = 0, I/2, I in dimension d."""
+    chain = MonotoneChain([np.zeros((d, d)), 0.5 * np.eye(d), np.eye(d)])
+    return json.loads(path_to_json(DiscretePath(UnitPartition.from_interior([0.5]), chain)))
+
+
 # Three interior points: four Monte Carlo levels of 128 samples each.
 DEEP_PATH = json.loads(
     path_to_json(
@@ -119,6 +127,18 @@ def test_free_energy_csv_equals_disorder_average(tmp_path):
          "path dimension 1 differs from the measure dimension 2"),
         ({"command": "eval", "seed": 1, "measure": {"kind": "hypercube", "d": 2}, "path": PATH,
           "tilt": [[0.0, 1.0], [2.0, 0.0]]}, "matrix is not symmetric"),
+        ({"command": "eval", "seed": 1, "measure": {"kind": "hypercube", "d": 3}, "path": _isotropic_path(3)},
+         "quadrature engine supports d <= 2, got d = 3"),
+        ({"command": "pde", "seed": 1, "measure": {"kind": "hypercube", "d": 2}, "path": _isotropic_path(2)},
+         "pde solves one-dimensional problems, got d = 2"),
+        ({"command": "eval", "seed": 1, "measure": RADEMACHER, "path": {"x": PATH["x"], "U": PATH["U"]}},
+         "missing key in path: Q"),
+        ({"command": "eval", "seed": 1, "measure": RADEMACHER, "path": PATH, "tilt": "abc"},
+         "tilt must be a 1x1 matrix of numbers"),
+        ({"command": "eval", "seed": 1, "measure": RADEMACHER, "path": dict(PATH, x=[0.0, 0.6, 0.25, 1.0])},
+         "invalid path: partition values must be strictly increasing"),
+        ({"command": "eval", "seed": 1, "measure": RADEMACHER, "path": [0.25, 0.6]},
+         "path must be an object with keys x, Q and U"),
     ],
 )
 def test_bad_config_exits_two(config, message, tmp_path, capsys):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parisi_lab import gaussian
 from parisi_lab.gaussian import (
@@ -92,7 +94,7 @@ def test_closed_form_d2_diagonal_decouples():
 
 def test_parisi_1d_beta_zero():
     # With no interaction the functional keeps only the multiplier terms.
-    val = parisi_1d([0.5], [0.3], 0.8, 0.4, 3.0, 0.0, 0.0)
+    val, _ = parisi_1d([0.5], [0.3], 0.8, 0.4, 3.0, 0.0, 0.0)
     assert val == pytest.approx(-0.4 * 0.8 + math.log(3.0 / 2.6), abs=1e-14)
 
 
@@ -107,7 +109,7 @@ def test_parisi_1d_matches_matrix_assembly():
     )
     energy = 0.5 * beta**2 * (0.4 * (0.45**2 - 0.2**2) + 0.75 * (0.8**2 - 0.45**2))
     f_true = -(lam / 2) * u - energy + x0
-    assert parisi_1d([0.4, 0.75], [0.2, 0.45], u, lam, c, h, beta) == pytest.approx(
+    assert parisi_1d([0.4, 0.75], [0.2, 0.45], u, lam, c, h, beta)[0] == pytest.approx(
         PAIR_SCALE * f_true, abs=1e-12
     )
 
@@ -117,24 +119,24 @@ def test_parisi_1d_stationary_in_q():
     opt = minimize_parisi_1d(3.0, 0.5, 0.0, 1.0, 1, seed=0)
     h = 1e-5
     if 1e-4 < opt.q[0] < 0.5 - 1e-4:
-        up = parisi_1d(opt.x, opt.q + h, 0.5, opt.lam, 3.0, 0.0, 1.0)
-        dn = parisi_1d(opt.x, opt.q - h, 0.5, opt.lam, 3.0, 0.0, 1.0)
+        up, _ = parisi_1d(opt.x, opt.q + h, 0.5, opt.lam, 3.0, 0.0, 1.0)
+        dn, _ = parisi_1d(opt.x, opt.q - h, 0.5, opt.lam, 3.0, 0.0, 1.0)
         assert abs(up - dn) / (2 * h) <= 1e-4
     # lam direction is always interior
-    up = parisi_1d(opt.x, opt.q, 0.5, opt.lam + h, 3.0, 0.0, 1.0)
-    dn = parisi_1d(opt.x, opt.q, 0.5, opt.lam - h, 3.0, 0.0, 1.0)
+    up, _ = parisi_1d(opt.x, opt.q, 0.5, opt.lam + h, 3.0, 0.0, 1.0)
+    dn, _ = parisi_1d(opt.x, opt.q, 0.5, opt.lam - h, 3.0, 0.0, 1.0)
     assert abs(up - dn) / (2 * h) <= 1e-4
 
 
 def test_cs_functional_example():
-    val = crisanti_sommers([1.0], [0.0], 0.5, 4.0, 0.0, 1.0)
+    val, _ = crisanti_sommers([1.0], [0.0], 0.5, 4.0, 0.0, 1.0)
     assert val == pytest.approx(1 - 2 + math.log(2) + 0.25, abs=1e-14)
 
 
 def test_cs_boundary_blowup():
-    vals = [crisanti_sommers([1.0], [q], 0.5, 4.0, 0.0, 1.0) for q in (0.45, 0.49, 0.4999)]
+    vals = [crisanti_sommers([1.0], [q], 0.5, 4.0, 0.0, 1.0)[0] for q in (0.45, 0.49, 0.4999)]
     assert vals[0] < vals[1] < vals[2] or vals[2] > vals[0]
-    assert crisanti_sommers([1.0], [0.4999999], 0.5, 4.0, 0.0, 1.0) > 10.0
+    assert crisanti_sommers([1.0], [0.4999999], 0.5, 4.0, 0.0, 1.0)[0] > 10.0
 
 
 def test_closed_form_values():
@@ -172,9 +174,9 @@ def test_optimal_overlap():
 def test_optimal_overlap_beats_grid():
     u, beta, c = 1.0, 1.0, 3.0
     q_star = optimal_overlap(u, beta).overlap
-    best = crisanti_sommers([1.0], [q_star], u, c, 0.0, beta)
+    best, _ = crisanti_sommers([1.0], [q_star], u, c, 0.0, beta)
     for q in np.linspace(0.0, u - 1e-6, 1000):
-        assert best <= crisanti_sommers([1.0], [q], u, c, 0.0, beta) + 1e-12
+        assert best <= crisanti_sommers([1.0], [q], u, c, 0.0, beta)[0] + 1e-12
 
 
 def test_optimal_self_overlap():
@@ -233,6 +235,15 @@ def test_stationarity_identities_at_optimum():
     assert s1 == pytest.approx(1.0 / d1, abs=1e-5)
 
 
+def test_equal_weights_merge_levels():
+    # Two levels that share a weight act as one level spanning both gaps.
+    u, lam, c, h, beta = 0.8, 0.3, 4.0, 0.2, 1.1
+    merged = parisi_1d([0.4, 0.7], [0.1, 0.5], u, lam, c, h, beta)[0]
+    assert parisi_1d([0.4, 0.4, 0.7], [0.1, 0.3, 0.5], u, lam, c, h, beta)[0] == pytest.approx(merged, abs=1e-14)
+    merged = crisanti_sommers([0.4, 1.0], [0.1, 0.5], u, c, h, beta)[0]
+    assert crisanti_sommers([0.4, 0.4, 1.0], [0.1, 0.3, 0.5], u, c, h, beta)[0] == pytest.approx(merged, abs=1e-14)
+
+
 def test_order_violations_are_infeasible():
     with pytest.raises(FeasibilityError):
         parisi_1d([0.6, 0.4], [0.1, 0.2], 0.5, 0.0, 3.0, 0.0, 1.0)  # x decreasing
@@ -261,3 +272,136 @@ def test_scalar_minimizers_propagate_programming_errors(functional, minimizer, m
 def test_minimize_cs_matches_closed_form():
     opt = minimize_cs_1d(3.0, 0.5, 0.0, 1.0, 1, seed=2)
     assert opt.value == pytest.approx(closed_form_value(3.0, 0.5, 1.0), abs=1e-6)
+
+
+def _central_difference(f, v, step=1e-6):
+    out = np.empty(v.size)
+    for i in range(v.size):
+        e = np.zeros(v.size)
+        e[i] = step
+        out[i] = (f(v + e) - f(v - e)) / (2.0 * step)
+    return out
+
+
+def _check_scalar_gradient(functional, x, q, lam, pinned, rtol=1e-6, atol=1e-8):
+    """Compare ``functional(x, q, lam)``'s gradient with central differences
+    in the free weights (a pinned top weight sits on the boundary x = 1), the
+    levels and, when lam is not None, the multiplier."""
+    free = x.size - 1 if pinned else x.size
+    _, grad = functional(x, q, lam)
+    fd_x = _central_difference(lambda v: functional(np.concatenate((v, x[free:])), q, lam)[0], x[:free])
+    fd_q = _central_difference(lambda v: functional(x, v, lam)[0], q)
+    np.testing.assert_allclose(grad.x[:free], fd_x, rtol=rtol, atol=atol)
+    np.testing.assert_allclose(grad.q, fd_q, rtol=rtol, atol=atol)
+    if lam is None:
+        assert grad.lam == 0.0
+    else:
+        fd_lam = _central_difference(lambda v: functional(x, q, v[0])[0], np.array([lam]))
+        assert grad.lam == pytest.approx(fd_lam[0], rel=rtol, abs=atol)
+
+
+SCALAR_POINTS = {
+    1: ([0.55], [0.3]),
+    2: ([0.3, 0.7], [0.15, 0.45]),
+    3: ([0.2, 0.5, 0.85], [0.1, 0.3, 0.6]),
+}
+
+
+@pytest.mark.parametrize("pinned", [True, False])
+@pytest.mark.parametrize("h, beta", [(0.3, 1.1), (0.3, 0.0)])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_scalar_gradients_match_central_differences(n, h, beta, pinned):
+    x, q = (np.array(v) for v in SCALAR_POINTS[n])
+    if pinned:
+        x[-1] = 1.0
+    u, c = 0.8, 4.0
+    _check_scalar_gradient(lambda x, q, lam: parisi_1d(x, q, u, lam, c, h, beta), x, q, 0.3, pinned)
+    _check_scalar_gradient(lambda x, q, lam: crisanti_sommers(x, q, u, c, h, beta), x, q, None, pinned)
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 5])
+def test_cumfrac_pullback_matches_central_differences(count):
+    rng = np.random.default_rng(count)
+    raw = rng.normal(size=count)
+    weights = rng.normal(size=count)
+    y, p = gaussian._cumfrac(raw, count)
+    assert np.all(np.diff(y) > 0.0) and 0.0 < y[0] and y[-1] < 1.0
+    fd = _central_difference(lambda r: float(weights @ gaussian._cumfrac(r, count)[0]), raw)
+    np.testing.assert_allclose(gaussian._cumfrac_pullback(y, p, weights), fd, rtol=1e-6, atol=1e-10)
+
+
+@st.composite
+def _scalar_instances(draw):
+    """A feasible (x, q, lam) with every step of the central differences
+    feasible too: weights and level gaps at least 0.05 apart."""
+    n = draw(st.integers(1, 3))
+    pinned = draw(st.booleans())
+    a = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=n + 1, max_size=n + 1)))
+    x = np.cumsum(a)[:n] / a.sum()
+    if pinned:
+        x[-1] = 1.0
+    u = draw(st.floats(0.2, 1.5))
+    b = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=n + 1, max_size=n + 1)))
+    q = u * np.cumsum(b)[:n] / b.sum()
+    c = draw(st.floats(0.5, 5.0))
+    h = draw(st.floats(-1.0, 1.0))
+    beta = draw(st.floats(0.0, 1.5))
+    d1 = draw(st.floats(0.2, 5.0))
+    lam = c - 2.0 * beta**2 * float(np.sum(x * np.diff(np.append(q, u)))) - d1
+    return x, q, u, lam, c, h, beta, pinned
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(_scalar_instances())
+def test_scalar_gradients_property(case):
+    x, q, u, lam, c, h, beta, pinned = case
+    _check_scalar_gradient(
+        lambda x, q, lam: parisi_1d(x, q, u, lam, c, h, beta), x, q, lam, pinned, rtol=1e-5, atol=1e-6
+    )
+    _check_scalar_gradient(
+        lambda x, q, lam: crisanti_sommers(x, q, u, c, h, beta), x, q, None, pinned, rtol=1e-5, atol=1e-6
+    )
+
+
+@pytest.mark.parametrize(
+    "functional, minimizer",
+    [("parisi_1d", minimize_parisi_1d), ("crisanti_sommers", minimize_cs_1d)],
+)
+def test_scalar_minimizers_count_rejected_evaluations(functional, minimizer, monkeypatch):
+    calls = 0
+    real = getattr(gaussian, functional)
+
+    def flaky(*args):
+        nonlocal calls
+        calls += 1
+        if calls % 5 == 0:
+            raise FeasibilityError("rejected on purpose")
+        return real(*args)
+
+    monkeypatch.setattr(gaussian, functional, flaky)
+    opt = minimizer(3.0, 0.5, 0.0, 1.0, 1)
+    assert opt.evaluations == calls
+    assert opt.rejections == {"rejected on purpose": calls // 5}
+
+
+def test_minimizer_objectives_pull_gradients_back_exactly(monkeypatch):
+    # The gradient L-BFGS-B sees, in the search parameters of every start.
+    searches = []
+    solve = gaussian.minimize
+
+    def recording(fun, x0, args=(), **kwargs):
+        searches.append((fun, x0, args))
+        return solve(fun, x0, args=args, **kwargs)
+
+    monkeypatch.setattr(gaussian, "minimize", recording)
+    minimize_parisi_1d(4.0, 0.8, 0.3, 1.1, 3, restarts=2)
+    minimize_cs_1d(4.0, 0.8, 0.3, 1.1, 3, restarts=2)
+    assert len(searches) == 3 + 3 + 3
+    # A Parisi search's last parameter is eta, with d[1] = exp(eta).
+    fun, theta, args = searches[0]
+    assert fun(np.append(theta[:-1], 800.0), *args)[0] == gaussian.REJECTED_VALUE
+    for fun, theta, args in searches:
+        value, grad = fun(theta, *args)
+        assert value < gaussian.REJECTED_VALUE
+        fd = _central_difference(lambda t: fun(t, *args)[0], theta)
+        np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-8)

@@ -1,4 +1,5 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -85,6 +86,24 @@ def test_diagonal_inner_and_outer():
     out = diagonal_outer([3.0], 1.0, 1, [np.linspace(0.1, 1.0, 10)], seed=0)
     assert out.u_eigs[0] == pytest.approx(0.5, abs=0.05)
     assert out.value_paired == pytest.approx(0.15546510810816438, abs=1e-4)
+
+
+def test_diagonal_outer_solves_each_u_once(monkeypatch):
+    # Each refinement round's linspace repeats the bracket ends, solved in
+    # the round before, and on this grid its midpoint too (0.4 and 0.45 come
+    # out bit for bit): per mode 10 grid points, 2 new points in each of the
+    # 2 rounds; then diagonal_inner solves once per mode at the optimum.
+    calls = []
+
+    def counted(c, u, h, beta, levels, seed=0):
+        calls.append((c, float(u)))
+        return SimpleNamespace(value=-((u - 0.43) ** 2) - c)
+
+    monkeypatch.setattr(saddle, "minimize_parisi_1d", counted)
+    out = diagonal_outer([3.0, 4.0], 1.0, 1, [np.linspace(0.1, 1.0, 10)] * 2, seed=0)
+    assert len(calls) == 2 * (10 + 2 + 2 + 1)
+    assert len(set(calls[:28])) == 28
+    assert calls[28:] == [(3.0, out.u_eigs[0]), (4.0, out.u_eigs[1])]
 
 
 def test_general_matches_diagonal_d2():
