@@ -49,9 +49,9 @@ class CheckResult:
 
 
 def _timed(fn):
-    def wrapper(seed: int = DEFAULT_MASTER_SEED, **kw) -> CheckResult:
+    def wrapper(seed: int) -> CheckResult:
         t0 = time.time()
-        res = fn(seed, **kw)
+        res = fn(seed)
         res.runtime = time.time() - t0
         return res
 
@@ -112,14 +112,12 @@ def _random_gaussian_instance(rng: np.random.Generator, d: int, n: int):
 
 
 @_timed
-def check_recursion_vs_closed_form(seed: int, instances: int = 20) -> CheckResult:
+def check_recursion_vs_closed_form(seed: int) -> CheckResult:
     """Quadrature recursion equals the Gaussian closed form to 1e-6."""
     rng = np.random.default_rng(derive_seed(seed, "rec-vs-closed"))
-    dims = [1] * 14 + [2] * 6
     worst = 0.0
     rows = []
-    for k in range(instances):
-        d = dims[k % len(dims)]
+    for d in [1] * 14 + [2] * 6:
         n = int(rng.integers(1, 4))
         x, chain, tilt, c, h, beta = _random_gaussian_instance(rng, d, n)
         mu = AprioriMeasure.gaussian(c, h)
@@ -214,7 +212,7 @@ def check_cascade_representation(seed: int) -> CheckResult:
 
 
 @_timed
-def check_finite_size_bound(seed: int, replicas: int = 200) -> CheckResult:
+def check_finite_size_bound(seed: int) -> CheckResult:
     """Disorder-averaged free energy sits below the variational value, with
     the gap shrinking as the system grows."""
     betas = [0.5, 1.0, 1.5]
@@ -237,7 +235,7 @@ def check_finite_size_bound(seed: int, replicas: int = 200) -> CheckResult:
     for n_sites in sizes:
         means, ses, _ = disorder_average(
             n_sites, np.array(betas), OverlapConstraint.everything(), SpinSpace.ising(),
-            replicas, derive_seed(seed, f"bound-N{n_sites}"),
+            200, derive_seed(seed, f"bound-N{n_sites}"),
         )
         for b, beta in enumerate(betas):
             rows.append(
@@ -261,10 +259,10 @@ def check_finite_size_bound(seed: int, replicas: int = 200) -> CheckResult:
 
 
 @_timed
-def check_concentration(seed: int, replicas: int = 2000) -> CheckResult:
+def check_concentration(seed: int) -> CheckResult:
     """Empirical tails below the Gaussian concentration bound (95% binomial
     upper confidence at every grid point)."""
-    table = concentration_experiment(8, 1.0, replicas, derive_seed(seed, "concentration"))
+    table = concentration_experiment(8, 1.0, 2000, derive_seed(seed, "concentration"))
     return CheckResult(
         "8 concentration",
         table.all_below_bound(),
@@ -274,9 +272,9 @@ def check_concentration(seed: int, replicas: int = 2000) -> CheckResult:
 
 
 @_timed
-def check_superadditivity(seed: int, replicas: int = 400) -> CheckResult:
+def check_superadditivity(seed: int) -> CheckResult:
     """Free-energy superadditivity margin nonnegative within 3 SE."""
-    margin, se = superadditivity_experiment(4, 4, 0.7, replicas, derive_seed(seed, "superadd"))
+    margin, se = superadditivity_experiment(4, 4, 0.7, 400, derive_seed(seed, "superadd"))
     return CheckResult(
         "9 superadditivity", margin >= -3.0 * se, 0.0, {"margin": margin, "se": se}
     )

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from parisi_lab.matrices import sqrt_factor
-from parisi_lab.measures import EvalConfig, TerminalCondition
+from parisi_lab.measures import TerminalCondition
 from parisi_lab.paths import MonotoneChain, UnitPartition
 from parisi_lab.recursion import recursion_value
 
@@ -262,10 +262,10 @@ def representation_vs_recursion(
     tc: TerminalCondition,
     replicas: int = 256,
     seed: int = 0,
-    cfg: EvalConfig | None = None,
 ):
-    """(cascade estimate, SE, recursion value) for the same order parameters."""
+    """(cascade estimate, SE, recursion value) for the same order parameters;
+    the recursion runs on the default quadrature engine."""
     x = UnitPartition.from_interior(spec.weights)
     est, se = cascade_representation(spec, x, chain, tc, replicas=replicas, seed=seed)
-    rec = recursion_value(x, chain, tc, cfg or EvalConfig()).value
+    rec = recursion_value(x, chain, tc).value
     return est, se, rec

@@ -55,13 +55,28 @@ def _required(config: dict, key: str):
     return config[key]
 
 
+def _number(key: str, value, kind=float):
+    """The value of config key ``key`` as a ``kind`` (float or int)."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key} must be a number, got {value!r}") from exc
+
+
+def _replicas(config: dict, default: int) -> int:
+    replicas = _number("replicas", config.get("replicas", default), int)
+    if replicas < 2:
+        raise ConfigError(f"replicas must be at least 2 for a standard error, got {replicas}")
+    return replicas
+
+
 def _measure_from(config: dict) -> AprioriMeasure:
     spec = config.get("measure", {"kind": "rademacher"})
     kind = spec.get("kind")
     if kind == "rademacher":
         return AprioriMeasure.rademacher()
     if kind == "hypercube":
-        return AprioriMeasure.hypercube(int(spec.get("d", 1)))
+        return AprioriMeasure.hypercube(_number("d", spec.get("d", 1), int))
     if kind not in ("discrete", "gaussian"):
         raise ConfigError(f"unknown measure kind: {kind!r}")
     try:
@@ -95,7 +110,7 @@ def _terminal_from(config: dict, mu: AprioriMeasure) -> TerminalCondition:
     if tilt.size != d * d:
         raise ConfigError(f"tilt must hold {d}x{d} = {d * d} entries, got {tilt.size}")
     try:
-        tc = TerminalCondition(float(config.get("beta", 1.0)), tilt.reshape(d, d), mu)
+        tc = TerminalCondition(_number("beta", config.get("beta", 1.0)), tilt.reshape(d, d), mu)
         # g at the origin raises if the tilted Gaussian integral diverges
         # (precision - 2 tilt not positive definite), before any evaluation.
         tc(np.zeros(d))
@@ -133,7 +148,7 @@ def _run_pde(config: dict, master: int, workers: int):
     path = _path_from(config, mu)
     if mu.dim != 1:
         raise ConfigError(f"pde solves one-dimensional problems, got d = {mu.dim}")
-    problem = PdeProblem.from_path(path, tc, spacing=float(config.get("spacing", 0.01)))
+    problem = PdeProblem.from_path(path, tc, spacing=_number("spacing", config.get("spacing", 0.01)))
     sol = solve_parisi_pde(problem)
     rec = recursion_value(path.partition, path.chain, tc, EvalConfig())
     summary = {"pde_origin": sol.at_origin(), "recursion": rec.value,
@@ -143,11 +158,12 @@ def _run_pde(config: dict, master: int, workers: int):
 
 def _run_rpc(config: dict, master: int, workers: int):
     weights = _required(config, "weights")
+    branching = _number("branching", config.get("branching", 128), int)
     try:
-        spec = CascadeSpec(np.asarray(weights, dtype=float), int(config.get("branching", 128)))
+        spec = CascadeSpec(np.asarray(weights, dtype=float), branching)
     except ValueError as exc:
         raise ConfigError(f"invalid cascade: {exc}") from exc
-    replicas = int(config.get("replicas", 256))
+    replicas = _replicas(config, 256)
     dist = overlap_distribution_check(spec, replicas, derive_seed(master, "rpc-dist"))
     pairs = pair_sum_check(spec, replicas, derive_seed(master, "rpc-pairs"))
     artifacts = {"overlap_distribution.csv": dist.to_csv(), "pair_sums.csv": pairs.to_csv()}
@@ -156,9 +172,9 @@ def _run_rpc(config: dict, master: int, workers: int):
 
 def _run_sk(config: dict, master: int, workers: int):
     experiment = config.get("experiment", "average")
-    beta = float(config.get("beta", 1.0))
-    replicas = int(config.get("replicas", 200))
-    n_sites = int(config.get("n_sites", 8))
+    beta = _number("beta", config.get("beta", 1.0))
+    replicas = _replicas(config, 200)
+    n_sites = _number("n_sites", config.get("n_sites", 8), int)
     if experiment == "average":
         mean, se, vals = disorder_average(
             n_sites, beta, OverlapConstraint.everything(), SpinSpace.ising(),
@@ -172,7 +188,7 @@ def _run_sk(config: dict, master: int, workers: int):
         table = concentration_experiment(n_sites, beta, replicas, derive_seed(master, "sk-conc"))
         return {"tails.csv": table.to_csv()}, 0 if table.all_below_bound() else 1
     if experiment == "superadditivity":
-        m_sites = int(config.get("m_sites", n_sites))
+        m_sites = _number("m_sites", config.get("m_sites", n_sites), int)
         margin, se = superadditivity_experiment(
             n_sites, m_sites, beta, replicas, derive_seed(master, "sk-super")
         )
@@ -184,11 +200,15 @@ def _run_sk(config: dict, master: int, workers: int):
 def _run_gaussian(config: dict, master: int, workers: int):
     from parisi_lab import gaussian
 
-    c = float(_required(config, "c"))
-    u = float(_required(config, "u"))
-    h = float(config.get("h", 0.0))
-    beta = float(config.get("beta", 1.0))
-    levels = int(config.get("levels", 1))
+    c = _number("c", _required(config, "c"))
+    u = _number("u", _required(config, "u"))
+    h = _number("h", config.get("h", 0.0))
+    beta = _number("beta", config.get("beta", 1.0))
+    levels = _number("levels", config.get("levels", 1), int)
+    if not (c > 0.0 and u > 0.0):
+        raise ConfigError(f"c and u must be positive, got c = {c!r}, u = {u!r}")
+    if levels < 1:
+        raise ConfigError(f"levels must be at least 1, got {levels}")
     rep = gaussian.equivalence_check(c, u, h, beta, levels, seed=derive_seed(master, "gaussian"))
     sol = gaussian.optimal_self_overlap(c, beta)
     rs = gaussian.optimal_overlap(u, beta)
@@ -204,11 +224,11 @@ def _run_gaussian(config: dict, master: int, workers: int):
 
 def _run_saddle(config: dict, master: int, workers: int):
     problem = SaddleProblem(
-        beta=float(config.get("beta", 1.0)),
+        beta=_number("beta", config.get("beta", 1.0)),
         mu=_measure_from(config),
-        levels=int(config.get("levels", 2)),
-        restarts=int(config.get("restarts", 3)),
-        max_evals=int(config.get("max_evals", 1500)),
+        levels=_number("levels", config.get("levels", 2), int),
+        restarts=_number("restarts", config.get("restarts", 3), int),
+        max_evals=_number("max_evals", config.get("max_evals", 1500), int),
         seed=derive_seed(master, "saddle"),
         engine=EvalConfig(grid_points=801),
     )
@@ -262,7 +282,7 @@ def run_config(config: dict, out_dir: Path, seed_override: int | None, workers: 
         if command != "verify-all":
             raise ConfigError("missing key: seed (stochastic commands require a master seed)")
         master = acceptance.DEFAULT_MASTER_SEED
-    master = int(master)
+    master = _number("seed", master, int)
     out_dir.mkdir(parents=True, exist_ok=True)
     artifacts, status = handler(config, master, workers)
 

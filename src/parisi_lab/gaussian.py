@@ -18,16 +18,17 @@ per-mode functionals below equal exactly twice the per-mode contribution to
 the free-energy-scale functional, with the scalar multiplier lam equal to
 twice the matching tilt eigenvalue.  Conversions happen only at module
 boundaries (PAIR_SCALE).  Both scalar functionals return their exact
-gradient with their value, and the scalar minimizers run L-BFGS-B on it,
-pulled back through the parameterizations that keep the order parameters
-feasible.
+gradient with their value.  Both are minimized where the top weight is one,
+so each scalar minimizer runs L-BFGS-B on that closure alone: n - 1 free
+weights under a top weight of 1 and n overlap levels (plus the multiplier),
+with the gradient pulled back through the parameterization that keeps the
+order parameters feasible.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 from scipy.optimize import minimize
@@ -152,6 +153,25 @@ def _order_gradient(xv, full_q, gaps, energy: float, g_x, g_gaps, g_tails, g_ful
     return g_x, g_full[1:-1]
 
 
+# Below this |r| _log_slope sums the series, whose tail past three terms is
+# under 1e-21 there.  Above it the closed form loses at most 2 eps / |r|
+# < 5e-9 of its relative accuracy to cancellation; below, the loss grows
+# without bound and x^2 underflows near x = 1e-162.
+PHI_SERIES_BELOW = 1e-7
+
+
+def _log_slope(r: np.ndarray, k: np.ndarray, closed) -> np.ndarray:
+    """x-derivative of a log term (1/x) log(1/(1 - x k)) at r = x k:
+
+        k^2 phi(r),  phi(r) = sum_j (j+1)/(j+2) r^j = (r/(1-r) + log(1-r)) / r^2,
+
+    from the series below |r| = PHI_SERIES_BELOW and from ``closed()``, the
+    same slope in closed form, above it.  The CS term (1/x) log(1 + x k)
+    is minus this term at -k."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(np.abs(r) < PHI_SERIES_BELOW, k**2 * (0.5 + r * (2.0 / 3.0 + 0.75 * r)), closed())
+
+
 def parisi_1d(x, q, u: float, lam: float, c: float, h: float, beta: float) -> tuple[float, ScalarGradient]:
     """Scalar variational functional (doubled units) and its gradient:
 
@@ -199,8 +219,9 @@ def parisi_1d(x, q, u: float, lam: float, c: float, h: float, beta: float) -> tu
     g_full = np.zeros(n + 2)
     g_full[1] = a / d[0]
     g_x, g_q = _order_gradient(
-        xv, full_q, gaps, -(beta**2), (ratios / (1.0 - ratios) - logs) / xv**2, a / d[:n],
-        -a * g_d[:n], g_full,
+        xv, full_q, gaps, -(beta**2),
+        _log_slope(ratios, a * gaps / d[1:], lambda: (ratios / (1.0 - ratios) - logs) / xv**2),
+        a / d[:n], -a * g_d[:n], g_full,
     )
     g_lam = -u + 1.0 / (c - lam) - float(g_d.sum())
     return float(total), ScalarGradient(g_x, g_q, g_lam)
@@ -237,7 +258,9 @@ def crisanti_sommers(x, q, u: float, c: float, h: float, beta: float) -> tuple[f
     # gap_l and s[l+1] simplify through s[l] = s[l+1] (1 + rho_l).
     rhos = xv[:-1] * gaps[:-1] / s[1:]
     g_x = np.zeros(n)
-    g_x[:-1] = (rhos / (1.0 + rhos) - np.log1p(rhos)) / xv[:-1] ** 2
+    g_x[:-1] = -_log_slope(
+        -rhos, -gaps[:-1] / s[1:], lambda: -(rhos / (1.0 + rhos) - np.log1p(rhos)) / xv[:-1] ** 2
+    )
     g_gaps = np.zeros(n)
     g_gaps[:-1] = 1.0 / s[:-1]
     g_s = np.empty(n)
@@ -328,22 +351,17 @@ def _cumfrac_pullback(y: np.ndarray, p: np.ndarray, grad: np.ndarray) -> np.ndar
     return p * (np.cumsum(grad[::-1])[::-1] - grad @ y)
 
 
-def _orders_from(theta: np.ndarray, nx: int, n: int, u: float):
-    """Weights and overlap levels from their raw parameters: ``nx`` free
-    weights (the top weight is 1 when nx = n - 1) and n levels.  Returns
-    (x, q, pullback), where pullback(g_x, g_q) is the gradient in
-    theta[:nx + n]."""
-    x, px = _cumfrac(theta[:nx], nx)
-    y, py = _cumfrac(theta[nx : nx + n], n)
-    if nx < n:
-        x = np.append(x, 1.0)
+def _orders_from(theta: np.ndarray, n: int, u: float):
+    """Weights and overlap levels from their raw parameters: n - 1 free
+    weights under a top weight of 1, then n levels.  Returns (x, q,
+    pullback), where pullback(g_x, g_q) is the gradient in theta[:2n - 1]."""
+    x, px = _cumfrac(theta[: n - 1], n - 1)
+    y, py = _cumfrac(theta[n - 1 : 2 * n - 1], n)
 
     def pullback(g_x: np.ndarray, g_q: np.ndarray) -> np.ndarray:
-        return np.concatenate(
-            (_cumfrac_pullback(x[:nx], px, g_x[:nx]), u * _cumfrac_pullback(y, py, g_q))
-        )
+        return np.concatenate((_cumfrac_pullback(x, px, g_x[:-1]), u * _cumfrac_pullback(y, py, g_q)))
 
-    return x, u * y, pullback
+    return np.append(x, 1.0), u * y, pullback
 
 
 @dataclass(frozen=True)
@@ -366,18 +384,21 @@ class ScalarOptimum:
 # Value and gradient L-BFGS-B sees at an infeasible point.
 REJECTED_VALUE = 1e6
 
+# Random starts of each scalar minimizer.
+RESTARTS = 5
 
-def _multistart(functional, searches, maxiter: int) -> ScalarOptimum:
-    """L-BFGS-B on ``functional(*unpack(theta)[:3])`` from each (unpack,
-    start) pair in turn; the lowest value wins, the earliest on ties.
-    ``unpack`` maps a parameter vector to (x, q, lam, pullback), where
-    ``pullback`` maps the functional's ScalarGradient to the gradient in the
-    parameters.  An infeasible point (FeasibilityError) is rejected with
-    REJECTED_VALUE and a zero gradient; any other error propagates."""
+
+def _multistart(functional, unpack, starts) -> ScalarOptimum:
+    """L-BFGS-B on ``functional(*unpack(theta)[:3])`` from each start in
+    turn; the lowest value wins, the earliest on ties.  ``unpack`` maps a
+    parameter vector to (x, q, lam, pullback), where ``pullback`` maps the
+    functional's ScalarGradient to the gradient in the parameters.  An
+    infeasible point (FeasibilityError) is rejected with REJECTED_VALUE and
+    a zero gradient; any other error propagates."""
     evaluations = 0
     rejections: dict[str, int] = {}
 
-    def objective(theta, unpack):
+    def objective(theta):
         nonlocal evaluations
         evaluations += 1
         try:
@@ -389,55 +410,43 @@ def _multistart(functional, searches, maxiter: int) -> ScalarOptimum:
         return value, pullback(grad)
 
     best = None
-    for unpack, s0 in searches:
+    for s0 in starts:
         res = minimize(
             objective,
             s0,
-            args=(unpack,),
             jac=True,
             method="L-BFGS-B",
             # Optima often sit where a level merges or vanishes, which the
             # softmax parameters reach only at infinity with an exponentially
             # vanishing gradient: the relative-reduction test ends the search.
-            options={"maxiter": maxiter, "ftol": 1e-15, "gtol": 1e-14},
+            options={"maxiter": 4000, "ftol": 1e-15, "gtol": 1e-14},
         )
-        if best is None or res.fun < best[0].fun:
-            best = (res, unpack)
-    res, unpack = best
-    x, q, lam, _ = unpack(res.x)
+        if best is None or res.fun < best.fun:
+            best = res
+    x, q, lam, _ = unpack(best.x)
     return ScalarOptimum(
-        float(res.fun), x, q, lam, int(res.nit), bool(res.success and res.fun < REJECTED_VALUE),
+        float(best.fun), x, q, lam, int(best.nit), bool(best.success and best.fun < REJECTED_VALUE),
         evaluations, dict(sorted(rejections.items())),
     )
 
 
-def minimize_parisi_1d(
-    c: float,
-    u: float,
-    h: float,
-    beta: float,
-    n: int,
-    restarts: int = 5,
-    seed: int = 0,
-    pin_top: bool = True,
-    maxiter: int = 4000,
-) -> ScalarOptimum:
+def minimize_parisi_1d(c: float, u: float, h: float, beta: float, n: int, seed: int = 0) -> ScalarOptimum:
     """Minimize parisi_1d over (x, q, lam) at fixed level count.
 
-    Weights and overlap levels are searched through cumulative-fraction
-    transforms so monotonicity holds by construction, and the multiplier as
+    The top weight is fixed at 1, the closure point where the optimum sits,
+    and one search runs from each start.  The n - 1 free weights and the n
+    overlap levels are searched through cumulative-fraction transforms so
+    monotonicity holds by construction, and the multiplier as
     lam = c - 2 beta^2 s[1] - exp(eta), so that every level precision
-    d[l] >= d[1] = exp(eta) is positive by construction.  With pin_top the
-    top weight is fixed at 1 (the closure point where the optimum sits); the
-    open and pinned searches are both run and the better value kept.  Each
-    start is drawn in (x, q, lam) and mapped to eta; a start whose lam
-    leaves no positive d[1] starts from d[1] = 1.
+    d[l] >= d[1] = exp(eta) is positive by construction.  Each start is
+    drawn in (x, q, lam) and mapped to eta; a start whose lam leaves no
+    positive d[1] starts from d[1] = 1.
     """
     rng = np.random.default_rng(seed)
     a = 2.0 * beta**2
 
-    def unpack(theta, pinned: bool):
-        x, q, pull_orders = _orders_from(theta, n - 1 if pinned else n, n, u)
+    def unpack(theta):
+        x, q, pull_orders = _orders_from(theta, n, u)
         gaps = np.diff(np.append(q, u))
         eta = float(theta[-1])
         if eta > 700.0:
@@ -453,53 +462,32 @@ def minimize_parisi_1d(
 
         return x, q, lam, pullback
 
-    def start(theta, pinned: bool):
+    def start(theta):
         """A start drawn as (raw x, raw q, lam), with lam mapped to eta."""
-        x, q, _ = _orders_from(theta, n - 1 if pinned else n, n, u)
+        x, q, _ = _orders_from(theta, n, u)
         d1 = c - a * float(x @ np.diff(np.append(q, u))) - theta[-1]
         return np.append(theta[:-1], math.log(d1) if d1 > 0.0 else 0.0)
 
     # Warm start near the restricted-problem stationary point.
     gap = u - optimal_overlap(u, beta).overlap
-    lam_warm = c - 2.0 * beta**2 * gap - 1.0 / gap
-
-    searches = []
-    for pinned in (True, False) if pin_top else (False,):
-        size = (n - 1 if pinned else n) + n + 1
-        warm = np.zeros(size)
-        warm[-1] = lam_warm
-        starts = [np.zeros(size), warm]
-        starts += [rng.normal(scale=1.0, size=size) for _ in range(max(0, restarts - 1))]
-        searches += [(partial(unpack, pinned=pinned), start(s0, pinned)) for s0 in starts]
+    warm = np.zeros(2 * n)
+    warm[-1] = c - 2.0 * beta**2 * gap - 1.0 / gap
+    starts = [np.zeros(2 * n), warm] + [rng.normal(scale=1.0, size=2 * n) for _ in range(RESTARTS - 1)]
     return _multistart(
-        lambda x, q, lam: parisi_1d(x, q, u, lam, c, h, beta), searches, maxiter
+        lambda x, q, lam: parisi_1d(x, q, u, lam, c, h, beta), unpack, [start(s0) for s0 in starts]
     )
 
 
-def minimize_cs_1d(
-    c: float,
-    u: float,
-    h: float,
-    beta: float,
-    n: int,
-    restarts: int = 5,
-    seed: int = 0,
-    maxiter: int = 4000,
-) -> ScalarOptimum:
+def minimize_cs_1d(c: float, u: float, h: float, beta: float, n: int, seed: int = 0) -> ScalarOptimum:
     """Minimize crisanti_sommers over (q, interior x) with the top weight at 1."""
     rng = np.random.default_rng(seed)
-    size = (n - 1) + n
 
     def unpack(theta):
-        x, q, pull_orders = _orders_from(theta, n - 1, n, u)
+        x, q, pull_orders = _orders_from(theta, n, u)
         return x, q, None, lambda grad: pull_orders(grad.x, grad.q)
 
-    starts = [np.zeros(size)] + [rng.normal(scale=1.0, size=size) for _ in range(restarts)]
-    return _multistart(
-        lambda x, q, lam: crisanti_sommers(x, q, u, c, h, beta),
-        [(unpack, s0) for s0 in starts],
-        maxiter,
-    )
+    starts = [np.zeros(2 * n - 1)] + [rng.normal(scale=1.0, size=2 * n - 1) for _ in range(RESTARTS)]
+    return _multistart(lambda x, q, lam: crisanti_sommers(x, q, u, c, h, beta), unpack, starts)
 
 
 @dataclass(frozen=True)

@@ -22,13 +22,13 @@ class MatrixError(ValueError):
     """Raised on shape mismatches or violated matrix preconditions."""
 
 
-def as_sym(a, tol: float = 1e-12) -> np.ndarray:
+def as_sym(a) -> np.ndarray:
     """Validate and return a float64 symmetric matrix."""
     m = np.asarray(a, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise MatrixError(f"expected a square matrix, got shape {m.shape}")
     scale = 1.0 + np.abs(m).max()
-    if np.abs(m - m.T).max() > tol * scale:
+    if np.abs(m - m.T).max() > 1e-12 * scale:
         raise MatrixError("matrix is not symmetric")
     return 0.5 * (m + m.T)
 
@@ -38,7 +38,7 @@ def _check_same_dim(a: np.ndarray, b: np.ndarray) -> None:
         raise MatrixError(f"dimension mismatch: {a.shape} vs {b.shape}")
 
 
-def eigh_jacobi(a, tol: float = 1e-14, max_sweeps: int = 50):
+def eigh_jacobi(a):
     """Eigen-decomposition of a symmetric matrix by cyclic Jacobi rotations.
 
     Sweeps run over the strict upper triangle in fixed row-major order so the
@@ -51,9 +51,9 @@ def eigh_jacobi(a, tol: float = 1e-14, max_sweeps: int = 50):
         return m[0, :1].copy(), np.ones((1, 1))
     v = np.eye(d)
     scale = np.abs(m).max() + 1.0
-    for _ in range(max_sweeps):
+    for _ in range(50):
         off = np.sqrt(np.sum(np.tril(m, -1) ** 2))
-        if off <= tol * scale:
+        if off <= 1e-14 * scale:
             break
         for p in range(d - 1):
             for q in range(p + 1, d):
@@ -97,15 +97,15 @@ def frobenius_norm(a) -> float:
     return float(np.sqrt(np.sum(m * m)))
 
 
-def loewner_leq(a, b, tol: float = PSD_TOL) -> bool:
+def loewner_leq(a, b) -> bool:
     """True iff ``a`` precedes ``b`` in the Loewner (quadratic-form) order.
 
-    The test is eigmin(b - a) >= -tol * (1 + ||b - a||_F).
+    The test is eigmin(b - a) >= -PSD_TOL * (1 + ||b - a||_F).
     """
     ma, mb = as_sym(a), as_sym(b)
     _check_same_dim(ma, mb)
     diff = mb - ma
-    return eigmin(diff) >= -tol * (1.0 + frobenius_norm(diff))
+    return eigmin(diff) >= -PSD_TOL * (1.0 + frobenius_norm(diff))
 
 
 def hadamard_power(a, p: float) -> np.ndarray:
@@ -117,7 +117,7 @@ def hadamard_power(a, p: float) -> np.ndarray:
     return np.power(m, p)
 
 
-def sym_sqrt(a, tol: float = PSD_TOL) -> np.ndarray:
+def sym_sqrt(a) -> np.ndarray:
     """Spectral square root of a PSD matrix.
 
     Eigenvalues inside the PSD tolerance band are clipped to zero; an
@@ -126,7 +126,7 @@ def sym_sqrt(a, tol: float = PSD_TOL) -> np.ndarray:
     """
     m = as_sym(a)
     w, v = eigh_jacobi(m)
-    floor = -tol * (1.0 + frobenius_norm(m))
+    floor = -PSD_TOL * (1.0 + frobenius_norm(m))
     if w[0] < floor:
         raise MatrixError(f"matrix is not PSD within tolerance (eigmin={w[0]:.3e})")
     s = v @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ v.T
@@ -141,7 +141,7 @@ def project_psd(a) -> np.ndarray:
     return 0.5 * (p + p.T)
 
 
-def sqrt_factor(a, tol: float = PSD_TOL):
+def sqrt_factor(a):
     """Reduced square-root factor ``L`` with ``L @ L.T == a`` and full column rank.
 
     Columns corresponding to (numerically) zero eigenvalues are dropped, so a
@@ -150,11 +150,11 @@ def sqrt_factor(a, tol: float = PSD_TOL):
     """
     m = as_sym(a)
     w, v = eigh_jacobi(m)
-    floor = -tol * (1.0 + frobenius_norm(m))
+    floor = -PSD_TOL * (1.0 + frobenius_norm(m))
     if w[0] < floor:
         raise MatrixError(f"matrix is not PSD within tolerance (eigmin={w[0]:.3e})")
     w = np.clip(w, 0.0, None)
-    keep = w > tol * (1.0 + w.max() if w.size else 1.0)
+    keep = w > PSD_TOL * (1.0 + w.max() if w.size else 1.0)
     if not np.any(keep):
         return np.zeros((m.shape[0], 0))
     return v[:, keep] * np.sqrt(w[keep])

@@ -422,11 +422,9 @@ class EvalConfig:
     nodes: int = 32
     grid_points: int = 1601
     grid_points_2d: int = 161
-    grid_pad: float = 1.0
     samples: int = 128
     replicas: int = 8
     seed: int = 0
-    small_x_threshold: float = 1e-6
 
     def __post_init__(self) -> None:
         if self.engine not in ("quadrature", "monte_carlo"):

@@ -7,13 +7,10 @@ problem for the semi-linear parabolic equation
 
 with the diffusion coefficient Qdot the slope of the linear interpolant of
 the step path and x(t) the step profile of weights, matched continuously at
-the jump times.  Three independent routes are implemented:
+the jump times.  Two independent routes are implemented:
 
 * solve_parisi_pde: backward Crank-Nicolson finite differences in d = 1 with
   a lagged-gradient fixed point for the quadratic nonlinearity;
-* hopf_cole_segment: the exact Gaussian-convolution propagator for a single
-  segment (any d the grid machinery supports), i.e. the substitution that
-  linearizes the quadratic-gradient term;
 * simulate_control_value: Euler-Maruyama simulation of the controlled
   diffusion whose value function solves the same equation
   (dY = -(x Qdot)^{1/2} u dt + Qdot^{1/2} dW, payoff g(Y_1) - int ||u||^2/2),
@@ -31,7 +28,9 @@ from scipy.linalg import solve_banded
 
 from parisi_lab.measures import EvalConfig
 from parisi_lab.paths import DiscretePath, PiecewiseLinearPath, linear_interpolant
-from parisi_lab.recursion import GridFunction, propagate_segment
+# propagate_segment is not called here.  It stays in this namespace because
+# perfbench/spans.py instruments pde.propagate_segment.
+from parisi_lab.recursion import propagate_segment  # noqa: F401
 
 
 class PdeError(RuntimeError):
@@ -46,26 +45,19 @@ class PdeProblem:
     x_weights: np.ndarray                # weight on each segment, len n+1
     terminal: object                     # vectorized g(y)
     spacing: float = 0.01
-    extent: float | None = None          # half-width; default 6 accumulated stds
-    steps_per_unit: int | None = None    # default: dt ~ spacing
-    fixpoint_tol: float = 1e-10
-    max_fixpoint_iters: int = 50
 
     @classmethod
-    def from_path(cls, path: DiscretePath, terminal, spacing: float = 0.01, **kw) -> "PdeProblem":
+    def from_path(cls, path: DiscretePath, terminal, spacing: float = 0.01) -> "PdeProblem":
         if path.dim != 1:
             raise ValueError("finite-difference problems are one-dimensional")
         interp = linear_interpolant(path)
         weights = path.partition.values[:-1]
         return cls(coeff=interp, x_weights=np.asarray(weights, dtype=float),
-                   terminal=terminal, spacing=spacing, **kw)
+                   terminal=terminal, spacing=spacing)
 
     def grid(self) -> np.ndarray:
-        if self.extent is not None:
-            half = self.extent
-        else:
-            total_var = float(self.coeff.nodes[-1].reshape(()))
-            half = 6.0 * np.sqrt(max(total_var, 1e-12)) + 1.0
+        total_var = float(self.coeff.nodes[-1].reshape(()))
+        half = 6.0 * np.sqrt(max(total_var, 1e-12)) + 1.0
         m = int(np.ceil(half / self.spacing))
         return np.linspace(-m * self.spacing, m * self.spacing, 2 * m + 1)
 
@@ -138,7 +130,9 @@ def solve_parisi_pde(problem: PdeProblem) -> PdeSolution:
     """Backward Crank-Nicolson sweep through the segments (d = 1).
 
     The quadratic gradient term is lagged inside a fixed-point iteration per
-    time step; failure to converge raises PdeError with the residual.
+    time step, which stops once an iteration moves f by at most 1e-10;
+    failure to converge within 50 iterations raises PdeError with the
+    residual.
     """
     y = problem.grid()
     m = y.size
@@ -149,7 +143,7 @@ def solve_parisi_pde(problem: PdeProblem) -> PdeSolution:
     all_t = [1.0]
     all_f = [f.copy()]
     worst_iters = 0
-    steps_per_unit = problem.steps_per_unit or max(int(round(1.0 / problem.spacing)), 8)
+    steps_per_unit = max(int(round(1.0 / problem.spacing)), 8)  # dt ~ spacing
     for seg in range(problem.coeff.segments - 1, -1, -1):
         t0, t1 = times[seg], times[seg + 1]
         qdot = float(problem.coeff.slope(seg).reshape(()))
@@ -171,9 +165,9 @@ def solve_parisi_pde(problem: PdeProblem) -> PdeSolution:
                 delta = np.max(np.abs(fn - fk))
                 fk = fn
                 it += 1
-                if delta <= problem.fixpoint_tol:
+                if delta <= 1e-10:
                     break
-                if it >= problem.max_fixpoint_iters:
+                if it >= 50:
                     raise PdeError(
                         f"fixed point stalled on segment {seg} (residual {delta:.3e}); "
                         "reduce the time step"
@@ -185,20 +179,6 @@ def solve_parisi_pde(problem: PdeProblem) -> PdeSolution:
     times_arr = np.array(all_t[::-1])
     vals = np.array(all_f[::-1])
     return PdeSolution(y, times_arr, vals, worst_iters)
-
-
-def hopf_cole_segment(f_next, weight: float, cov, axes, cfg: EvalConfig | None = None) -> GridFunction:
-    """Exact one-segment propagator (any d <= 2 on grids):
-
-        f(y) = (1/w) log E exp(w * f_next(y + z)),  z ~ N(0, cov).
-
-    With w = 1 this is the plain log E e^f linearization; with cov = 0 the
-    identity.  Composing segments reproduces the recursion engine exactly,
-    by construction.
-    """
-    cfg = cfg or EvalConfig()
-    cov = np.atleast_2d(np.asarray(cov, dtype=float))
-    return propagate_segment(f_next, weight, cov, [np.asarray(a, dtype=float) for a in axes], cfg)
 
 
 @dataclass(frozen=True)
@@ -227,21 +207,22 @@ def simulate_control_value(
     policy: ControlPolicy,
     paths: int = 4096,
     seed: int = 0,
-    steps: int = 512,
-    y0: float = 0.0,
 ):
     """Monte Carlo value of a control policy on [0, 1]:
 
         E[ g(Y(1)) - (1/2) Int_0^1 ||u||^2 ds ],
-        dY = -(x(s) Qdot(s))^{1/2} u ds + Qdot(s)^{1/2} dW.
+        dY = -(x(s) Qdot(s))^{1/2} u ds + Qdot(s)^{1/2} dW,  Y(0) = 0,
+
+    in 512 Euler-Maruyama steps.
 
     Returns (estimate, std_error).  Any policy value lower-bounds the PDE
     solution; the feedback policy attains it up to discretization error.
     """
     rng = np.random.default_rng(seed)
+    steps = 512
     dt = 1.0 / steps
     times = problem.coeff.times
-    yv = np.full(paths, float(y0))
+    yv = np.zeros(paths)
     cost = np.zeros(paths)
     for k in range(steps):
         t = k * dt

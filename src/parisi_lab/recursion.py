@@ -67,6 +67,12 @@ def levels_from_order_params(x: UnitPartition, chain: MonotoneChain) -> list[Lev
 # d=2 temporaries stay near 1 MB.
 BLOCK_POINTS = 2**16
 
+# Margin of the quadrature grids beyond every point the nodes reach.
+GRID_PAD = 1.0
+
+# Below this level weight the recursion uses its small-weight expansion.
+SMALL_WEIGHT = 1e-6
+
 # Largest number of terminal points, (2 * half)**levels, that one nested
 # Monte Carlo estimate may evaluate: each is d floats, so the budget caps the
 # point array near 128 MB per dimension.
@@ -104,17 +110,17 @@ def _gh_nodes(cov: np.ndarray, nodes: int):
     return shifts, wgt
 
 
-def _log_avg_exp(weight: float, vals: np.ndarray, wgt: np.ndarray, small_x: float) -> np.ndarray:
+def _log_avg_exp(weight: float, vals: np.ndarray, wgt: np.ndarray) -> np.ndarray:
     """(1/w) log sum_i wgt_i exp(w * vals_i) along the first axis, stabilized.
 
-    Below the small-weight threshold the expansion mean + (w/2) * variance is
-    used, removing the cancellation of the w -> 0 plain-expectation limit.
+    Below SMALL_WEIGHT the expansion mean + (w/2) * variance is used,
+    removing the cancellation of the w -> 0 plain-expectation limit.
 
     The value block ``vals`` is consumed: it is shifted, scaled and
     exponentiated (or squared) in place, so the reduction needs no second
     block.  Callers pass a block they no longer need.
     """
-    if weight < small_x:
+    if weight < SMALL_WEIGHT:
         mean = np.tensordot(wgt, vals, axes=(0, 0))
         sq = np.tensordot(wgt, np.multiply(vals, vals, out=vals), axes=(0, 0))
         var = np.maximum(sq - mean * mean, 0.0)
@@ -213,7 +219,7 @@ def propagate_segment(
     vals = np.empty((shifts.shape[0],) + shape)
     for start in range(0, shifts.shape[0], step):
         vals[start : start + step] = evaluate(shifts[start : start + step])
-    out = _log_avg_exp(weight, vals, wgt, cfg.small_x_threshold)
+    out = _log_avg_exp(weight, vals, wgt)
     return GridFunction(axes, out)
 
 
@@ -227,7 +233,7 @@ def _backward_pass(terminal, levels: list[Level], cfg: EvalConfig) -> tuple[list
     per_axis = cfg.grid_points if d == 1 else cfg.grid_points_2d
     # Grid for level k covers every point reachable by nodes of levels < k.
     halfw = []
-    acc = np.full(d, cfg.grid_pad)
+    acc = np.full(d, GRID_PAD)
     xmax = float(np.abs(_gauss_hermite(cfg.nodes, 1)[0]).max())
     for lv in levels:
         acc = acc + 2.0 * np.sqrt(np.clip(np.diag(lv.cov), 0.0, None)) * xmax
@@ -243,7 +249,7 @@ def _backward_pass(terminal, levels: list[Level], cfg: EvalConfig) -> tuple[list
     # Outermost level: evaluate at the origin only.
     shifts, wgt = _gh_nodes(levels[0].cov, cfg.nodes)
     vals = np.asarray(terminal(shifts)) if f is None else f(shifts)
-    return fs, float(_log_avg_exp(levels[0].weight, vals, wgt, cfg.small_x_threshold))
+    return fs, float(_log_avg_exp(levels[0].weight, vals, wgt))
 
 
 def _deposit(mass: np.ndarray, coords: list[np.ndarray], axes: list[np.ndarray]) -> np.ndarray:
@@ -280,7 +286,7 @@ def _forward_pass(tc: TerminalCondition, levels: list[Level], fs: list[GridFunct
     moved mass is deposited on the grid of level k + 1.  Along the way
 
         dX_0/dw_k  = E_pi[(E^{W_k} X_{k+1} - X_k) / w_k]   (1/2 Var below
-                     small_x_threshold, as in _log_avg_exp),
+                     SMALL_WEIGHT, as in _log_avg_exp),
         dX_0/ddQ_k = sym(A_k dQ_k^+ / 2),  A_k = E_pi[grad X_{k+1}(y + z_j) z_j^T],
         dX_0/dtilt = E_pi[<s s^T>] at the terminal level,
 
@@ -308,7 +314,7 @@ def _forward_pass(tc: TerminalCondition, levels: list[Level], fs: list[GridFunct
         shifts, wgt = _gh_nodes(lv.cov, cfg.nodes)
         shape = here.shape
         last = k == n
-        small = lv.weight < cfg.small_x_threshold
+        small = lv.weight < SMALL_WEIGHT
         sum_v = np.zeros(shape)   # sum_j p_j v_j, or wgt_j v_j below the threshold
         sum_sq = np.zeros(shape)  # sum_j wgt_j v_j^2 below the threshold
         moves = np.zeros((d, d))  # A_k
@@ -384,7 +390,7 @@ def _mc_value(terminal, levels: list[Level], cfg: EvalConfig, rng: np.random.Gen
         wgt = np.full(count, 1.0 / count)
         for lv in reversed(levels):
             vals = vals.reshape(-1, count)
-            vals = _log_avg_exp(lv.weight, vals.T, wgt, cfg.small_x_threshold)
+            vals = _log_avg_exp(lv.weight, vals.T, wgt)
         return float(vals.reshape(())) if vals.ndim else float(vals)
 
     full = 2 * half

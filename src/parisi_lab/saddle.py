@@ -293,12 +293,11 @@ def diagonal_outer(
     levels: int,
     u_grids,
     seed: int = 0,
-    refine: int = 2,
 ) -> DiagonalSaddleResult:
     """Maximize the per-mode infima over per-mode self-overlap grids.
 
     The paired objective is a sum of independent per-mode terms, so the outer
-    search also decouples: each mode scans its grid and then golden-refines
+    search also decouples: each mode scans its grid and then refines twice
     around the best point.  A refinement round repeats u values solved
     before (always its end points), so each mode solves every exact u once.
     """
@@ -317,7 +316,7 @@ def diagonal_outer(
         j = int(np.argmax(vals))
         lo = grid[max(j - 1, 0)]
         hi = grid[min(j + 1, grid.size - 1)]
-        for _ in range(refine):
+        for _ in range(2):
             mid = np.linspace(lo, hi, 5)
             vals_m = [infimum(u) for u in mid]
             jj = int(np.argmax(vals_m))
@@ -341,7 +340,7 @@ def outer_maximize(problem: SaddleProblem, grid) -> SaddleResult:
     return best
 
 
-def stationarity_residual(result: SaddleResult, problem: SaddleProblem, step: float = 1e-4):
+def stationarity_residual(result: SaddleResult, problem: SaddleProblem):
     """Central finite-difference gradient of the functional at the reported
     minimizer with respect to the chain matrices and the tilt; infinity norm.
 
@@ -349,6 +348,7 @@ def stationarity_residual(result: SaddleResult, problem: SaddleProblem, step: fl
     symmetric); increments may lose strict definiteness under perturbation,
     which the engine tolerates.
     """
+    step = 1e-4
     d = problem.dim
     part = result.partition
     mats = result.chain.matrices.copy()

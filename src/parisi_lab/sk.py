@@ -240,13 +240,13 @@ class TailTable:
         return buf.getvalue()
 
 
-def clopper_pearson_upper(successes: int, trials: int, alpha: float = 0.05) -> float:
-    """One-sided upper confidence bound for a binomial proportion."""
+def clopper_pearson_upper(successes: int, trials: int) -> float:
+    """One-sided 95% upper confidence bound for a binomial proportion."""
     from scipy.stats import beta as beta_dist
 
     if successes >= trials:
         return 1.0
-    return float(beta_dist.ppf(1.0 - alpha, successes + 1, trials - successes))
+    return float(beta_dist.ppf(0.95, successes + 1, trials - successes))
 
 
 def concentration_experiment(
@@ -254,32 +254,29 @@ def concentration_experiment(
     beta: float,
     replicas: int,
     seed: int,
-    space: SpinSpace | None = None,
-    thresholds=None,
 ) -> TailTable:
-    """Empirical tails of N * (p_N - mean) against the Gaussian concentration
-    bound 2 exp(-t^2 / (4 beta^2 r^4 N)), with 95% binomial upper confidence.
+    """Ising empirical tails of N * (p_N - mean) against the Gaussian
+    concentration bound 2 exp(-t^2 / (4 beta^2 r^4 N)), with 95% binomial
+    upper confidence.
 
-    The default thresholds are twelve evenly spaced points up to
+    The thresholds are twelve evenly spaced points up to
     t_max = min(12, scale sqrt(log(2 / floor))), where floor is the upper
     confidence limit at zero exceedances.  Beyond t_max the bound lies below
     every limit the replicas can give, so no disorder sample could pass there.
     """
-    space = space or SpinSpace.ising()
+    space = SpinSpace.ising()
     constraint = OverlapConstraint.everything()
     mean, _, vals = disorder_average(n_sites, beta, constraint, space, replicas, seed)
     if beta == 0.0:
-        ts = np.asarray(thresholds if thresholds is not None else np.linspace(0.5, 4.0, 8))
+        ts = np.linspace(0.5, 4.0, 8)
         zeros = np.zeros_like(ts)
         return TailTable(ts, zeros, zeros, 2.0 * np.exp(-(ts**2)))
     dev = n_sites * np.abs(vals - mean)
     r = space.radius
     scale = np.sqrt(4.0 * beta**2 * r**4 * n_sites)
-    if thresholds is None:
-        floor = clopper_pearson_upper(0, replicas)
-        t_max = min(12.0, float(scale * np.sqrt(np.log(2.0 / floor))))
-        thresholds = np.linspace(t_max / 12.0, t_max, 12)
-    ts = np.asarray(thresholds)
+    floor = clopper_pearson_upper(0, replicas)
+    t_max = min(12.0, float(scale * np.sqrt(np.log(2.0 / floor))))
+    ts = np.linspace(t_max / 12.0, t_max, 12)
     emp = np.array([np.mean(dev > t) for t in ts])
     upper = np.array([clopper_pearson_upper(int(np.sum(dev > t)), replicas) for t in ts])
     bound = 2.0 * np.exp(-((ts / scale) ** 2))

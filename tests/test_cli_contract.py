@@ -109,7 +109,7 @@ def test_free_energy_csv_equals_disorder_average(tmp_path):
         ({"command": "saddle", "seed": 1, "measure": {"kind": "hypercube", "d": 2},
           "u": [[0.6, 0.2], [0.2, 0.5]], "restarts": 1, "max_evals": 5},
          "lies outside the convex hull"),
-        ({"command": "sk", "experiment": "average", "n_sites": 30, "replicas": 1, "seed": 1},
+        ({"command": "sk", "experiment": "average", "n_sites": 30, "replicas": 2, "seed": 1},
          "states exceed the enumeration budget"),
         ({"command": "eval", "seed": 1, "measure": RADEMACHER, "path": DEEP_PATH, "engine": "monte_carlo"},
          "Monte Carlo points exceed the budget"),
@@ -139,6 +139,21 @@ def test_free_energy_csv_equals_disorder_average(tmp_path):
          "invalid path: partition values must be strictly increasing"),
         ({"command": "eval", "seed": 1, "measure": RADEMACHER, "path": [0.25, 0.6]},
          "path must be an object with keys x, Q and U"),
+        ({"command": "eval", "seed": 1, "measure": RADEMACHER, "path": PATH, "beta": "abc"},
+         "beta must be a number, got 'abc'"),
+        ({"command": "gaussian", "seed": 1, "c": "abc", "u": 0.5}, "c must be a number, got 'abc'"),
+        ({"command": "sk", "seed": 1, "n_sites": "x"}, "n_sites must be a number, got 'x'"),
+        ({"command": "pde", "seed": 1, "measure": RADEMACHER, "path": PATH, "spacing": "q"},
+         "spacing must be a number, got 'q'"),
+        ({"command": "gaussian", "seed": 1, "c": 3.0, "u": 0.5, "levels": "a"},
+         "levels must be a number, got 'a'"),
+        ({"command": "gaussian", "seed": 1, "c": 3.0, "u": 0.5, "levels": 0},
+         "levels must be at least 1, got 0"),
+        ({"command": "gaussian", "seed": 1, "c": 3.0, "u": -0.5}, "c and u must be positive"),
+        ({"command": "gaussian", "seed": 1, "c": 0.0, "u": 0.5}, "c and u must be positive"),
+        ({"command": "sk", "seed": 1, "n_sites": 4, "replicas": 1}, "replicas must be at least 2"),
+        ({"command": "rpc", "seed": 1, "weights": [0.25, 0.6], "branching": 8, "replicas": 1},
+         "replicas must be at least 2"),
     ],
 )
 def test_bad_config_exits_two(config, message, tmp_path, capsys):

@@ -12,7 +12,6 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "parisi_lab"
 
 ALLOWED = {
-    "hopf_cole_segment": "alias of propagate_segment; perfbench instruments pde's import of it",
     "simulate_control_value": "independent route: control values that lower-bound the PDE",
     "stationarity_residual": "finite-difference check of the saddle solver's optimum",
     "diagonal_outer": "per-mode outer optimum, the general saddle solver's reference",

@@ -214,6 +214,14 @@ def test_equivalence_and_collapse():
     assert abs(rep2.parisi_value - rep1.parisi_value) <= 1e-4
 
 
+@pytest.mark.parametrize("c, u, h, beta", [(3.0, 0.5, 0.3, 1.0), (4.0, 0.8, -0.7, 1.1),
+                                           (3.0, 1.0, 0.3, 0.6), (4.0, 0.3, -0.7, 0.0)])
+def test_equivalence_with_field_three_levels(c, u, h, beta):
+    # The one pinned search per functional reaches the shared infimum with a
+    # field and more levels than the optimum needs.
+    assert equivalence_check(c, u, h, beta, 3).gap <= 1e-10
+
+
 def test_equivalence_beta_zero():
     repo = equivalence_check(3.0, 0.5, 0.0, 0.0, 1)
     # both reduce to the same deterministic expression
@@ -319,6 +327,22 @@ def test_scalar_gradients_match_central_differences(n, h, beta, pinned):
     _check_scalar_gradient(lambda x, q, lam: crisanti_sommers(x, q, u, c, h, beta), x, q, None, pinned)
 
 
+def test_scalar_gradients_at_vanishing_weights():
+    # The x-derivative of a log term stays finite and continuous as the
+    # weight vanishes, below where x^2 underflows too.
+    q, u, lam, c, h, beta = np.array([0.2, 0.4]), 0.5, 0.3, 3.0, 0.0, 1.0
+    functionals = (
+        lambda x: parisi_1d(x, q, u, lam, c, h, beta)[1].x[0],
+        lambda x: crisanti_sommers(x, q, u, c, h, beta)[1].x[0],
+    )
+    for functional in functionals:
+        reference = functional(np.array([1e-9, 1.0]))
+        for x1 in (1e-20, 1e-170):
+            g = functional(np.array([x1, 1.0]))
+            assert np.isfinite(g)
+            assert g == pytest.approx(reference, rel=1e-6)
+
+
 @pytest.mark.parametrize("count", [1, 2, 3, 5])
 def test_cumfrac_pullback_matches_central_differences(count):
     rng = np.random.default_rng(count)
@@ -394,9 +418,9 @@ def test_minimizer_objectives_pull_gradients_back_exactly(monkeypatch):
         return solve(fun, x0, args=args, **kwargs)
 
     monkeypatch.setattr(gaussian, "minimize", recording)
-    minimize_parisi_1d(4.0, 0.8, 0.3, 1.1, 3, restarts=2)
-    minimize_cs_1d(4.0, 0.8, 0.3, 1.1, 3, restarts=2)
-    assert len(searches) == 3 + 3 + 3
+    minimize_parisi_1d(4.0, 0.8, 0.3, 1.1, 3)
+    minimize_cs_1d(4.0, 0.8, 0.3, 1.1, 3)
+    assert len(searches) == 6 + 6
     # A Parisi search's last parameter is eta, with d[1] = exp(eta).
     fun, theta, args = searches[0]
     assert fun(np.append(theta[:-1], 800.0), *args)[0] == gaussian.REJECTED_VALUE

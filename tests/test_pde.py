@@ -7,11 +7,10 @@ from parisi_lab.pde import (
     ControlPolicy,
     PdeProblem,
     convexity_probe,
-    hopf_cole_segment,
     simulate_control_value,
     solve_parisi_pde,
 )
-from parisi_lab.recursion import GridFunction, recursion_value
+from parisi_lab.recursion import GRID_PAD, propagate_segment, recursion_value
 
 RADEMACHER = AprioriMeasure.rademacher()
 
@@ -71,11 +70,11 @@ def test_hopf_cole_composition_equals_recursion():
     incs = path.chain.increments()
     weights = path.partition.values[:-1]
     reach = [2.0 * np.sqrt(inc[0, 0]) * 7.2 for inc in incs]
-    w1 = cfg.grid_pad + reach[0]
+    w1 = GRID_PAD + reach[0]
     w2 = w1 + reach[1]
-    f = hopf_cole_segment(tc, weights[2], incs[2], [np.linspace(-w2, w2, cfg.grid_points)], cfg)
-    f = hopf_cole_segment(f, weights[1], incs[1], [np.linspace(-w1, w1, cfg.grid_points)], cfg)
-    f = hopf_cole_segment(f, weights[0], incs[0], [np.linspace(-1.0, 1.0, 33)], cfg)
+    f = propagate_segment(tc, weights[2], incs[2], [np.linspace(-w2, w2, cfg.grid_points)], cfg)
+    f = propagate_segment(f, weights[1], incs[1], [np.linspace(-w1, w1, cfg.grid_points)], cfg)
+    f = propagate_segment(f, weights[0], incs[0], [np.linspace(-1.0, 1.0, 33)], cfg)
     assert f.at_origin() == pytest.approx(rec, abs=1e-9)
 
 

@@ -248,7 +248,7 @@ def per_node_segment(f_next, weight, cov, axes, cfg):
         base = np.stack([m.ravel() for m in mesh], axis=1)
         for i, s in enumerate(shifts):
             vals[i] = np.asarray(f_next(base + s[None, :])).reshape(shape)
-    return _log_avg_exp(weight, vals, wgt, cfg.small_x_threshold)
+    return _log_avg_exp(weight, vals, wgt)
 
 
 def _segment_cases():
@@ -403,7 +403,7 @@ def test_gradient_matches_central_differences_rademacher(n):
     rng = np.random.default_rng(100 + n)
     x, chain, tilt = random_point(rng, 1, n, np.array([[1.0]]))
     if n == 3:
-        # The first weight sits below small_x_threshold, in the variance branch.
+        # The first weight sits below SMALL_WEIGHT, in the variance branch.
         x = UnitPartition(np.concatenate(([0.0, 5e-7], x.values[2:])))
     for beta in (0.5, 1.5):
         assert gradient_case(RADEMACHER, beta, x, chain, tilt, D1) <= 2e-4
