@@ -8,13 +8,7 @@ closed forms, Ruelle-probability-cascade sampling, and exact enumeration of
 finite-size spin systems.
 """
 
-from parisi_lab.matrices import (
-    frobenius_inner,
-    hadamard_power,
-    loewner_leq,
-    project_psd,
-    sym_sqrt,
-)
+from parisi_lab.matrices import frobenius_inner, project_psd, sym_sqrt
 from parisi_lab.measures import AprioriMeasure, EvalConfig, TerminalCondition
 from parisi_lab.paths import DiscretePath, MonotoneChain, UnitPartition
 
@@ -26,8 +20,6 @@ __all__ = [
     "TerminalCondition",
     "UnitPartition",
     "frobenius_inner",
-    "hadamard_power",
-    "loewner_leq",
     "project_psd",
     "sym_sqrt",
 ]

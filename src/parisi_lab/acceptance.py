@@ -16,9 +16,8 @@ import numpy as np
 
 from parisi_lab import gaussian
 from parisi_lab.cascades import CascadeSpec, overlap_distribution_check, pair_sum_check, representation_vs_recursion
-from parisi_lab.matrices import sym_sqrt
 from parisi_lab.measures import AprioriMeasure, EvalConfig, TerminalCondition
-from parisi_lab.paths import DiscretePath, MonotoneChain, UnitPartition
+from parisi_lab.paths import DiscretePath, MonotoneChain, UnitPartition, chain_from_blocks
 from parisi_lab.pde import PdeProblem, convexity_probe, solve_parisi_pde
 from parisi_lab.recursion import Level, lipschitz_witness, recursion_from_levels, recursion_value
 from parisi_lab.saddle import INFEASIBLE, SaddleProblem, diagonal_inner, inner_minimize
@@ -85,21 +84,13 @@ def _random_gaussian_instance(rng: np.random.Generator, d: int, n: int):
         tilt = 0.5 * (tilt + tilt.T)
         u_basis = np.linalg.qr(rng.normal(size=(d, d)))[0]
         u = u_basis @ np.diag(rng.uniform(0.2, 0.9, d)) @ u_basis.T
+        # Drawn for every d, so that the later draws keep their order.
         fracs = rng.dirichlet(np.ones(n + 1))
-        u_half = sym_sqrt(u)
-        mats = [np.zeros((d, d))]
         if d == 1:
-            incs = [u * f for f in fracs]
+            blocks = fracs.reshape(-1, 1, 1)
         else:
-            bs = [w @ w.T + 0.05 * np.eye(d) for w in rng.normal(size=(n + 1, d, d))]
-            s = sum(bs)
-            w_eig, v_eig = np.linalg.eigh(s)
-            s_inv_half = v_eig @ np.diag(1.0 / np.sqrt(w_eig)) @ v_eig.T
-            incs = [u_half @ s_inv_half @ b @ s_inv_half @ u_half for b in bs]
-        for inc in incs:
-            mats.append(mats[-1] + 0.5 * (inc + inc.T))
-        mats[-1] = u
-        chain = MonotoneChain(mats, allow_equal=True)
+            blocks = [w @ w.T + 0.05 * np.eye(d) for w in rng.normal(size=(n + 1, d, d))]
+        chain, _ = chain_from_blocks(u, blocks)
         x = UnitPartition.from_interior(np.sort(rng.uniform(0.05, 0.95, n)))
         try:
             gaussian.level_precisions(x, chain, tilt, c, beta)
@@ -164,8 +155,8 @@ def check_pde_vs_recursion(seed: int) -> CheckResult:
     chain = MonotoneChain([[[0.0]], [[0.3]], [[0.7]], [[1.0]]])
     path = DiscretePath(x, chain)
     rec = recursion_value(x, chain, tc, EvalConfig()).value
-    sol_coarse = solve_parisi_pde(PdeProblem.from_path(path, tc, spacing=0.01))
-    sol_fine = solve_parisi_pde(PdeProblem.from_path(path, tc, spacing=0.005))
+    sol_coarse = solve_parisi_pde(PdeProblem(path, tc, spacing=0.01))
+    sol_fine = solve_parisi_pde(PdeProblem(path, tc, spacing=0.005))
     e_coarse = abs(sol_coarse.at_origin() - rec)
     e_fine = abs(sol_fine.at_origin() - rec)
     ok = e_coarse <= 1e-3 and e_fine <= e_coarse / 3.0

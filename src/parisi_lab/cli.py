@@ -63,15 +63,29 @@ def _number(key: str, value, kind=float):
         raise ConfigError(f"{key} must be a number, got {value!r}") from exc
 
 
-def _replicas(config: dict, default: int) -> int:
-    replicas = _number("replicas", config.get("replicas", default), int)
-    if replicas < 2:
-        raise ConfigError(f"replicas must be at least 2 for a standard error, got {replicas}")
-    return replicas
+def _count(config: dict, key: str, default: int, least: int) -> int:
+    """The integer config value ``key``, at least ``least``."""
+    value = _number(key, config.get(key, default), int)
+    if value < least:
+        raise ConfigError(f"{key} must be at least {least}, got {value}")
+    return value
+
+
+def _matrix(key: str, value, d: int) -> np.ndarray:
+    """The value of config key ``key`` as a d x d matrix of floats."""
+    try:
+        m = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key} must be a {d}x{d} matrix of numbers") from exc
+    if m.size != d * d:
+        raise ConfigError(f"{key} must hold {d}x{d} = {d * d} entries, got {m.size}")
+    return m.reshape(d, d)
 
 
 def _measure_from(config: dict) -> AprioriMeasure:
     spec = config.get("measure", {"kind": "rademacher"})
+    if not isinstance(spec, dict):
+        raise ConfigError(f"measure must be an object with a key kind, got {spec!r}")
     kind = spec.get("kind")
     if kind == "rademacher":
         return AprioriMeasure.rademacher()
@@ -103,14 +117,9 @@ def _path_from(config: dict, mu: AprioriMeasure) -> DiscretePath:
 
 def _terminal_from(config: dict, mu: AprioriMeasure) -> TerminalCondition:
     d = mu.dim
+    tilt = _matrix("tilt", config.get("tilt", np.zeros((d, d))), d)
     try:
-        tilt = np.asarray(config.get("tilt", np.zeros((d, d))), dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"tilt must be a {d}x{d} matrix of numbers") from exc
-    if tilt.size != d * d:
-        raise ConfigError(f"tilt must hold {d}x{d} = {d * d} entries, got {tilt.size}")
-    try:
-        tc = TerminalCondition(_number("beta", config.get("beta", 1.0)), tilt.reshape(d, d), mu)
+        tc = TerminalCondition(_number("beta", config.get("beta", 1.0)), tilt, mu)
         # g at the origin raises if the tilted Gaussian integral diverges
         # (precision - 2 tilt not positive definite), before any evaluation.
         tc(np.zeros(d))
@@ -148,7 +157,7 @@ def _run_pde(config: dict, master: int, workers: int):
     path = _path_from(config, mu)
     if mu.dim != 1:
         raise ConfigError(f"pde solves one-dimensional problems, got d = {mu.dim}")
-    problem = PdeProblem.from_path(path, tc, spacing=_number("spacing", config.get("spacing", 0.01)))
+    problem = PdeProblem(path, tc, spacing=_number("spacing", config.get("spacing", 0.01)))
     sol = solve_parisi_pde(problem)
     rec = recursion_value(path.partition, path.chain, tc, EvalConfig())
     summary = {"pde_origin": sol.at_origin(), "recursion": rec.value,
@@ -163,7 +172,7 @@ def _run_rpc(config: dict, master: int, workers: int):
         spec = CascadeSpec(np.asarray(weights, dtype=float), branching)
     except ValueError as exc:
         raise ConfigError(f"invalid cascade: {exc}") from exc
-    replicas = _replicas(config, 256)
+    replicas = _count(config, "replicas", 256, 2)
     dist = overlap_distribution_check(spec, replicas, derive_seed(master, "rpc-dist"))
     pairs = pair_sum_check(spec, replicas, derive_seed(master, "rpc-pairs"))
     artifacts = {"overlap_distribution.csv": dist.to_csv(), "pair_sums.csv": pairs.to_csv()}
@@ -173,8 +182,8 @@ def _run_rpc(config: dict, master: int, workers: int):
 def _run_sk(config: dict, master: int, workers: int):
     experiment = config.get("experiment", "average")
     beta = _number("beta", config.get("beta", 1.0))
-    replicas = _replicas(config, 200)
-    n_sites = _number("n_sites", config.get("n_sites", 8), int)
+    replicas = _count(config, "replicas", 200, 2)
+    n_sites = _count(config, "n_sites", 8, 1)
     if experiment == "average":
         mean, se, vals = disorder_average(
             n_sites, beta, OverlapConstraint.everything(), SpinSpace.ising(),
@@ -188,7 +197,7 @@ def _run_sk(config: dict, master: int, workers: int):
         table = concentration_experiment(n_sites, beta, replicas, derive_seed(master, "sk-conc"))
         return {"tails.csv": table.to_csv()}, 0 if table.all_below_bound() else 1
     if experiment == "superadditivity":
-        m_sites = _number("m_sites", config.get("m_sites", n_sites), int)
+        m_sites = _count(config, "m_sites", n_sites, 1)
         margin, se = superadditivity_experiment(
             n_sites, m_sites, beta, replicas, derive_seed(master, "sk-super")
         )
@@ -204,11 +213,9 @@ def _run_gaussian(config: dict, master: int, workers: int):
     u = _number("u", _required(config, "u"))
     h = _number("h", config.get("h", 0.0))
     beta = _number("beta", config.get("beta", 1.0))
-    levels = _number("levels", config.get("levels", 1), int)
+    levels = _count(config, "levels", 1, 1)
     if not (c > 0.0 and u > 0.0):
         raise ConfigError(f"c and u must be positive, got c = {c!r}, u = {u!r}")
-    if levels < 1:
-        raise ConfigError(f"levels must be at least 1, got {levels}")
     rep = gaussian.equivalence_check(c, u, h, beta, levels, seed=derive_seed(master, "gaussian"))
     sol = gaussian.optimal_self_overlap(c, beta)
     rs = gaussian.optimal_overlap(u, beta)
@@ -223,16 +230,17 @@ def _run_gaussian(config: dict, master: int, workers: int):
 
 
 def _run_saddle(config: dict, master: int, workers: int):
+    mu = _measure_from(config)
     problem = SaddleProblem(
         beta=_number("beta", config.get("beta", 1.0)),
-        mu=_measure_from(config),
-        levels=_number("levels", config.get("levels", 2), int),
-        restarts=_number("restarts", config.get("restarts", 3), int),
-        max_evals=_number("max_evals", config.get("max_evals", 1500), int),
+        mu=mu,
+        levels=_count(config, "levels", 2, 0),
+        restarts=_count(config, "restarts", 3, 1),
+        max_evals=_count(config, "max_evals", 1500, 1),
         seed=derive_seed(master, "saddle"),
         engine=EvalConfig(grid_points=801),
     )
-    u = np.asarray(config.get("u", [[1.0]]), dtype=float)
+    u = _matrix("u", config.get("u", [[1.0]]), mu.dim)
     try:
         result = inner_minimize(u, problem)
     except SelfOverlapError as exc:

@@ -34,7 +34,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from parisi_lab.matrices import MatrixError, as_sym, eigh_jacobi
-from parisi_lab.paths import MonotoneChain, UnitPartition
+from parisi_lab.paths import MonotoneChain, UnitPartition, cumulative_fractions
 
 # Scalar-layer values are twice the free-energy-scale functional.
 PAIR_SCALE = 2.0
@@ -265,7 +265,8 @@ def crisanti_sommers(x, q, u: float, c: float, h: float, beta: float) -> tuple[f
     g_gaps[:-1] = 1.0 / s[:-1]
     g_s = np.empty(n)
     g_s[0] = h * h - full_q[1] / s[0] ** 2
-    g_s[1:] = -rhos / (xv[:-1] * s[:-1])
+    # rho_l / x_l written as gap_l / s[l+1]: no 0 / 0 at a subnormal weight.
+    g_s[1:] = -(gaps[:-1] / s[1:]) / s[:-1]
     g_full = np.zeros(n + 2)
     g_full[1] = 1.0 / s[0]
     g_full[n] -= 1.0 / (u - full_q[n])
@@ -335,33 +336,20 @@ def diagonal_value(c_eigs, u_eigs, beta: float) -> float:
 # Scalar minimizers and the equivalence check
 
 
-def _cumfrac(raw: np.ndarray, count: int):
-    """Map ``count`` reals to ``count`` strictly increasing values
-    y = cumsum(p)[:count] in (0, 1), with p the softmax over count+1
-    exponential slots (the last one fixed at zero).  Returns (y, p)."""
-    full = np.concatenate((np.asarray(raw, dtype=float)[:count], [0.0]))
-    e = np.exp(full - full.max())
-    p = e / e.sum()
-    return np.cumsum(e)[:count] / e.sum(), p[:count]
-
-
-def _cumfrac_pullback(y: np.ndarray, p: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """Gradient in ``raw`` of <grad, y> for (y, p) = _cumfrac(raw, count):
-    entry i is p_i (sum_{k>=i} grad_k - sum_k grad_k y_k)."""
-    return p * (np.cumsum(grad[::-1])[::-1] - grad @ y)
-
-
 def _orders_from(theta: np.ndarray, n: int, u: float):
     """Weights and overlap levels from their raw parameters: n - 1 free
-    weights under a top weight of 1, then n levels.  Returns (x, q,
-    pullback), where pullback(g_x, g_q) is the gradient in theta[:2n - 1]."""
-    x, px = _cumfrac(theta[: n - 1], n - 1)
-    y, py = _cumfrac(theta[n - 1 : 2 * n - 1], n)
+    weights under a top weight of 1, then n levels.  Each group is the
+    ``cumulative_fractions`` of its parameters and one more logit pinned at
+    zero.  Returns (x, q, pullback), where pullback(g_x, g_q) is the
+    gradient in theta[:2n - 1]."""
+    x, pull_x = cumulative_fractions(np.append(theta[: n - 1], 0.0))
+    y, pull_y = cumulative_fractions(np.append(theta[n - 1 : 2 * n - 1], 0.0))
 
     def pullback(g_x: np.ndarray, g_q: np.ndarray) -> np.ndarray:
-        return np.concatenate((_cumfrac_pullback(x, px, g_x[:-1]), u * _cumfrac_pullback(y, py, g_q)))
+        # The pinned logits are not parameters.
+        return np.concatenate((pull_x(g_x[:-1])[:-1], u * pull_y(g_q)[:-1]))
 
-    return np.append(x, 1.0), u * y, pullback
+    return x, u * y[:-1], pullback
 
 
 @dataclass(frozen=True)

@@ -97,26 +97,6 @@ def frobenius_norm(a) -> float:
     return float(np.sqrt(np.sum(m * m)))
 
 
-def loewner_leq(a, b) -> bool:
-    """True iff ``a`` precedes ``b`` in the Loewner (quadratic-form) order.
-
-    The test is eigmin(b - a) >= -PSD_TOL * (1 + ||b - a||_F).
-    """
-    ma, mb = as_sym(a), as_sym(b)
-    _check_same_dim(ma, mb)
-    diff = mb - ma
-    return eigmin(diff) >= -PSD_TOL * (1.0 + frobenius_norm(diff))
-
-
-def hadamard_power(a, p: float) -> np.ndarray:
-    """Entrywise power M^{.p}.  Fractional powers require nonnegative entries."""
-    m = as_sym(a)
-    if p != int(p) or p < 0:
-        if np.any(m < 0.0):
-            raise MatrixError("fractional entrywise power of a negative entry")
-    return np.power(m, p)
-
-
 def sym_sqrt(a) -> np.ndarray:
     """Spectral square root of a PSD matrix.
 

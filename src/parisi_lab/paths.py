@@ -1,10 +1,18 @@
-"""Order-parameter containers: unit-interval partitions, Loewner-monotone
-matrix chains, and the piecewise-constant matrix paths they define.
+"""Order parameters: one container and one parameterization.
 
-A path is the right-continuous step function rho(t) = Q[k] on [x_k, x_{k+1})
-with a final jump to the terminal matrix U at t = 1.  The distance between
-inverse profiles is computed exactly on merged value grids; no quadrature is
-involved.
+The container is ``DiscretePath``, a partition 0 = x_0 < ... < x_{n+1} = 1
+paired with a Loewner-monotone chain 0 = Q[0] << ... << Q[n+1] = U.  It is
+the right-continuous step path rho(t) = Q[k] on [x_k, x_{k+1}) with a final
+jump to the terminal matrix U at t = 1.  The recursion, the closed forms and
+the saddle solver read its two parts; the PDE reads the path whole.  The
+distance between inverse profiles is computed exactly on merged value
+grids; no quadrature is involved.
+
+The parameterization maps free reals to feasible order parameters:
+``cumulative_fractions`` gives increasing weights in (0, 1] and
+``chain_from_blocks`` a monotone chain that ends exactly at U.  Each returns
+its value together with the pullback that carries a gradient back to the
+free reals.
 """
 
 from __future__ import annotations
@@ -14,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from parisi_lab.matrices import PSD_TOL, MatrixError, as_sym, eigmin, frobenius_norm
+from parisi_lab.matrices import PSD_TOL, MatrixError, as_sym, eigh_jacobi, eigmin, frobenius_norm, sym_sqrt
 
 
 class PathError(ValueError):
@@ -115,14 +123,58 @@ class DiscretePath:
     def terminal(self) -> np.ndarray:
         return self.chain.terminal
 
-    def value(self, t: float) -> np.ndarray:
-        """rho(t): right-continuous step value; rho(1) is the terminal U."""
-        if not 0.0 <= t <= 1.0:
-            raise PathError(f"t={t} outside [0, 1]")
-        if t >= 1.0:
-            return self.chain.terminal
-        k = int(np.searchsorted(self.partition.values, t, side="right") - 1)
-        return self.chain.matrices[k]
+
+def cumulative_fractions(logits: np.ndarray):
+    """Cumulative sums y_k = p_1 + ... + p_k of p = softmax(logits): increasing
+    in (0, 1], the last exactly 1.  Returns (y, pullback), where pullback
+    maps the gradient in y[:-1] to the gradient in the logits."""
+    e = np.exp(logits - logits.max())
+    y = np.cumsum(e) / e.sum()
+    y[-1] = 1.0
+
+    def pullback(g_y: np.ndarray) -> np.ndarray:
+        # y_k = sum_{i<=k} p_i, and softmax has Jacobian diag(p) - p p^T.
+        p = e / e.sum()
+        g_p = np.append(np.cumsum(g_y[::-1])[::-1], 0.0)
+        return p * (g_p - p @ g_p)
+
+    return y, pullback
+
+
+def chain_from_blocks(u: np.ndarray, blocks):
+    """The chain 0 = Q[0] << Q[1] << ... << Q[n+1] = U with increments
+
+        Q[k+1] - Q[k] = U^{1/2} S^{-1/2} B_k S^{-1/2} U^{1/2},  S = B_0 + ... + B_n,
+
+    for positive-definite blocks B_0..B_n: every increment is PSD and the
+    increments sum to U, where the chain ends exactly.  Returns (chain,
+    pullback), where pullback maps the gradient in the interior matrices
+    Q[1..n] to the gradients in the blocks."""
+    d = u.shape[0]
+    u_half = sym_sqrt(u)
+    s = sum(blocks)
+    w, v = eigh_jacobi(s)
+    root = np.sqrt(np.maximum(w, 1e-14))
+    s_inv_half = v @ np.diag(1.0 / root) @ v.T
+    mats = [np.zeros((d, d))]
+    for b in blocks:
+        inc = u_half @ s_inv_half @ b @ s_inv_half @ u_half
+        mats.append(mats[-1] + 0.5 * (inc + inc.T))
+    mats[-1] = u  # exact terminal, kills accumulated rounding
+    chain = MonotoneChain(mats, allow_equal=True)
+
+    def pullback(g_chain: np.ndarray) -> list:
+        # Q[k] = sum_{i<k} dQ_i, so dQ_i collects the gradients of Q[i+1..n].
+        g_inc = np.concatenate((np.cumsum(g_chain[::-1], axis=0)[::-1], np.zeros((1, d, d))))
+        g_inc = [u_half @ g @ u_half for g in g_inc]
+        # S^{-1/2} pulls back through the Daleckii-Krein divided differences
+        # of t^{-1/2}: (a^-1 - b^-1) / (a^2 - b^2) = -1 / (a b (a + b)).
+        g_root = sum(g @ s_inv_half @ b + b @ s_inv_half @ g for g, b in zip(g_inc, blocks))
+        divided = -1.0 / (root[:, None] * root[None, :] * (root[:, None] + root[None, :]))
+        g_s = v @ (divided * (v.T @ g_root @ v)) @ v.T
+        return [s_inv_half @ g @ s_inv_half + g_s for g in g_inc]
+
+    return chain, pullback
 
 
 def inverse_profile_distance(p1: DiscretePath, p2: DiscretePath) -> float:
@@ -155,39 +207,6 @@ def inverse_profile_distance(p1: DiscretePath, p2: DiscretePath) -> float:
     for k in range(1, p1.chain.matrices.shape[0]):
         total += (x[k] - x[k - 1]) * frobenius_norm(p1.chain.matrices[k] - p2.chain.matrices[k])
     return float(total)
-
-
-@dataclass(frozen=True)
-class PiecewiseLinearPath:
-    """Linear interpolant of a step path: nodes at the jump times, constant
-    PSD slope (Q[k+1] - Q[k]) / (x_{k+1} - x_k) on each segment.
-
-    This is the diffusion coefficient path consumed by the PDE solvers.
-    """
-
-    times: np.ndarray
-    nodes: np.ndarray
-
-    @property
-    def segments(self) -> int:
-        return self.times.size - 1
-
-    def slope(self, seg: int) -> np.ndarray:
-        dt = self.times[seg + 1] - self.times[seg]
-        return (self.nodes[seg + 1] - self.nodes[seg]) / dt
-
-    def value(self, t: float) -> np.ndarray:
-        if t >= 1.0:
-            return self.nodes[-1]
-        seg = int(np.searchsorted(self.times, t, side="right") - 1)
-        dt = self.times[seg + 1] - self.times[seg]
-        w = (t - self.times[seg]) / dt
-        return (1.0 - w) * self.nodes[seg] + w * self.nodes[seg + 1]
-
-
-def linear_interpolant(path: DiscretePath) -> PiecewiseLinearPath:
-    """Piecewise-linear path through (x_k, Q[k]) with PSD slopes."""
-    return PiecewiseLinearPath(path.partition.values.copy(), path.chain.matrices.copy())
 
 
 def path_to_json(path: DiscretePath) -> str:

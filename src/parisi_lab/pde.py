@@ -7,7 +7,9 @@ problem for the semi-linear parabolic equation
 
 with the diffusion coefficient Qdot the slope of the linear interpolant of
 the step path and x(t) the step profile of weights, matched continuously at
-the jump times.  Two independent routes are implemented:
+the jump times.  Both are read off the one container of the order
+parameters, ``paths.DiscretePath``, segment by segment
+(``PdeProblem.segment``).  Two independent routes are implemented:
 
 * solve_parisi_pde: backward Crank-Nicolson finite differences in d = 1 with
   a lagged-gradient fixed point for the quadratic nonlinearity;
@@ -27,7 +29,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from parisi_lab.measures import EvalConfig
-from parisi_lab.paths import DiscretePath, PiecewiseLinearPath, linear_interpolant
+from parisi_lab.paths import DiscretePath
 # propagate_segment is not called here.  It stays in this namespace because
 # perfbench/spans.py instruments pde.propagate_segment.
 from parisi_lab.recursion import propagate_segment  # noqa: F401
@@ -41,22 +43,25 @@ class PdeError(RuntimeError):
 class PdeProblem:
     """Finite-difference problem data for the d = 1 solver."""
 
-    coeff: PiecewiseLinearPath           # diffusion path, nodes (n+2, 1, 1)
-    x_weights: np.ndarray                # weight on each segment, len n+1
+    path: DiscretePath
     terminal: object                     # vectorized g(y)
     spacing: float = 0.01
 
-    @classmethod
-    def from_path(cls, path: DiscretePath, terminal, spacing: float = 0.01) -> "PdeProblem":
-        if path.dim != 1:
+    def __post_init__(self) -> None:
+        if self.path.dim != 1:
             raise ValueError("finite-difference problems are one-dimensional")
-        interp = linear_interpolant(path)
-        weights = path.partition.values[:-1]
-        return cls(coeff=interp, x_weights=np.asarray(weights, dtype=float),
-                   terminal=terminal, spacing=spacing)
+
+    def segment(self, seg: int) -> tuple[float, float, float, float]:
+        """(t0, t1, qdot, x) on segment ``seg`` = [x_seg, x_{seg+1}): its end
+        times, the slope of the linear interpolant through (x_k, Q[k]) and
+        the weight x_seg."""
+        t = self.path.partition.values
+        q = self.path.chain.matrices[:, 0, 0]
+        dt = t[seg + 1] - t[seg]
+        return t[seg], t[seg + 1], float((q[seg + 1] - q[seg]) / dt), float(t[seg])
 
     def grid(self) -> np.ndarray:
-        total_var = float(self.coeff.nodes[-1].reshape(()))
+        total_var = float(self.path.terminal[0, 0])
         half = 6.0 * np.sqrt(max(total_var, 1e-12)) + 1.0
         m = int(np.ceil(half / self.spacing))
         return np.linspace(-m * self.spacing, m * self.spacing, 2 * m + 1)
@@ -138,16 +143,13 @@ def solve_parisi_pde(problem: PdeProblem) -> PdeSolution:
     m = y.size
     h = problem.spacing
     d2 = _second_diff_banded(m, h)
-    times = problem.coeff.times
     f = np.asarray(problem.terminal(y.reshape(-1, 1)), dtype=float).reshape(m)
     all_t = [1.0]
     all_f = [f.copy()]
     worst_iters = 0
     steps_per_unit = max(int(round(1.0 / problem.spacing)), 8)  # dt ~ spacing
-    for seg in range(problem.coeff.segments - 1, -1, -1):
-        t0, t1 = times[seg], times[seg + 1]
-        qdot = float(problem.coeff.slope(seg).reshape(()))
-        xw = float(problem.x_weights[seg])
+    for seg in range(problem.path.partition.levels, -1, -1):
+        t0, t1, qdot, xw = problem.segment(seg)
         steps = max(int(np.ceil((t1 - t0) * steps_per_unit)), 2)
         dt = (t1 - t0) / steps
         a = qdot * dt / 4.0
@@ -221,14 +223,14 @@ def simulate_control_value(
     rng = np.random.default_rng(seed)
     steps = 512
     dt = 1.0 / steps
-    times = problem.coeff.times
+    times = problem.path.partition.values
+    last = problem.path.partition.levels
     yv = np.zeros(paths)
     cost = np.zeros(paths)
     for k in range(steps):
         t = k * dt
-        seg = min(max(int(np.searchsorted(times, t, side="right") - 1), 0), problem.coeff.segments - 1)
-        qdot = float(problem.coeff.slope(seg).reshape(()))
-        xw = float(problem.x_weights[seg])
+        seg = min(max(int(np.searchsorted(times, t, side="right") - 1), 0), last)
+        _, _, qdot, xw = problem.segment(seg)
         u = policy.values(t, yv, xw, qdot)
         cost += 0.5 * u**2 * dt
         noise = rng.standard_normal(paths)

@@ -2,18 +2,18 @@
 
 Inner problem: minimize the local functional over unit-interval weights,
 a Loewner-monotone chain ending at U, and the symmetric tilt matrix.  The
-chain is parameterized through PSD factor fractions
-
-    dQ[k] = U^{1/2} S^{-1/2} B_k S^{-1/2} U^{1/2},  B_k = G_k G_k^T + eps I,
-    S = sum_k B_k,
-
+order parameters go through the one parameterization of ``paths``: the
+weights are ``cumulative_fractions`` of n + 1 logits, and the chain is
+``chain_from_blocks`` of the positive-definite blocks G_k G_k^T + 1e-8 I,
 so monotonicity and the terminal constraint hold exactly for every parameter
 vector.  The inner solver is L-BFGS-B on the analytic gradient: the
 recursion's first-order formula (``recursion.local_functional_gradient``)
-pulled back through this parameterization.  Outer problem: maximize the
-inner value over an explicit grid of admissible self-overlap matrices.  The
-diagonal Gaussian scenario splits into scalar problems per eigenmode, which
-``gaussian.minimize_parisi_1d`` solves with L-BFGS-B on exact gradients too.
+pulled back through the pullbacks of these two maps.  The result holds the
+optimum as the partition and the chain of a ``paths.DiscretePath``.  Outer
+problem: maximize the inner value over an explicit grid of admissible
+self-overlap matrices.  The diagonal Gaussian scenario splits into scalar
+problems per eigenmode, which ``gaussian.minimize_parisi_1d`` solves with
+L-BFGS-B on exact gradients too.
 
 For a discrete measure, U must lie in the convex hull of {s s^T : s in the
 support}; outside it the inner infimum is -infinity and ``inner_minimize``
@@ -30,9 +30,12 @@ import numpy as np
 from scipy.optimize import linprog, minimize
 
 from parisi_lab.gaussian import PAIR_SCALE, REJECTED_VALUE, FeasibilityError, minimize_parisi_1d
-from parisi_lab.matrices import MatrixError, eigh_jacobi, project_psd, sym_sqrt
+from parisi_lab.matrices import MatrixError, project_psd
+# eigh_jacobi is not called here.  It stays in this namespace because
+# perfbench/spans.py instruments saddle.eigh_jacobi.
+from parisi_lab.matrices import eigh_jacobi  # noqa: F401
 from parisi_lab.measures import AprioriMeasure, EvalConfig, MeasureError, TerminalCondition
-from parisi_lab.paths import MonotoneChain, PathError, UnitPartition
+from parisi_lab.paths import MonotoneChain, PathError, UnitPartition, chain_from_blocks, cumulative_fractions
 from parisi_lab.recursion import FunctionalGradient, local_functional, local_functional_gradient
 
 # Errors that mark a parameter vector as infeasible.  The inner objective
@@ -96,67 +99,27 @@ class SaddleResult:
         )
 
 
-def _tri_indices(d: int):
-    return np.tril_indices(d)
-
-
-def _unpack(theta: np.ndarray, d: int, n: int, u_mat: np.ndarray, u_half: np.ndarray):
+def _unpack(theta: np.ndarray, d: int, n: int, u_mat: np.ndarray):
     """Parameter vector -> (partition, chain, tilt, pullback), where
     ``pullback`` maps a ``FunctionalGradient`` at that point to the gradient
-    in theta by the chain rule."""
-    ntri = d * (d + 1) // 2
-    tri = _tri_indices(d)
-    gaps_raw = theta[: n + 1]
-    pos = 0 + n + 1
-    facs = []
-    for _ in range(n + 1):
-        fac = np.zeros((d, d))
-        fac[tri] = theta[pos : pos + ntri]
-        facs.append(fac)
-        pos += ntri
+    in theta by the chain rule.  theta holds n + 1 weight logits, the lower
+    triangles of the n + 1 block factors G_k and the lower triangle of the
+    tilt."""
+    tri = np.tril_indices(d)
+    ntri = tri[0].size
+    x, pull_x = cumulative_fractions(theta[: n + 1])
+    partition = UnitPartition(np.append(0.0, x))
+    facs = np.zeros((n + 1, d, d))
+    facs[:, tri[0], tri[1]] = theta[n + 1 : -ntri].reshape(n + 1, ntri)
+    # The floor 1e-8 I keeps every block positive definite.
+    chain, pull_blocks = chain_from_blocks(u_mat, [f @ f.T + 1e-8 * np.eye(d) for f in facs])
     tilt = np.zeros((d, d))
-    tilt[tri] = theta[pos : pos + ntri]
+    tilt[tri] = theta[-ntri:]
     tilt = 0.5 * (tilt + tilt.T)
-    pos += ntri
-
-    e = np.exp(gaps_raw - gaps_raw.max())
-    x = np.concatenate(([0.0], np.cumsum(e) / e.sum()))
-    x[-1] = 1.0
-    partition = UnitPartition(x)
-
-    eps = 1e-8
-    bs = [f @ f.T + eps * np.eye(d) for f in facs]
-    s = sum(bs)
-    w, v = eigh_jacobi(s)
-    root = np.sqrt(np.maximum(w, 1e-14))
-    s_inv_half = v @ np.diag(1.0 / root) @ v.T
-    mats = [np.zeros((d, d))]
-    for b in bs:
-        inc = u_half @ s_inv_half @ b @ s_inv_half @ u_half
-        mats.append(mats[-1] + 0.5 * (inc + inc.T))
-    mats[-1] = u_mat  # exact terminal, kills accumulated rounding
-    chain = MonotoneChain(mats, allow_equal=True)
 
     def pullback(grad: FunctionalGradient) -> np.ndarray:
-        out = np.empty_like(theta)
-        # x_k = sum_{i<k} p_i with p = softmax(gaps_raw); Q[k] = sum_{i<k} dQ_i.
-        p = e / e.sum()
-        g_p = np.concatenate((np.cumsum(grad.x[::-1])[::-1], [0.0]))
-        out[: n + 1] = p * (g_p - p @ g_p)
-        g_inc = np.concatenate((np.cumsum(grad.chain[::-1], axis=0)[::-1], np.zeros((1, d, d))))
-        g_inc = [u_half @ g @ u_half for g in g_inc]
-        # S^{-1/2} pulls back through the Daleckii-Krein divided differences
-        # of t^{-1/2}: (a^-1 - b^-1) / (a^2 - b^2) = -1 / (a b (a + b)).
-        g_root = sum(g @ s_inv_half @ b + b @ s_inv_half @ g for g, b in zip(g_inc, bs))
-        divided = -1.0 / (root[:, None] * root[None, :] * (root[:, None] + root[None, :]))
-        g_s = v @ (divided * (v.T @ g_root @ v)) @ v.T
-        pos = n + 1
-        for g, fac in zip(g_inc, facs):
-            g_b = s_inv_half @ g @ s_inv_half + g_s
-            out[pos : pos + ntri] = (2.0 * g_b @ fac)[tri]
-            pos += ntri
-        out[pos:] = grad.tilt[tri]
-        return out
+        g_facs = [(2.0 * g @ f)[tri] for g, f in zip(pull_blocks(grad.chain), facs)]
+        return np.concatenate([pull_x(grad.x)] + g_facs + [grad.tilt[tri]])
 
     return partition, chain, tilt, pullback
 
@@ -171,7 +134,7 @@ def _check_self_overlap(u_mat: np.ndarray, mu: AprioriMeasure) -> None:
         raise SelfOverlapError("self-overlap shape disagrees with the measure dimension")
     if mu.kind != "discrete":
         return
-    tri = _tri_indices(d)
+    tri = np.tril_indices(d)
     outer = np.array([np.outer(s, s)[tri] for s in mu.points]).T
     a_eq = np.vstack((outer, np.ones(len(mu.points))))
     b_eq = np.concatenate((u_mat[tri], [1.0]))
@@ -194,7 +157,6 @@ def inner_minimize(u_matrix, problem: SaddleProblem) -> SaddleResult:
     _check_self_overlap(u_mat, problem.mu)
     d = problem.dim
     n = problem.levels
-    u_half = sym_sqrt(u_mat)
     ntri = d * (d + 1) // 2
     size = (n + 1) + (n + 1) * ntri + ntri
     evals = 0
@@ -204,7 +166,7 @@ def inner_minimize(u_matrix, problem: SaddleProblem) -> SaddleResult:
         nonlocal evals
         evals += 1
         try:
-            part, chain, tilt, pullback = _unpack(theta, d, n, u_mat, u_half)
+            part, chain, tilt, pullback = _unpack(theta, d, n, u_mat)
             tc = TerminalCondition(problem.beta, tilt, problem.mu)
             result, grad = local_functional_gradient(part, chain, tc, problem.engine)
         except INFEASIBLE as exc:
@@ -213,15 +175,10 @@ def inner_minimize(u_matrix, problem: SaddleProblem) -> SaddleResult:
             return REJECTED_VALUE, np.zeros(size)
         return result.value, pullback(grad)
 
-    # Feasible symmetric start: uniform gaps, equal increments, zero tilt.
+    # Feasible symmetric start: uniform gaps, identity factors (equal
+    # increments), zero tilt.
     base = np.zeros(size)
-    idx = n + 1
-    diag_entries = np.zeros((d, d))
-    diag_entries[np.diag_indices(d)] = 1.0
-    tri_template = diag_entries[_tri_indices(d)]
-    for _ in range(n + 1):
-        base[idx : idx + ntri] = tri_template
-        idx += ntri
+    base[n + 1 : -ntri] = np.tile(np.eye(d)[np.tril_indices(d)], n + 1)
 
     rng = np.random.default_rng(problem.seed)
     starts = [base]
@@ -241,7 +198,7 @@ def inner_minimize(u_matrix, problem: SaddleProblem) -> SaddleResult:
         converged.append(bool(res.success and res.fun < REJECTED_VALUE))
         if best is None or res.fun < best.fun:
             best = res
-    part, chain, tilt, _ = _unpack(best.x, d, n, u_mat, u_half)
+    part, chain, tilt, _ = _unpack(best.x, d, n, u_mat)
     return SaddleResult(
         value=float(best.fun),
         partition=part,

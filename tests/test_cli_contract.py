@@ -154,6 +154,17 @@ def test_free_energy_csv_equals_disorder_average(tmp_path):
         ({"command": "sk", "seed": 1, "n_sites": 4, "replicas": 1}, "replicas must be at least 2"),
         ({"command": "rpc", "seed": 1, "weights": [0.25, 0.6], "branching": 8, "replicas": 1},
          "replicas must be at least 2"),
+        ({"command": "eval", "seed": 1, "measure": "x", "path": PATH},
+         "measure must be an object with a key kind, got 'x'"),
+        ({"command": "saddle", "seed": 1, "u": "abc"}, "u must be a 1x1 matrix of numbers"),
+        ({"command": "saddle", "seed": 1, "u": [[1.0, 0.5]]}, "u must hold 1x1 = 1 entries, got 2"),
+        ({"command": "sk", "seed": 1, "n_sites": 0, "replicas": 2}, "n_sites must be at least 1, got 0"),
+        ({"command": "sk", "seed": 1, "n_sites": -2, "replicas": 2}, "n_sites must be at least 1, got -2"),
+        ({"command": "sk", "seed": 1, "experiment": "superadditivity", "n_sites": 2, "m_sites": 0,
+          "replicas": 2}, "m_sites must be at least 1, got 0"),
+        ({"command": "saddle", "seed": 1, "levels": -1}, "levels must be at least 0, got -1"),
+        ({"command": "saddle", "seed": 1, "restarts": 0}, "restarts must be at least 1, got 0"),
+        ({"command": "saddle", "seed": 1, "max_evals": 0}, "max_evals must be at least 1, got 0"),
     ],
 )
 def test_bad_config_exits_two(config, message, tmp_path, capsys):

@@ -1,8 +1,10 @@
 """Dead-code ratchet: every public top-level function or class of
 ``parisi_lab`` is referenced by name in ``src/`` or ``perfbench/`` outside
-its own definition, is exported through ``__all__``, or is listed in
-``ALLOWED`` with the reason it stays.  A helper that only its own tests call
-is dead; delete it with its tests instead of listing it."""
+its own definition, or is listed in ``ALLOWED`` with the reason it stays.
+The package ``__init__.py`` does not count as a caller: its imports and its
+``__all__`` strings re-export a name without using it.  A helper that only
+its own tests call is dead; delete it with its tests instead of listing
+it."""
 
 import ast
 from collections import Counter
@@ -39,25 +41,16 @@ def _names(tree) -> Counter:
 
 def _unreferenced() -> set[str]:
     files = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
-    trees = {path: ast.parse(path.read_text()) for path in files}
+    trees = {path: ast.parse(path.read_text()) for path in files if path.name != "__init__.py"}
     references = sum((_names(tree) for tree in trees.values()), Counter())
-    exported = set()
-    definitions = []
-    for path, tree in trees.items():
-        if path.parent != PACKAGE:
-            continue
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-                definitions.append(node)
-            elif isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-            ):
-                exported |= set(ast.literal_eval(node.value))
-    return {
-        node.name
-        for node in definitions
-        if node.name not in exported and references[node.name] <= _names(node)[node.name]
-    }
+    definitions = [
+        node
+        for path, tree in trees.items()
+        if path.parent == PACKAGE
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    ]
+    return {node.name for node in definitions if references[node.name] <= _names(node)[node.name]}
 
 
 def test_every_public_definition_has_a_caller_or_a_reason():

@@ -7,8 +7,6 @@ from parisi_lab.matrices import (
     eigmin,
     frobenius_inner,
     frobenius_norm,
-    hadamard_power,
-    loewner_leq,
     project_psd,
     sqrt_factor,
     sym_sqrt,
@@ -47,39 +45,6 @@ def test_frobenius_bilinear_symmetric():
 def test_dimension_mismatch():
     with pytest.raises(MatrixError):
         frobenius_inner(np.eye(2), np.eye(3))
-    with pytest.raises(MatrixError):
-        loewner_leq(np.eye(2), np.eye(3))
-
-
-def test_loewner_examples():
-    assert loewner_leq(np.eye(2), 2 * np.eye(2))
-    assert not loewner_leq(2 * np.eye(2), np.eye(2))
-    assert loewner_leq(np.diag([1.0, 0.0]), np.eye(2))
-
-
-def test_loewner_partial_order_properties():
-    rng = np.random.default_rng(2)
-    mats = [rand_sym(rng, 3) for _ in range(8)]
-    for a in mats:
-        assert loewner_leq(a, a)  # reflexive
-    for a in mats:
-        for b in mats:
-            if loewner_leq(a, b) and loewner_leq(b, a):
-                assert frobenius_norm(a - b) <= 1e-8 * (1 + frobenius_norm(a))
-    psds = [rand_psd(rng, 3) for _ in range(6)]
-    for a in psds:
-        b = a + rand_psd(rng, 3, 0.0, 0.5)
-        c = b + rand_psd(rng, 3, 0.0, 0.5)
-        assert loewner_leq(a, b) and loewner_leq(b, c) and loewner_leq(a, c)
-
-
-def test_hadamard_power():
-    assert hadamard_power(np.array([[4.0]]), 0.5) == pytest.approx(np.array([[2.0]]))
-    m = np.array([[1.0, 2.0], [2.0, 3.0]])
-    assert np.array_equal(hadamard_power(m, 1.0), m)
-    assert np.array_equal(hadamard_power(m, 2.0), np.array([[1.0, 4.0], [4.0, 9.0]]))
-    with pytest.raises(MatrixError):
-        hadamard_power(np.array([[-1.0, 0.0], [0.0, 1.0]]), 0.5)
 
 
 def test_sym_sqrt_examples():

@@ -39,14 +39,14 @@ class Linear:
 
 
 def test_constant_terminal_is_fixed_point():
-    sol = solve_parisi_pde(PdeProblem.from_path(sk_path(), Const(), spacing=0.02))
+    sol = solve_parisi_pde(PdeProblem(sk_path(), Const(), spacing=0.02))
     assert sol.at_origin() == pytest.approx(1.7, abs=1e-10)
     assert np.allclose(sol.values, 1.7, atol=1e-10)
 
 
 def test_linear_terminal_closed_form():
     a = 0.8
-    sol = solve_parisi_pde(PdeProblem.from_path(sk_path(), Linear(a), spacing=0.01))
+    sol = solve_parisi_pde(PdeProblem(sk_path(), Linear(a), spacing=0.01))
     expected = 0.25 * a**2 * 0.4 / 2 + 0.6 * a**2 * 0.3 / 2
     assert sol.at_origin() == pytest.approx(expected, abs=1e-8)
 
@@ -55,8 +55,8 @@ def test_sk_terminal_matches_recursion_and_refines():
     path = sk_path()
     tc = TerminalCondition(0.5, np.zeros((1, 1)), RADEMACHER)
     rec = recursion_value(path.partition, path.chain, tc).value
-    e1 = abs(solve_parisi_pde(PdeProblem.from_path(path, tc, spacing=0.01)).at_origin() - rec)
-    e2 = abs(solve_parisi_pde(PdeProblem.from_path(path, tc, spacing=0.005)).at_origin() - rec)
+    e1 = abs(solve_parisi_pde(PdeProblem(path, tc, spacing=0.01)).at_origin() - rec)
+    e2 = abs(solve_parisi_pde(PdeProblem(path, tc, spacing=0.005)).at_origin() - rec)
     assert e1 <= 1e-3
     assert e2 <= e1 / 3.0
 
@@ -83,7 +83,7 @@ def test_grid_refinement_second_order():
     tc = TerminalCondition(0.7, np.zeros((1, 1)), RADEMACHER)
     rec = recursion_value(path.partition, path.chain, tc).value
     errs = [
-        abs(solve_parisi_pde(PdeProblem.from_path(path, tc, spacing=h)).at_origin() - rec)
+        abs(solve_parisi_pde(PdeProblem(path, tc, spacing=h)).at_origin() - rec)
         for h in (0.02, 0.01)
     ]
     assert errs[1] <= errs[0] / 3.0
@@ -92,7 +92,7 @@ def test_grid_refinement_second_order():
 def test_control_values():
     a = 0.8
     path = sk_path()
-    problem = PdeProblem.from_path(path, Linear(a), spacing=0.01)
+    problem = PdeProblem(path, Linear(a), spacing=0.01)
     sol = solve_parisi_pde(problem)
     expected = 0.25 * a**2 * 0.4 / 2 + 0.6 * a**2 * 0.3 / 2
 
@@ -115,7 +115,7 @@ def test_control_values():
 def test_sk_feedback_attains_pde_value():
     path = sk_path()
     tc = TerminalCondition(0.5, np.zeros((1, 1)), RADEMACHER)
-    problem = PdeProblem.from_path(path, tc, spacing=0.01)
+    problem = PdeProblem(path, tc, spacing=0.01)
     sol = solve_parisi_pde(problem)
     est, se = simulate_control_value(
         problem, ControlPolicy("feedback", solution=sol), paths=30000, seed=4
@@ -147,7 +147,7 @@ def test_convexity_probe_trivial_and_strict():
 
 
 def test_csv_export():
-    sol = solve_parisi_pde(PdeProblem.from_path(sk_path(), Const(), spacing=0.05))
+    sol = solve_parisi_pde(PdeProblem(sk_path(), Const(), spacing=0.05))
     text = sol.to_csv()
     assert text.startswith("t,y,f\n")
     assert len(text.splitlines()) == 1 + sol.values.size
@@ -158,3 +158,14 @@ def test_csv_export():
     lines = (f"{t!r},{y!r},{f!r}\n" for t, row in zip(sol.times.tolist(), sol.values.tolist())
              for y, f in zip(sol.y.tolist(), row))
     assert text == "t,y,f\n" + "".join(lines)
+
+
+def test_segment_reads_the_step_path():
+    problem = PdeProblem(sk_path(), Const())
+    expected = [(0.0, 0.25, 0.3 / 0.25, 0.0), (0.25, 0.6, 0.4 / 0.35, 0.25), (0.6, 1.0, 0.3 / 0.4, 0.6)]
+    for seg, row in enumerate(expected):
+        assert problem.segment(seg) == pytest.approx(row, rel=1e-14)
+    assert problem.grid()[-1] >= 7.0  # six standard deviations of Q(1) = 1, plus one
+    chain = MonotoneChain([np.zeros((2, 2)), np.eye(2)])
+    with pytest.raises(ValueError, match="one-dimensional"):
+        PdeProblem(DiscretePath(UnitPartition([0.0, 1.0]), chain), Const())

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 from numpy.polynomial.hermite import hermgauss
 
-from parisi_lab.matrices import sym_sqrt
 from parisi_lab.measures import AprioriMeasure, EvalConfig, TerminalCondition
-from parisi_lab.paths import DiscretePath, MonotoneChain, UnitPartition
+from parisi_lab.paths import DiscretePath, MonotoneChain, UnitPartition, chain_from_blocks
 from parisi_lab.sk import BudgetError
 from parisi_lab.recursion import (
     BLOCK_POINTS,
@@ -372,17 +371,9 @@ def recursion_functional(mu, beta, cfg):
 
 def random_point(rng, d, n, u, tilt_scale=0.1):
     x = UnitPartition.from_interior(np.sort(rng.uniform(0.05, 0.95, n)))
-    bs = [w @ w.T + 0.05 * np.eye(d) for w in rng.normal(size=(n + 1, d, d))]
-    w_eig, v_eig = np.linalg.eigh(sum(bs))
-    s_inv_half = v_eig @ np.diag(1.0 / np.sqrt(w_eig)) @ v_eig.T
-    u_half = sym_sqrt(u)
-    mats = [np.zeros((d, d))]
-    for b in bs:
-        inc = u_half @ s_inv_half @ b @ s_inv_half @ u_half
-        mats.append(mats[-1] + 0.5 * (inc + inc.T))
-    mats[-1] = u
+    chain, _ = chain_from_blocks(u, [w @ w.T + 0.05 * np.eye(d) for w in rng.normal(size=(n + 1, d, d))])
     tilt = rng.normal(scale=tilt_scale, size=(d, d))
-    return x, MonotoneChain(mats, allow_equal=True), 0.5 * (tilt + tilt.T)
+    return x, chain, 0.5 * (tilt + tilt.T)
 
 
 def max_gradient_error(grad, ref):

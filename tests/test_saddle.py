@@ -265,18 +265,17 @@ def test_unpack_pullback_is_the_chain_rule(d, n):
     # differences of that functional through _unpack.
     rng = np.random.default_rng(5)
     u = np.array([[1.0]]) if d == 1 else np.array([[0.7, 0.2], [0.2, 0.5]])
-    u_half = saddle.sym_sqrt(u)
     ntri = d * (d + 1) // 2
     theta = rng.normal(scale=0.7, size=(n + 1) * (1 + ntri) + ntri)
     sym = lambda a: a + np.swapaxes(a, -1, -2)
     coef = FunctionalGradient(rng.normal(size=n), sym(rng.normal(size=(n, d, d))), sym(rng.normal(size=(d, d))))
 
     def linear(th):
-        part, chain, tilt, _ = saddle._unpack(th, d, n, u, u_half)
+        part, chain, tilt, _ = saddle._unpack(th, d, n, u)
         return (coef.x @ part.interior + np.sum(coef.chain * chain.matrices[1:-1])
                 + np.sum(coef.tilt * tilt))
 
-    pullback = saddle._unpack(theta, d, n, u, u_half)[3]
+    pullback = saddle._unpack(theta, d, n, u)[3]
     h = 1e-6
     central = [(linear(theta + h * e) - linear(theta - h * e)) / (2 * h) for e in np.eye(theta.size)]
     assert np.allclose(pullback(coef), central, rtol=0.0, atol=1e-7)
