@@ -24,6 +24,11 @@ from parisi_lab.matrices import sqrt_factor
 from parisi_lab.measures import TerminalCondition
 from parisi_lab.paths import MonotoneChain, UnitPartition
 from parisi_lab.recursion import recursion_value
+from parisi_lab.sk import BudgetError
+
+# Leaves of one cascade, the size of its weight and field arrays; the same
+# bound as sk.ENUMERATION_BUDGET on states and recursion.MC_POINT_BUDGET.
+LEAF_BUDGET = 2**24
 
 
 @dataclass(frozen=True)
@@ -37,7 +42,7 @@ class CascadeSpec:
         w = np.asarray(weights, dtype=float)
         if w.ndim != 1 or w.size < 1:
             raise ValueError("need at least one cascade level")
-        if np.any(w <= 0.0) or np.any(w >= 1.0) or np.any(np.diff(w) <= 0.0):
+        if not (np.all(w > 0.0) and np.all(w < 1.0) and np.all(np.diff(w) > 0.0)):
             raise ValueError("weights must be strictly increasing inside (0, 1)")
         if branching < 2:
             raise ValueError("branching cap must be at least 2")
@@ -80,6 +85,10 @@ class CascadeTree:
 
 
 def build_cascade(spec: CascadeSpec, seed) -> CascadeTree:
+    """Draw one cascade level by level.  Raises BudgetError, before any
+    draw, when its branching**levels leaves exceed LEAF_BUDGET."""
+    if spec.leaves > LEAF_BUDGET:
+        raise BudgetError(f"{spec.leaves} cascade leaves exceed the budget of {LEAF_BUDGET}")
     rng = np.random.default_rng(seed)
     m = spec.branching
     atoms = []

@@ -56,11 +56,22 @@ def _required(config: dict, key: str):
 
 
 def _number(key: str, value, kind=float):
-    """The value of config key ``key`` as a ``kind`` (float or int)."""
+    """The value of config key ``key`` as a finite ``kind`` (float or int)."""
     try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
+        number = kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{key} must be a number, got {value!r}") from exc
+    if kind is float and not np.isfinite(number):
+        raise ConfigError(f"{key} must be a finite number, got {value!r}")
+    return number
+
+
+def _beta(config: dict) -> float:
+    """The config value beta (default 1), at least 0."""
+    beta = _number("beta", config.get("beta", 1.0))
+    if beta < 0.0:
+        raise ConfigError(f"beta must be nonnegative, got {beta!r}")
+    return beta
 
 
 def _count(config: dict, key: str, default: int, least: int) -> int:
@@ -79,6 +90,8 @@ def _matrix(key: str, value, d: int) -> np.ndarray:
         raise ConfigError(f"{key} must be a {d}x{d} matrix of numbers") from exc
     if m.size != d * d:
         raise ConfigError(f"{key} must hold {d}x{d} = {d * d} entries, got {m.size}")
+    if not np.all(np.isfinite(m)):
+        raise ConfigError(f"{key} must hold finite numbers")
     return m.reshape(d, d)
 
 
@@ -90,7 +103,7 @@ def _measure_from(config: dict) -> AprioriMeasure:
     if kind == "rademacher":
         return AprioriMeasure.rademacher()
     if kind == "hypercube":
-        return AprioriMeasure.hypercube(_number("d", spec.get("d", 1), int))
+        return AprioriMeasure.hypercube(_count(spec, "d", 1, 1))
     if kind not in ("discrete", "gaussian"):
         raise ConfigError(f"unknown measure kind: {kind!r}")
     try:
@@ -119,7 +132,7 @@ def _terminal_from(config: dict, mu: AprioriMeasure) -> TerminalCondition:
     d = mu.dim
     tilt = _matrix("tilt", config.get("tilt", np.zeros((d, d))), d)
     try:
-        tc = TerminalCondition(_number("beta", config.get("beta", 1.0)), tilt, mu)
+        tc = TerminalCondition(_beta(config), tilt, mu)
         # g at the origin raises if the tilted Gaussian integral diverges
         # (precision - 2 tilt not positive definite), before any evaluation.
         tc(np.zeros(d))
@@ -157,7 +170,11 @@ def _run_pde(config: dict, master: int, workers: int):
     path = _path_from(config, mu)
     if mu.dim != 1:
         raise ConfigError(f"pde solves one-dimensional problems, got d = {mu.dim}")
-    problem = PdeProblem(path, tc, spacing=_number("spacing", config.get("spacing", 0.01)))
+    spacing = _number("spacing", config.get("spacing", 0.01))
+    try:
+        problem = PdeProblem(path, tc, spacing=spacing)
+    except ValueError as exc:
+        raise ConfigError(f"invalid pde problem: {exc}") from exc
     sol = solve_parisi_pde(problem)
     rec = recursion_value(path.partition, path.chain, tc, EvalConfig())
     summary = {"pde_origin": sol.at_origin(), "recursion": rec.value,
@@ -170,7 +187,7 @@ def _run_rpc(config: dict, master: int, workers: int):
     branching = _number("branching", config.get("branching", 128), int)
     try:
         spec = CascadeSpec(np.asarray(weights, dtype=float), branching)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid cascade: {exc}") from exc
     replicas = _count(config, "replicas", 256, 2)
     dist = overlap_distribution_check(spec, replicas, derive_seed(master, "rpc-dist"))
@@ -212,7 +229,7 @@ def _run_gaussian(config: dict, master: int, workers: int):
     c = _number("c", _required(config, "c"))
     u = _number("u", _required(config, "u"))
     h = _number("h", config.get("h", 0.0))
-    beta = _number("beta", config.get("beta", 1.0))
+    beta = _beta(config)
     levels = _count(config, "levels", 1, 1)
     if not (c > 0.0 and u > 0.0):
         raise ConfigError(f"c and u must be positive, got c = {c!r}, u = {u!r}")
@@ -232,7 +249,7 @@ def _run_gaussian(config: dict, master: int, workers: int):
 def _run_saddle(config: dict, master: int, workers: int):
     mu = _measure_from(config)
     problem = SaddleProblem(
-        beta=_number("beta", config.get("beta", 1.0)),
+        beta=_beta(config),
         mu=mu,
         levels=_count(config, "levels", 2, 0),
         restarts=_count(config, "restarts", 3, 1),

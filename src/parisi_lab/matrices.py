@@ -61,7 +61,10 @@ def eigh_jacobi(a):
                 if abs(apq) <= 1e-300:
                     continue
                 theta = 0.5 * (m[q, q] - m[p, p]) / apq
-                t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
+                # sqrt(theta^2 + 1) rounds to |theta| for every |theta| > 1e8;
+                # above 1e150 theta^2 could overflow, so take |theta| itself.
+                root = abs(theta) if abs(theta) > 1e150 else np.sqrt(theta * theta + 1.0)
+                t = np.sign(theta) / (abs(theta) + root)
                 if theta == 0.0:
                     t = 1.0
                 c = 1.0 / np.sqrt(t * t + 1.0)

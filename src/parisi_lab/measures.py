@@ -8,15 +8,14 @@ The terminal condition bundles (beta, tilt, mu) and evaluates
 
     g(y) = log Integral exp(sqrt(2) * beta * <y, s> + <tilt s, s>) mu(ds).
 
-For discrete mu this is a stabilized log-sum-exp over the support, taken
+For discrete mu this is a max-shifted log-sum-exp over the support, taken
 support-major: one logit array per support point s_j, built from the
-coordinates of y one axis at a time, and a columnwise reduction of those K
-arrays that repeats scipy's ``logsumexp`` formula and numpy's summation
-order, so the values equal scipy's bit for bit.  The coordinates may be
-per-axis tables of a tensor grid, so g on a grid needs no point array.  For
-Gaussian mu the integral is exact: completing the square with the quadratic
-tilt turns the precision matrix C into C - 2*tilt (the tilt enters the
-exponent as a full quadratic form, hence the factor 2), giving
+coordinates of y one axis at a time, reduced elementwise.  The coordinates
+may be per-axis tables of a tensor grid, so g on a grid needs no point
+array and equals g at the stacked grid points bit for bit.  For Gaussian mu
+the integral is exact: completing the square with the quadratic tilt turns
+the precision matrix C into C - 2*tilt (the tilt enters the exponent as a
+full quadratic form, hence the factor 2), giving
 
     g(y) = log det(C (C - 2 tilt)^-1) / 2 + <(C - 2 tilt)^-1 w, w> / 2,
 
@@ -32,88 +31,31 @@ from functools import reduce
 import numpy as np
 
 from parisi_lab.matrices import MatrixError, as_sym, eigh_jacobi
-from scipy.special import logsumexp
 
 
 class MeasureError(ValueError):
     """Raised on invalid measure parameters."""
 
 
-def _pairwise_sum(terms: list[np.ndarray]) -> np.ndarray:
-    """Elementwise sum of the arrays in ``terms``, added in the order of
-    numpy's pairwise summation along a contiguous axis, so that it equals
-    ``np.stack(terms, axis=-1).sum(axis=-1)`` bit for bit: one after the
-    other below 8 terms; up to 128 terms, eight running sums over every
-    eighth term, combined as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 +
-    r7)), then the remainder; above 128, the two halves split at a multiple
-    of 8.  Sums in place into the arrays of ``terms``."""
-    n = len(terms)
-    if n < 8:
-        total = terms[0]
-        for t in terms[1:]:
-            total += t
-        return total
-    if n <= 128:
-        r = terms[:8]
-        full = n - n % 8
-        for i in range(8, full, 8):
-            for j in range(8):
-                r[j] += terms[i + j]
-        for a, b in ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (4, 6), (0, 4)):
-            r[a] += r[b]
-        total = r[0]
-        for t in terms[full:]:
-            total += t
-        return total
-    half = n // 2
-    half -= half % 8
-    total = _pairwise_sum(terms[:half])
-    total += _pairwise_sum(terms[half:])
-    return total
-
-
 def _logsumexp_columns(cols: list[np.ndarray]) -> np.ndarray:
-    """log sum_j exp(cols[j]) elementwise over K arrays of one shape.
-
-    Bit-identical to ``scipy.special.logsumexp(np.stack(cols, axis=-1),
-    axis=-1)`` without its per-call overhead or a (..., K) block, because it
-    repeats scipy's formula step by step: the maximum is split off and its
-    ties counted (m), the other entries are shifted, exponentiated and
-    summed (s), and the value is log1p(s / m) + log m + max.  The shorter
-    max + log(sum exp(a - max)) is not bit-identical.  The maximum and the
-    tie count are exact in any order; the sum over j is ``_pairwise_sum``,
-    the order of numpy's row sum in scipy.  For a finite maximum an entry
-    ties exactly when its shifted value is 0.
-
-    The arrays are consumed: each is shifted and exponentiated in place.
-    Where the maximum is not finite (an infinite or NaN entry) the value
-    comes from scipy's own logsumexp, on the entries copied out before.
-    """
+    """max + log sum_j exp(cols[j] - max) elementwise over K arrays of one
+    shape, summed left to right in place (the arrays are consumed).  A
+    maximum that is not finite counts as 0, as in scipy's ``logsumexp``, so
+    entries with an infinite or NaN term give scipy's inf, -inf or NaN."""
     top = cols[0].copy()
     for c in cols[1:]:
         np.maximum(top, c, out=top)
-    bad = ~np.isfinite(top)
-    saved = np.stack([c[bad] for c in cols], axis=-1) if bad.any() else None
-    m = np.zeros(top.shape)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for c in cols:
-            c -= top
-            tie = c == 0.0
-            m += tie
-            np.exp(c, out=c)
-            # A tie's exponential is exactly 1; subtracting it leaves the
-            # 0 of scipy's exp(-inf) and every other entry unchanged.
-            np.subtract(c, tie, out=c)
-        s = _pairwise_sum(cols)
-        # m >= 1 wherever the maximum is finite, so s == 0 stays 0 as in
-        # scipy's where(s == 0, s, s / m).
-        s /= m
-        out = np.log1p(s)
-        out += np.log(m)
-        out += top
-    if saved is not None:
-        out[bad] = logsumexp(saved, axis=-1)
-    return out
+    top[~np.isfinite(top)] = 0.0
+    total = cols[0]
+    for c in cols:
+        c -= top
+        np.exp(c, out=c)
+        if c is not total:
+            total += c
+    with np.errstate(divide="ignore"):
+        np.log(total, out=total)
+    total += top
+    return total
 
 
 def shifted_grid_points(axes: list[np.ndarray], shifts: np.ndarray) -> np.ndarray:
@@ -293,7 +235,8 @@ class TerminalCondition:
         with c_j = log w_j + <tilt s_j, s_j>; ``_logsumexp_columns`` reduces
         the K arrays.  A logit array has the broadcast shape of the
         coordinates, so per-axis tables of a grid give logits on the grid
-        and no point array or (points, K) block is formed.
+        and no point array or (points, K) block is formed.  Every step is
+        elementwise, so equal coordinates give equal values bit for bit.
         """
         sigma = self.mu.points
         consts = np.log(self.mu.weights) + np.einsum("ij,jk,ik->i", sigma, self.tilt, sigma)
@@ -312,9 +255,8 @@ class TerminalCondition:
         One call evaluates any number of points, so callers stack all their
         points into one array instead of calling once per point.  For
         discrete mu the columns sqrt(2) beta y_i go to ``_discrete_values``,
-        a log-sum-exp over the support that is bit-identical to scipy's
-        ``logsumexp`` of the logits.  For a +-1 support every product
-        y_i s_ji is exact, so the logits also equal the matrix product
+        a log-sum-exp over the support.  For a +-1 support every product
+        y_i s_ji is exact, so the logits equal the matrix product
         sqrt(2) beta y sigma^T bit for bit.  The Gaussian quadratic form is
         ``_quadratic_form``.  ``on_shifted_grids`` runs the same formulas on
         grid tables, so the two agree bit for bit for every measure.
@@ -343,13 +285,11 @@ class TerminalCondition:
         No point array is built.  Coordinate i of the points, scaled by
         sqrt(2) beta, is a (len(shifts), n_i) table along grid axis i, and
         the tables broadcast into the grid.  Gaussian mu adds h_i to each
-        table and takes ``_quadratic_form``.  Discrete mu passes the tables
+        table and takes ``_quadratic_form``; discrete mu passes the tables
         to ``_discrete_values``, whose logits are the same left-to-right
-        sums as in ``__call__``.  For a +-1 support each product is exact,
-        so the values also equal a matrix product of stacked points with the
-        support bit for bit; for other supports at d >= 2 they may differ
-        from such a product by rounding, because BLAS may fuse a multiply
-        and an add.
+        sums as in ``__call__``.  For a +-1 support the products are exact,
+        so the logits equal the matrix product of the stacked points with
+        the support bit for bit.
         """
         root2b = np.sqrt(2.0) * self.beta
         d = self.dim

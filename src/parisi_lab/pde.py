@@ -17,7 +17,7 @@ parameters, ``paths.DiscretePath``, segment by segment
   diffusion whose value function solves the same equation
   (dY = -(x Qdot)^{1/2} u dt + Qdot^{1/2} dW, payoff g(Y_1) - int ||u||^2/2),
   with the optimal feedback control u* = -(x Qdot)^{1/2} df/dy read off the
-  finite-difference solution.
+  finite-difference solution (``PdeSolution.feedback``).
 """
 
 from __future__ import annotations
@@ -50,6 +50,8 @@ class PdeProblem:
     def __post_init__(self) -> None:
         if self.path.dim != 1:
             raise ValueError("finite-difference problems are one-dimensional")
+        if not self.spacing > 0.0:
+            raise ValueError(f"spacing must be positive, got {self.spacing!r}")
 
     def segment(self, seg: int) -> tuple[float, float, float, float]:
         """(t0, t1, qdot, x) on segment ``seg`` = [x_seg, x_{seg+1}): its end
@@ -59,6 +61,11 @@ class PdeProblem:
         q = self.path.chain.matrices[:, 0, 0]
         dt = t[seg + 1] - t[seg]
         return t[seg], t[seg + 1], float((q[seg + 1] - q[seg]) / dt), float(t[seg])
+
+    def segment_at(self, t: float) -> tuple[float, float, float, float]:
+        """``segment`` of the segment that holds time t."""
+        seg = int(np.searchsorted(self.path.partition.values, t, side="right") - 1)
+        return self.segment(min(max(seg, 0), self.path.partition.levels))
 
     def grid(self) -> np.ndarray:
         total_var = float(self.path.terminal[0, 0])
@@ -73,6 +80,7 @@ class PdeSolution:
     times: np.ndarray
     values: np.ndarray        # (len(times), len(y)), values[0] is t=0
     fixpoint_iters: int
+    problem: PdeProblem
 
     def at_origin(self) -> float:
         j = int(np.argmin(np.abs(self.y)))
@@ -85,12 +93,15 @@ class PdeSolution:
         w = (t - self.times[ti]) / (self.times[ti + 1] - self.times[ti])
         return (1.0 - w) * self.values[ti] + w * self.values[ti + 1]
 
-    def interp(self, t: float, y: np.ndarray) -> np.ndarray:
-        """Bilinear interpolation in (t, y) used by the feedback policy."""
-        return np.interp(y, self.y, self._row(t))
-
     def gradient(self, t: float, y: np.ndarray) -> np.ndarray:
         return np.interp(y, self.y, np.gradient(self._row(t), self.y))
+
+    def feedback(self, t: float, y: np.ndarray) -> np.ndarray:
+        """The optimal control u*(t, y) of the verification argument: the
+        Hamiltonian sup_u [-(x qdot)^{1/2} u f_y - u^2/2] peaks at
+        u = -(x qdot)^{1/2} f_y."""
+        _, _, qdot, xw = self.problem.segment_at(t)
+        return -np.sqrt(max(xw * qdot, 0.0)) * self.gradient(t, y)
 
     def to_csv(self) -> str:
         """One "t,y,f" line per grid point, each number as its repr.  The
@@ -180,58 +191,31 @@ def solve_parisi_pde(problem: PdeProblem) -> PdeSolution:
             all_f.append(f.copy())
     times_arr = np.array(all_t[::-1])
     vals = np.array(all_f[::-1])
-    return PdeSolution(y, times_arr, vals, worst_iters)
+    return PdeSolution(y, times_arr, vals, worst_iters, problem)
 
 
-@dataclass(frozen=True)
-class ControlPolicy:
-    """Control for the simulated diffusion: zero, feedback from a PDE
-    solution, or a custom callable u(t, y)."""
-
-    kind: str = "zero"
-    solution: PdeSolution | None = None
-    custom: object | None = None
-
-    def values(self, t: float, y: np.ndarray, xw: float, qdot: float) -> np.ndarray:
-        if self.kind == "zero":
-            return np.zeros_like(y)
-        if self.kind == "feedback":
-            # Optimal control of the verification argument: the Hamiltonian
-            # sup_u [-(x qdot)^{1/2} u f_y - u^2/2] peaks at u = -(x qdot)^{1/2} f_y.
-            return -np.sqrt(max(xw * qdot, 0.0)) * self.solution.gradient(t, y)
-        if self.kind == "custom":
-            return np.asarray(self.custom(t, y))
-        raise ValueError(f"unknown policy kind {self.kind!r}")
-
-
-def simulate_control_value(
-    problem: PdeProblem,
-    policy: ControlPolicy,
-    paths: int = 4096,
-    seed: int = 0,
-):
-    """Monte Carlo value of a control policy on [0, 1]:
+def simulate_control_value(problem: PdeProblem, control, paths: int = 4096, seed: int = 0):
+    """Monte Carlo value of a control u(t, y) on [0, 1]:
 
         E[ g(Y(1)) - (1/2) Int_0^1 ||u||^2 ds ],
         dY = -(x(s) Qdot(s))^{1/2} u ds + Qdot(s)^{1/2} dW,  Y(0) = 0,
 
-    in 512 Euler-Maruyama steps.
+    in 512 Euler-Maruyama steps.  ``control(t, y)`` takes the array of path
+    positions at time t and returns the controls, for example
+    ``PdeSolution.feedback``.
 
-    Returns (estimate, std_error).  Any policy value lower-bounds the PDE
-    solution; the feedback policy attains it up to discretization error.
+    Returns (estimate, std_error).  Any control's value lower-bounds the PDE
+    solution; the feedback control attains it up to discretization error.
     """
     rng = np.random.default_rng(seed)
     steps = 512
     dt = 1.0 / steps
-    times = problem.path.partition.values
-    last = problem.path.partition.levels
     yv = np.zeros(paths)
     cost = np.zeros(paths)
     for k in range(steps):
         t = k * dt
-        seg = min(max(int(np.searchsorted(times, t, side="right") - 1), 0), last)
-        _, _, qdot, xw = problem.segment(seg)
-        u = policy.values(t, yv, xw, qdot)
+        _, _, qdot, xw = problem.segment_at(t)
+        u = control(t, yv)
         cost += 0.5 * u**2 * dt
         noise = rng.standard_normal(paths)
         yv = yv - np.sqrt(max(xw * qdot, 0.0)) * u * dt + np.sqrt(max(qdot, 0.0) * dt) * noise

@@ -3,6 +3,7 @@ import pytest
 from scipy.stats import kstest
 
 from parisi_lab.cascades import (
+    LEAF_BUDGET,
     CascadeSpec,
     build_cascade,
     cascade_representation,
@@ -14,6 +15,7 @@ from parisi_lab.cascades import (
 )
 from parisi_lab.measures import AprioriMeasure, TerminalCondition
 from parisi_lab.paths import MonotoneChain, UnitPartition
+from parisi_lab.sk import BudgetError
 
 RADEMACHER = AprioriMeasure.rademacher()
 
@@ -52,6 +54,17 @@ def test_build_cascade_shapes():
     assert tree.leaf_weights.shape == (64,)
     assert tree.normalized.sum() == pytest.approx(1.0)
     assert np.all(tree.normalized > 0)
+
+
+def test_build_cascade_refuses_leaves_over_budget_before_drawing():
+    # 4097**2 leaves is just above 2**24 = 4096**2.
+    spec = CascadeSpec([0.2, 0.5], branching=4097)
+    assert spec.leaves > LEAF_BUDGET == 2**24
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(BudgetError, match="16785409 cascade leaves exceed the budget of 16777216"):
+        build_cascade(spec, rng)
+    assert rng.bit_generator.state == state
 
 
 def test_build_cascade_draws_atoms_level_by_level():

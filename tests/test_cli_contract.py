@@ -165,6 +165,25 @@ def test_free_energy_csv_equals_disorder_average(tmp_path):
         ({"command": "saddle", "seed": 1, "levels": -1}, "levels must be at least 0, got -1"),
         ({"command": "saddle", "seed": 1, "restarts": 0}, "restarts must be at least 1, got 0"),
         ({"command": "saddle", "seed": 1, "max_evals": 0}, "max_evals must be at least 1, got 0"),
+        ({"command": "rpc", "seed": 1, "weights": {"a": 1}}, "invalid cascade: "),
+        ({"command": "gaussian", "seed": 1, "c": 3.0, "u": 0.5, "beta": -1},
+         "beta must be nonnegative, got -1.0"),
+        ({"command": "saddle", "seed": 1, "beta": -1}, "beta must be nonnegative, got -1.0"),
+        ({"command": "pde", "seed": 1, "measure": RADEMACHER, "path": PATH, "spacing": 0},
+         "invalid pde problem: spacing must be positive, got 0.0"),
+        ({"command": "pde", "seed": 1, "measure": RADEMACHER, "path": PATH, "spacing": -0.1},
+         "invalid pde problem: spacing must be positive, got -0.1"),
+        ({"command": "gaussian", "seed": 1, "c": 3.0, "u": 0.5, "h": "nan"},
+         "h must be a finite number, got 'nan'"),
+        ({"command": "saddle", "seed": 1, "measure": {"kind": "hypercube", "d": 0}},
+         "d must be at least 1, got 0"),
+        ({"command": "rpc", "seed": 1, "weights": [0.2, 0.5], "branching": 100000, "replicas": 2},
+         "10000000000 cascade leaves exceed the budget of 16777216"),
+        ({"command": "rpc", "seed": 1, "weights": [float("nan")]},
+         "invalid cascade: weights must be strictly increasing"),
+        ({"command": "eval", "seed": 1, "measure": RADEMACHER, "path": PATH, "tilt": [[float("inf")]]},
+         "tilt must hold finite numbers"),
+        ({"command": "sk", "seed": 1, "n_sites": float("inf")}, "n_sites must be a number, got inf"),
     ],
 )
 def test_bad_config_exits_two(config, message, tmp_path, capsys):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -93,6 +95,17 @@ def test_jacobi_matches_lapack():
         w_ref = np.linalg.eigvalsh(m)
         assert np.allclose(w, w_ref, atol=1e-10)
         assert np.allclose(v @ np.diag(w) @ v.T, m, atol=1e-10)
+
+
+def test_jacobi_tiny_off_diagonal_does_not_overflow():
+    # An off-diagonal entry far below the diagonal gap makes the rotation's
+    # theta about 1e249, whose square overflowed.
+    u = np.array([[1.0, 1.5e-249, 1.5e-249], [1.5e-249, 2.0, 1.0], [1.5e-249, 1.0, 2.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        w, v = eigh_jacobi(u)
+    assert np.allclose(w, [1.0, 1.0, 3.0])
+    assert np.allclose(v @ np.diag(w) @ v.T, u, atol=1e-14)
 
 
 def test_sqrt_factor_rank():

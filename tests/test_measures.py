@@ -104,44 +104,55 @@ def test_measure_json_round_trip():
     assert np.array_equal(back2.precision, g.precision)
 
 
+# The bound on a plain log-sum-exp against scipy's, which splits the
+# maximum off and sums the rest in pairwise order: a few rounding errors of
+# the exponentials, the sum and the log, relative to 1 + |value|.
+LOGSUMEXP_BOUND = 8.0 * np.finfo(float).eps
+
+
+def _close_to_scipy(got, expected):
+    return np.all(np.abs(got - expected) <= LOGSUMEXP_BOUND * (1.0 + np.abs(expected)))
+
+
 @pytest.mark.parametrize("k", range(1, 17))
 def test_discrete_terminal_matches_scipy_logsumexp(k):
     # Integer support points with repeats and a few shared weights make
     # exact ties at the row maximum; y = 0 ties every equal-logit entry.
+    # Integer products are exact, so the per-axis logits equal the matrix
+    # product bit for bit.
     rng = np.random.default_rng(100 + k)
     points = rng.integers(-2, 3, size=(k, 1)).astype(float)
     weights = rng.choice([0.5, 1.0, 2.0], size=k)
     tc = TerminalCondition(0.9, np.array([[0.3]]), AprioriMeasure.discrete(points, weights))
     y = np.concatenate([rng.normal(scale=2.0, size=400), np.zeros(5), np.round(rng.normal(size=20))])
+    got = tc(y[:, None])
+    assert np.array_equal(got, _matrix_product_formula(tc, y[:, None]))
     logits = np.log(weights) + 0.3 * points[:, 0] ** 2
-    expected = logsumexp(np.sqrt(2.0) * 0.9 * y[:, None] @ points.T + logits[None, :], axis=1)
-    assert np.array_equal(tc(y[:, None]), expected)
+    assert _close_to_scipy(got, logsumexp(np.sqrt(2.0) * 0.9 * y[:, None] @ points.T + logits[None, :], axis=1))
 
 
 @pytest.mark.parametrize("k", range(1, 301))
 def test_logsumexp_rows_matches_scipy_with_ties(k):
-    # The kernel sums over the support in numpy's pairwise order, whose
-    # branches switch at 8 and 128 terms.
     rng = np.random.default_rng(k)
     a = rng.normal(scale=5.0, size=(300, k))
     a[::3, -1] = a[::3, 0]
     a[::4] = np.round(a[::4])
     a[::7] = 1.5
-    assert np.array_equal(_logsumexp_columns(list(a.copy().T)), logsumexp(a, axis=1))
+    assert _close_to_scipy(_logsumexp_columns(list(a.copy().T)), logsumexp(a, axis=1))
 
 
 def _matrix_product_formula(tc, flat):
     """The discrete g as one BLAS product of the stacked points with the
-    support and a row log-sum-exp (scipy's formula on an (M, K) block)."""
+    support, reduced over the support by ``_logsumexp_columns``."""
     sigma = tc.mu.points
     logits = np.log(tc.mu.weights) + np.einsum("ij,jk,ik->i", sigma, tc.tilt, sigma)
-    return logsumexp(np.sqrt(2.0) * tc.beta * flat @ sigma.T + logits[None, :], axis=1)
+    block = np.sqrt(2.0) * tc.beta * flat @ sigma.T + logits[None, :]
+    return _logsumexp_columns(list(np.ascontiguousarray(block.T)))
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_hypercube_terminal_matches_matrix_product(d):
-    # K = 2**d support points: d = 3 and d = 4 take the eight-accumulator
-    # branch of the support sum.  Products with +-1 coordinates are exact, so
+    # K = 2**d support points.  Products with +-1 coordinates are exact, so
     # the per-axis sums equal the matrix product bit for bit.
     rng = np.random.default_rng(30 + d)
     tilt = rng.normal(scale=0.2, size=(d, d))
@@ -151,7 +162,10 @@ def test_hypercube_terminal_matches_matrix_product(d):
 
 
 def test_logsumexp_rows_non_finite_rows_match_scipy():
-    a = np.array([[np.inf, 1.0], [-np.inf, -np.inf], [np.nan, 1.0], [1e308, 1e308], [0.0, -np.inf]])
+    a = np.array([
+        [np.inf, 1.0], [-np.inf, -np.inf], [np.nan, 1.0], [1e308, 1e308], [0.0, -np.inf],
+        [np.inf, np.inf], [np.inf, -np.inf], [np.inf, np.nan], [-np.inf, 1.0],
+    ])
     assert np.array_equal(_logsumexp_columns(list(a.copy().T)), logsumexp(a, axis=1), equal_nan=True)
 
 

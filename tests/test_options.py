@@ -15,9 +15,6 @@ PACKAGE = ROOT / "src" / "parisi_lab"
 ALLOWED = {
     "cascades.overlap_distribution_check.pair_samples": "tests check the sampled-pair estimator",
     "cli.main.argv": "command-line arguments: tests pass them, the console script reads sys.argv",
-    "pde.ControlPolicy.custom": "tests steer the simulated diffusion with their own controls",
-    "pde.ControlPolicy.kind": "tests steer the simulated diffusion with their own controls",
-    "pde.ControlPolicy.solution": "tests steer the simulated diffusion with their own controls",
     "pde.simulate_control_value.paths": "tests size the Monte Carlo estimate of a control value",
     "pde.simulate_control_value.seed": "seed",
     "saddle.diagonal_outer.seed": "seed",

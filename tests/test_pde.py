@@ -4,7 +4,6 @@ import pytest
 from parisi_lab.measures import AprioriMeasure, EvalConfig, TerminalCondition
 from parisi_lab.paths import DiscretePath, MonotoneChain, UnitPartition
 from parisi_lab.pde import (
-    ControlPolicy,
     PdeProblem,
     convexity_probe,
     simulate_control_value,
@@ -97,18 +96,15 @@ def test_control_values():
     expected = 0.25 * a**2 * 0.4 / 2 + 0.6 * a**2 * 0.3 / 2
 
     # zero control: linear payoff is a martingale, value g(y0) = 0
-    est0, se0 = simulate_control_value(problem, ControlPolicy("zero"), paths=20000, seed=1)
+    est0, se0 = simulate_control_value(problem, lambda t, y: np.zeros_like(y), paths=20000, seed=1)
     assert abs(est0 - 0.0) <= 3 * se0
 
-    # feedback policy attains the solution value
-    estf, sef = simulate_control_value(
-        problem, ControlPolicy("feedback", solution=sol), paths=20000, seed=2
-    )
+    # the feedback control attains the solution value
+    estf, sef = simulate_control_value(problem, sol.feedback, paths=20000, seed=2)
     assert abs(estf - expected) <= 3 * sef
 
-    # any bounded policy is suboptimal
-    bump = ControlPolicy("custom", custom=lambda t, y: 0.4 * np.sin(3 * y + t))
-    estb, seb = simulate_control_value(problem, bump, paths=20000, seed=3)
+    # any bounded control is suboptimal
+    estb, seb = simulate_control_value(problem, lambda t, y: 0.4 * np.sin(3 * y + t), paths=20000, seed=3)
     assert estb <= estf + 3 * np.hypot(sef, seb)
 
 
@@ -117,9 +113,7 @@ def test_sk_feedback_attains_pde_value():
     tc = TerminalCondition(0.5, np.zeros((1, 1)), RADEMACHER)
     problem = PdeProblem(path, tc, spacing=0.01)
     sol = solve_parisi_pde(problem)
-    est, se = simulate_control_value(
-        problem, ControlPolicy("feedback", solution=sol), paths=30000, seed=4
-    )
+    est, se = simulate_control_value(problem, sol.feedback, paths=30000, seed=4)
     assert abs(est - sol.at_origin()) <= 3 * se + 5e-3
 
 

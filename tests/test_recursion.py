@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial.hermite import hermgauss
 
 from parisi_lab.measures import AprioriMeasure, EvalConfig, TerminalCondition
@@ -147,12 +149,33 @@ def test_monte_carlo_d3():
     assert np.isfinite(res.value) and res.std_error > 0
 
 
-def test_monotone_in_weights():
-    tc = TerminalCondition(0.8, np.zeros((1, 1)), RADEMACHER)
+@st.composite
+def _weight_pairs(draw):
+    """A d = 1 terminal (Rademacher, or up to 8 random support points), the
+    variance increments of 1-3 levels and per level a weight pair lo <= hi."""
+    if draw(st.booleans()):
+        mu = RADEMACHER
+    else:
+        k = draw(st.integers(1, 8))
+        points = draw(st.lists(st.floats(-2.0, 2.0), min_size=k, max_size=k))
+        weights = draw(st.lists(st.floats(0.1, 2.0), min_size=k, max_size=k))
+        mu = AprioriMeasure.discrete(np.array(points)[:, None], weights)
+    tc = TerminalCondition(draw(st.floats(0.0, 1.5)), np.zeros((1, 1)), mu)
+    n = draw(st.integers(1, 3))
+    seg = draw(st.lists(st.floats(0.05, 0.5), min_size=n, max_size=n))
+    pairs = [sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2))) for _ in range(n)]
+    return tc, seg, pairs
+
+
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(_weight_pairs())
+def test_monotone_in_weights(case):
+    # (1/w) log E exp(w X) grows with w, and each level is monotone in the
+    # next one's values, so raising any level's weight cannot lower X_0.
+    tc, seg, pairs = case
     cfg = EvalConfig(grid_points=801)
-    seg = [0.25, 0.35, 0.4]
-    lo = [Level(w, np.array([[v]])) for w, v in zip([0.1, 0.2, 0.5], seg)]
-    hi = [Level(w, np.array([[v]])) for w, v in zip([0.3, 0.6, 0.9], seg)]
+    lo = [Level(w, np.array([[v]])) for (w, _), v in zip(pairs, seg)]
+    hi = [Level(w, np.array([[v]])) for (_, w), v in zip(pairs, seg)]
     assert recursion_from_levels(tc, lo, cfg).value <= recursion_from_levels(tc, hi, cfg).value + 1e-9
 
 
