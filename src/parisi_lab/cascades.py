@@ -139,43 +139,23 @@ class IdentityCheck:
         return buf.getvalue()
 
 
-def _pair_mass_below(tree: CascadeTree, pair_samples: int | None, rng) -> np.ndarray:
-    """Per-replica values of the pair measure of {overlap <= k}, k = 1..n+1.
-
-    Exact weighted double sums when the leaf count is small (grouping pairs
-    by common ancestor depth); weight-proportional pair sampling otherwise.
-    """
-    n = tree.spec.levels
-    if pair_samples is None and tree.spec.leaves <= 2**16:
-        masses = _prefix_masses(tree)
-        same_prefix = np.array([float(np.sum(mm**2)) for mm in masses])  # P(overlap >= k+1)
-        return 1.0 - same_prefix[1:]  # k = 1..n; P(<= n+1) appended by caller
-    count = pair_samples or 4096
-    idx = rng.choice(tree.normalized.size, size=(count, 2), p=tree.normalized)
-    m = tree.spec.branching
-    digits1 = np.stack([(idx[:, 0] // m**(n - 1 - j)) % m for j in range(n)], axis=1)
-    digits2 = np.stack([(idx[:, 1] // m**(n - 1 - j)) % m for j in range(n)], axis=1)
-    agree = digits1 == digits2
-    prefix = np.cumprod(agree, axis=1).sum(axis=1)
-    overlaps = 1 + prefix
-    return np.array([np.mean(overlaps <= k) for k in range(1, n + 1)])
+def _pair_mass_below(tree: CascadeTree) -> np.ndarray:
+    """Per-replica values of the pair measure of {overlap <= k}, k = 1..n:
+    exact weighted double sums, grouping pairs by common ancestor depth, in
+    O(leaves) from the prefix masses."""
+    same_prefix = np.array([float(np.sum(mm**2)) for mm in _prefix_masses(tree)])  # P(overlap >= k+1)
+    return 1.0 - same_prefix[1:]  # k = 1..n; P(<= n+1) appended by caller
 
 
 def overlap_distribution_check(
     spec: CascadeSpec,
     replicas: int = 256,
     seed: int = 0,
-    pair_samples: int | None = None,
 ) -> IdentityCheck:
     """E[ pair measure {overlap <= k} ] = x_k for k = 1..n (and 1 at n+1)."""
     n = spec.levels
     seeds = np.random.SeedSequence(seed).spawn(replicas)
-    rows = []
-    for s in seeds:
-        rng = np.random.default_rng(s)
-        tree = build_cascade(spec, rng)
-        rows.append(_pair_mass_below(tree, pair_samples, rng))
-    rows = np.asarray(rows)
+    rows = np.asarray([_pair_mass_below(build_cascade(spec, np.random.default_rng(s))) for s in seeds])
     est = np.concatenate((rows.mean(axis=0), [1.0]))
     se = np.concatenate((rows.std(axis=0, ddof=1) / np.sqrt(replicas), [1e-300]))
     targets = np.concatenate((spec.weights, [1.0]))

@@ -1,7 +1,8 @@
 """Batch front door: JSON config in, CSV/JSON artifacts plus a manifest out.
 
 Exit codes: 0 success, 1 assertion/check failure, 2 configuration error,
-including a config whose work exceeds an engine's budget (``sk.BudgetError``).
+including a config whose work exceeds an engine's budget (``sk.BudgetError``,
+raised by the enumeration, Monte Carlo, cascade and PDE engines).
 Manifests contain the config hash, derived seeds and artifact list but no
 timestamps, so rerunning the same config and seed writes byte-identical
 output.
@@ -56,13 +57,16 @@ def _required(config: dict, key: str):
 
 
 def _number(key: str, value, kind=float):
-    """The value of config key ``key`` as a finite ``kind`` (float or int)."""
+    """The value of config key ``key`` as a finite ``kind`` (float or int).
+    An int is never truncated from a float with a fractional part."""
     try:
         number = kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{key} must be a number, got {value!r}") from exc
     if kind is float and not np.isfinite(number):
         raise ConfigError(f"{key} must be a finite number, got {value!r}")
+    if kind is int and isinstance(value, float) and number != value:
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
     return number
 
 
@@ -110,7 +114,7 @@ def _measure_from(config: dict) -> AprioriMeasure:
         return AprioriMeasure.from_json_dict(spec)
     except KeyError as exc:
         raise ConfigError(f"missing key in {kind} measure: {exc.args[0]}") from exc
-    except MeasureError as exc:
+    except (TypeError, ValueError) as exc:  # MeasureError, MatrixError, or entries not numbers
         raise ConfigError(f"invalid {kind} measure: {exc}") from exc
 
 
@@ -198,7 +202,7 @@ def _run_rpc(config: dict, master: int, workers: int):
 
 def _run_sk(config: dict, master: int, workers: int):
     experiment = config.get("experiment", "average")
-    beta = _number("beta", config.get("beta", 1.0))
+    beta = _beta(config)
     replicas = _count(config, "replicas", 200, 2)
     n_sites = _count(config, "n_sites", 8, 1)
     if experiment == "average":

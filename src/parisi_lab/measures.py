@@ -152,15 +152,6 @@ class AprioriMeasure:
             return self.points.shape[1]
         return self.precision.shape[0]
 
-    @property
-    def log_mass(self) -> float:
-        """log mu(R^d); 0 for a probability measure."""
-        if self.kind == "discrete":
-            return float(np.log(self.weights.sum()))
-        # Gaussian with shift h integrates to exp(<C^-1 h, h>/2).
-        cinv_h = np.linalg.solve(self.precision, self.shift)
-        return float(0.5 * np.dot(cinv_h, self.shift))
-
     def support_radius(self) -> float:
         """Largest Euclidean norm on the support (discrete only)."""
         if self.kind != "discrete":

@@ -23,6 +23,7 @@ parameters, ``paths.DiscretePath``, segment by segment
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -33,6 +34,11 @@ from parisi_lab.paths import DiscretePath
 # propagate_segment is not called here.  It stays in this namespace because
 # perfbench/spans.py instruments pde.propagate_segment.
 from parisi_lab.recursion import propagate_segment  # noqa: F401
+from parisi_lab.sk import BudgetError
+
+# Largest table of time rows x grid points that one solve may store, the
+# budget of the other engines.
+CELL_BUDGET = 2**24
 
 
 class PdeError(RuntimeError):
@@ -67,11 +73,21 @@ class PdeProblem:
         seg = int(np.searchsorted(self.path.partition.values, t, side="right") - 1)
         return self.segment(min(max(seg, 0), self.path.partition.levels))
 
+    def half_points(self) -> float:
+        """Grid points on each side of the origin, out to six standard
+        deviations of Q(1) plus one; a float, inf once the spacing underflows."""
+        half = 6.0 * math.sqrt(max(float(self.path.terminal[0, 0]), 1e-12)) + 1.0
+        return float(np.ceil(half / self.spacing))
+
     def grid(self) -> np.ndarray:
-        total_var = float(self.path.terminal[0, 0])
-        half = 6.0 * np.sqrt(max(total_var, 1e-12)) + 1.0
-        m = int(np.ceil(half / self.spacing))
+        m = int(self.half_points())
         return np.linspace(-m * self.spacing, m * self.spacing, 2 * m + 1)
+
+    def time_steps(self) -> list[int]:
+        """Crank-Nicolson steps per segment: dt ~ spacing, at least 2."""
+        per_unit = max(int(round(1.0 / self.spacing)), 8)
+        segments = map(self.segment, range(self.path.partition.levels + 1))
+        return [max(int(np.ceil((t1 - t0) * per_unit)), 2) for t0, t1, _, _ in segments]
 
 
 @dataclass(frozen=True)
@@ -148,8 +164,16 @@ def solve_parisi_pde(problem: PdeProblem) -> PdeSolution:
     The quadratic gradient term is lagged inside a fixed-point iteration per
     time step, which stops once an iteration moves f by at most 1e-10;
     failure to converge within 50 iterations raises PdeError with the
-    residual.
+    residual.  Raises BudgetError, before any allocation, when the table of
+    time rows x grid points would exceed CELL_BUDGET.
     """
+    # The grid size is tested alone first: time_steps cannot count the steps
+    # of a spacing so small that the grid size is already infinite.
+    points = 2.0 * problem.half_points() + 1.0
+    if points > CELL_BUDGET or (1 + sum(problem.time_steps())) * points > CELL_BUDGET:
+        raise BudgetError(
+            f"the PDE table of time rows x {points:.0f} grid points exceeds the budget of {CELL_BUDGET} cells"
+        )
     y = problem.grid()
     m = y.size
     h = problem.spacing
@@ -158,10 +182,10 @@ def solve_parisi_pde(problem: PdeProblem) -> PdeSolution:
     all_t = [1.0]
     all_f = [f.copy()]
     worst_iters = 0
-    steps_per_unit = max(int(round(1.0 / problem.spacing)), 8)  # dt ~ spacing
+    seg_steps = problem.time_steps()
     for seg in range(problem.path.partition.levels, -1, -1):
         t0, t1, qdot, xw = problem.segment(seg)
-        steps = max(int(np.ceil((t1 - t0) * steps_per_unit)), 2)
+        steps = seg_steps[seg]
         dt = (t1 - t0) / steps
         a = qdot * dt / 4.0
         lhs = np.zeros((3, m))

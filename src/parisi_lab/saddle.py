@@ -10,10 +10,12 @@ vector.  The inner solver is L-BFGS-B on the analytic gradient: the
 recursion's first-order formula (``recursion.local_functional_gradient``)
 pulled back through the pullbacks of these two maps.  The result holds the
 optimum as the partition and the chain of a ``paths.DiscretePath``.  Outer
-problem: maximize the inner value over an explicit grid of admissible
-self-overlap matrices.  The diagonal Gaussian scenario splits into scalar
-problems per eigenmode, which ``gaussian.minimize_parisi_1d`` solves with
-L-BFGS-B on exact gradients too.
+problem: maximize the inner value over a one-parameter family of admissible
+self-overlap matrices by bounded Brent search (``_bounded_max``), which
+finds the supremum when the inner value is unimodal along the family.  The
+diagonal Gaussian scenario splits into scalar problems per eigenmode, which
+``gaussian.minimize_parisi_1d`` solves with L-BFGS-B on exact gradients too;
+its outer search runs the same bounded search once per mode.
 
 For a discrete measure, U must lie in the convex hull of {s s^T : s in the
 support}; outside it the inner infimum is -infinity and ``inner_minimize``
@@ -27,7 +29,7 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog, minimize
+from scipy.optimize import linprog, minimize, minimize_scalar
 
 from parisi_lab.gaussian import PAIR_SCALE, REJECTED_VALUE, FeasibilityError, minimize_parisi_1d
 from parisi_lab.matrices import MatrixError, project_psd
@@ -36,12 +38,18 @@ from parisi_lab.matrices import MatrixError, project_psd
 from parisi_lab.matrices import eigh_jacobi  # noqa: F401
 from parisi_lab.measures import AprioriMeasure, EvalConfig, MeasureError, TerminalCondition
 from parisi_lab.paths import MonotoneChain, PathError, UnitPartition, chain_from_blocks, cumulative_fractions
-from parisi_lab.recursion import FunctionalGradient, local_functional, local_functional_gradient
+from parisi_lab.recursion import FunctionalGradient, local_functional_gradient
+# local_functional is not called here.  It stays in this namespace because
+# perfbench/spans.py instruments saddle.local_functional.
+from parisi_lab.recursion import local_functional  # noqa: F401
 
 # Errors that mark a parameter vector as infeasible.  The inner objective
 # rejects such a point with a large value and a zero gradient; any other
 # exception is a bug and propagates.
 INFEASIBLE = (FeasibilityError, MeasureError, MatrixError, PathError)
+
+# Bracket width at which the bounded outer search stops.
+OUTER_XATOL = 1e-3
 
 
 class SelfOverlapError(ValueError):
@@ -244,103 +252,47 @@ def diagonal_inner(c_eigs, u_eigs, beta: float, levels: int, seed: int = 0) -> D
     return DiagonalSaddleResult(total / PAIR_SCALE, total, opts, us)
 
 
-def diagonal_outer(
-    c_eigs,
-    beta: float,
-    levels: int,
-    u_grids,
-    seed: int = 0,
-) -> DiagonalSaddleResult:
-    """Maximize the per-mode infima over per-mode self-overlap grids.
+def diagonal_outer(c_eigs, beta: float, levels: int, u_bounds, seed: int = 0) -> DiagonalSaddleResult:
+    """Maximize the per-mode infima over per-mode self-overlap intervals.
 
     The paired objective is a sum of independent per-mode terms, so the outer
-    search also decouples: each mode scans its grid and then refines twice
-    around the best point.  A refinement round repeats u values solved
-    before (always its end points), so each mode solves every exact u once.
+    search also decouples: ``u_bounds`` holds one (lo, hi) per mode, and each
+    mode runs one ``_bounded_max`` over ``minimize_parisi_1d``.  The result
+    is built from the winners, so no u is solved twice.  Each mode finds its
+    maximum only when its infimum is unimodal in u on [lo, hi].
     """
-    cs = np.asarray(c_eigs, dtype=float)
-    best_us = []
-    for c, grid in zip(cs, u_grids):
-        solved: dict[float, float] = {}
-
-        def infimum(u, c=c) -> float:
-            if float(u) not in solved:
-                solved[float(u)] = minimize_parisi_1d(c, u, 0.0, beta, levels, seed=seed).value
-            return solved[float(u)]
-
-        grid = np.asarray(grid, dtype=float)
-        vals = [infimum(u) for u in grid]
-        j = int(np.argmax(vals))
-        lo = grid[max(j - 1, 0)]
-        hi = grid[min(j + 1, grid.size - 1)]
-        for _ in range(2):
-            mid = np.linspace(lo, hi, 5)
-            vals_m = [infimum(u) for u in mid]
-            jj = int(np.argmax(vals_m))
-            lo = mid[max(jj - 1, 0)]
-            hi = mid[min(jj + 1, mid.size - 1)]
-        best_us.append(0.5 * (lo + hi))
-    return diagonal_inner(cs, np.asarray(best_us), beta, levels, seed=seed)
+    winners = [
+        _bounded_max(lambda u, c=c: minimize_parisi_1d(c, u, 0.0, beta, levels, seed=seed), lo, hi)
+        for c, (lo, hi) in zip(np.asarray(c_eigs, dtype=float), u_bounds)
+    ]
+    total = float(sum(opt.value for _, opt in winners))
+    us = np.array([u for u, _ in winners])
+    return DiagonalSaddleResult(total / PAIR_SCALE, total, tuple(opt for _, opt in winners), us)
 
 
 # ---------------------------------------------------------------------------
-# Outer maximization and stationarity diagnostics
+# Outer maximization
 
 
-def outer_maximize(problem: SaddleProblem, grid) -> SaddleResult:
-    """Best inner value over an explicit list of self-overlap matrices."""
-    best = None
-    for u in grid:
-        res = inner_minimize(u, problem)
-        if best is None or res.value > best.value:
-            best = res
-    return best
+def _bounded_max(solve, lo: float, hi: float):
+    """(t, solve(t)) with the largest ``.value`` among the points that
+    bounded Brent (``minimize_scalar(method="bounded")``) evaluates on
+    [lo, hi] while it minimizes -solve(t).value to ``OUTER_XATOL``.  Each
+    evaluated t is solved once, and the winner is returned as solved."""
+    evaluated = []
+
+    def negated(t: float) -> float:
+        evaluated.append((float(t), solve(float(t))))
+        return -evaluated[-1][1].value
+
+    minimize_scalar(negated, bounds=(lo, hi), method="bounded", options={"xatol": OUTER_XATOL})
+    return max(evaluated, key=lambda pair: pair[1].value)
 
 
-def stationarity_residual(result: SaddleResult, problem: SaddleProblem):
-    """Central finite-difference gradient of the functional at the reported
-    minimizer with respect to the chain matrices and the tilt; infinity norm.
-
-    Chain perturbations touch one interior matrix entry at a time (kept
-    symmetric); increments may lose strict definiteness under perturbation,
-    which the engine tolerates.
-    """
-    step = 1e-4
-    d = problem.dim
-    part = result.partition
-    mats = result.chain.matrices.copy()
-    tilt = result.tilt
-
-    def value(ms, tl) -> float:
-        chain = MonotoneChain(ms, allow_equal=True)
-        tc = TerminalCondition(problem.beta, tl, problem.mu)
-        return local_functional(part, chain, tc, problem.engine).value
-
-    residuals = []
-    for k in range(1, mats.shape[0] - 1):
-        for i in range(d):
-            for j in range(i, d):
-                h = step * (1.0 + abs(mats[k, i, j]))
-                up = mats.copy()
-                dn = mats.copy()
-                up[k, i, j] += h
-                up[k, j, i] = up[k, i, j]
-                dn[k, i, j] -= h
-                dn[k, j, i] = dn[k, i, j]
-                try:
-                    residuals.append((value(up, tilt) - value(dn, tilt)) / (2.0 * h))
-                except INFEASIBLE:
-                    residuals.append(np.nan)
-    for i in range(d):
-        for j in range(i, d):
-            h = step * (1.0 + abs(tilt[i, j]))
-            up = tilt.copy()
-            dn = tilt.copy()
-            up[i, j] += h
-            up[j, i] = up[i, j]
-            dn[i, j] -= h
-            dn[j, i] = dn[i, j]
-            residuals.append((value(mats, up) - value(mats, dn)) / (2.0 * h))
-    arr = np.asarray(residuals)
-    finite = arr[np.isfinite(arr)]
-    return float(np.max(np.abs(finite))) if finite.size else float("nan")
+def outer_maximize(problem: SaddleProblem, family, lo: float, hi: float) -> SaddleResult:
+    """sup over t in [lo, hi] of the inner infimum at the self-overlap
+    ``family(t)``: one ``_bounded_max`` over ``inner_minimize``.  A
+    one-parameter family covers the d = 1 self-overlap [[u]] and the
+    hypercube's [[1, r], [r, 1]].  The search finds the maximum only when
+    the inner value is unimodal in t on [lo, hi]."""
+    return _bounded_max(lambda t: inner_minimize(family(t), problem), lo, hi)[1]

@@ -104,14 +104,6 @@ def test_overlap_distribution_identities():
     assert chk2.within(3.0)
 
 
-def test_overlap_distribution_sampled_route():
-    exact = overlap_distribution_check(CascadeSpec([0.3, 0.7], branching=32), replicas=128, seed=13)
-    sampled = overlap_distribution_check(
-        CascadeSpec([0.3, 0.7], branching=32), replicas=128, seed=13, pair_samples=2000
-    )
-    assert np.all(np.abs(exact.estimates - sampled.estimates) <= 0.05)
-
-
 def test_pair_sums():
     chk = pair_sum_check(CascadeSpec([0.3], branching=256), replicas=256, seed=14)
     assert chk.within(3.0)

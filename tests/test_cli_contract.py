@@ -184,6 +184,12 @@ def test_free_energy_csv_equals_disorder_average(tmp_path):
         ({"command": "eval", "seed": 1, "measure": RADEMACHER, "path": PATH, "tilt": [[float("inf")]]},
          "tilt must hold finite numbers"),
         ({"command": "sk", "seed": 1, "n_sites": float("inf")}, "n_sites must be a number, got inf"),
+        ({"command": "pde", "seed": 1, "measure": RADEMACHER, "path": PATH, "spacing": 1e-4},
+         "grid points exceeds the budget of 16777216 cells"),
+        ({"command": "sk", "seed": 1, "beta": -1}, "beta must be nonnegative, got -1.0"),
+        ({"command": "eval", "seed": 1, "measure": {"kind": "discrete", "points": "ab", "weights": [1.0]},
+          "path": PATH}, "invalid discrete measure: could not convert string to float"),
+        ({"command": "rpc", "seed": 1.5, "weights": [0.5]}, "seed must be an integer, got 1.5"),
     ],
 )
 def test_bad_config_exits_two(config, message, tmp_path, capsys):

@@ -18,7 +18,6 @@ from parisi_lab.measures import (
 def test_discrete_constructor():
     mu = AprioriMeasure.rademacher()
     assert mu.dim == 1
-    assert mu.log_mass == pytest.approx(np.log(2))
     assert mu.support_radius() == 1.0
     with pytest.raises(MeasureError):
         AprioriMeasure.discrete([[1.0]], [0.0])

@@ -13,7 +13,6 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "parisi_lab"
 
 ALLOWED = {
-    "cascades.overlap_distribution_check.pair_samples": "tests check the sampled-pair estimator",
     "cli.main.argv": "command-line arguments: tests pass them, the console script reads sys.argv",
     "pde.simulate_control_value.paths": "tests size the Monte Carlo estimate of a control value",
     "pde.simulate_control_value.seed": "seed",

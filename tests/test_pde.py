@@ -4,12 +4,14 @@ import pytest
 from parisi_lab.measures import AprioriMeasure, EvalConfig, TerminalCondition
 from parisi_lab.paths import DiscretePath, MonotoneChain, UnitPartition
 from parisi_lab.pde import (
+    CELL_BUDGET,
     PdeProblem,
     convexity_probe,
     simulate_control_value,
     solve_parisi_pde,
 )
 from parisi_lab.recursion import GRID_PAD, propagate_segment, recursion_value
+from parisi_lab.sk import BudgetError
 
 RADEMACHER = AprioriMeasure.rademacher()
 
@@ -163,3 +165,19 @@ def test_segment_reads_the_step_path():
     chain = MonotoneChain([np.zeros((2, 2)), np.eye(2)])
     with pytest.raises(ValueError, match="one-dimensional"):
         PdeProblem(DiscretePath(UnitPartition([0.0, 1.0]), chain), Const())
+
+
+def test_budget_refuses_before_any_work():
+    class Untouched:
+        dim = 1
+
+        def __call__(self, pts):
+            raise AssertionError("a refused solve evaluates no terminal condition")
+
+    # The finest solve of check 4 (spacing 0.005, Q(1) = 1) stays well inside.
+    fine = PdeProblem(sk_path(), Untouched(), spacing=0.005)
+    assert (1 + sum(fine.time_steps())) * (2 * fine.half_points() + 1) <= CELL_BUDGET / 16
+    # A subnormal spacing is refused as well, before its grid size overflows.
+    for spacing in (1e-4, 1e-320):
+        with pytest.raises(BudgetError, match="exceeds the budget of 16777216 cells"):
+            solve_parisi_pde(PdeProblem(sk_path(), Untouched(), spacing=spacing))

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.hermite import hermgauss
 
+from parisi_lab.acceptance import _random_gaussian_instance
+from parisi_lab.gaussian import closed_form_recursion
 from parisi_lab.measures import AprioriMeasure, EvalConfig, TerminalCondition
 from parisi_lab.paths import DiscretePath, MonotoneChain, UnitPartition, chain_from_blocks
 from parisi_lab.sk import BudgetError
@@ -496,3 +498,13 @@ def test_terminal_derivatives_match_differences():
                 e[i, j] = e[j, i] = h
                 diff = TerminalCondition(0.7, tilt + e, mu)(pts) - TerminalCondition(0.7, tilt - e, mu)(pts)
                 assert np.allclose(moment[:, i, j], diff / (2 * h) / (1 if i == j else 2), atol=1e-8)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3))
+def test_d1_quadrature_matches_closed_form_property(seed, n):
+    # Check 2's instances, engine settings and tolerance, at drawn seeds.
+    x, chain, tilt, c, h, beta = _random_gaussian_instance(np.random.default_rng(seed), 1, n)
+    tc = TerminalCondition(beta, tilt, AprioriMeasure.gaussian(c, h))
+    rec = recursion_value(x, chain, tc, EvalConfig(nodes=24, grid_points=1601, grid_points_2d=161))
+    assert rec.value == pytest.approx(closed_form_recursion(x, chain, tilt, c, h, beta), abs=1e-6)
