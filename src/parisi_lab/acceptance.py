@@ -20,7 +20,7 @@ from parisi_lab.measures import AprioriMeasure, EvalConfig, TerminalCondition
 from parisi_lab.paths import DiscretePath, MonotoneChain, UnitPartition, chain_from_blocks
 from parisi_lab.pde import PdeProblem, convexity_probe, solve_parisi_pde
 from parisi_lab.recursion import Level, lipschitz_witness, recursion_from_levels, recursion_value
-from parisi_lab.saddle import INFEASIBLE, SaddleProblem, diagonal_inner, inner_minimize
+from parisi_lab.saddle import SaddleProblem, diagonal_inner, inner_minimize
 from parisi_lab.seeds import derive_seed
 from parisi_lab.sk import (
     OverlapConstraint,
@@ -96,7 +96,7 @@ def _random_gaussian_instance(rng: np.random.Generator, d: int, n: int):
             gaussian.level_precisions(x, chain, tilt, c, beta)
             mu = AprioriMeasure.gaussian(c, h)
             TerminalCondition(beta, tilt, mu)
-        except INFEASIBLE:
+        except gaussian.INFEASIBLE:
             continue
         return x, chain, tilt, c, h, beta
     raise RuntimeError("could not draw a feasible Gaussian instance")

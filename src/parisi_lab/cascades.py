@@ -8,9 +8,9 @@ the cumulative sums of standard exponentials, which enumerates the whole
 point process from the largest atom down, so truncation keeps exactly the
 top M.
 
-All identity checks average over independent disorder replicas (the
-identities hold in expectation over the cascade, not per realization) and
-report mean, standard error, and target side by side.
+All identity checks average over independent disorder replicas with
+``seeds.replicate`` (the identities hold in expectation over the cascade,
+not per realization) and report mean, standard error, and target side by side.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from parisi_lab.matrices import sqrt_factor
 from parisi_lab.measures import TerminalCondition
 from parisi_lab.paths import MonotoneChain, UnitPartition
 from parisi_lab.recursion import recursion_value
+from parisi_lab.seeds import replicate
 from parisi_lab.sk import BudgetError
 
 # Leaves of one cascade, the size of its weight and field arrays; the same
@@ -103,16 +104,15 @@ def build_cascade(spec: CascadeSpec, seed) -> CascadeTree:
     return CascadeTree(spec, tuple(atoms), leaf, leaf / total, share)
 
 
-def _prefix_masses(tree: CascadeTree) -> list[np.ndarray]:
-    """Normalized subtree masses per level: entry k sums leaves below each
-    depth-k node (k = 0 is the root, mass 1)."""
+def _same_prefix(tree: CascadeTree) -> np.ndarray:
+    """Pair measure of the leaf pairs that share their depth-k ancestor,
+    k = 0..n (1 at the root): the sum of the squared normalized subtree
+    masses of the depth-k nodes.  Exact weighted double sums, grouping pairs
+    by common ancestor depth, in O(leaves)."""
     m = tree.spec.branching
-    n = tree.spec.levels
-    masses = [np.array([1.0])]
     w = tree.normalized
-    for k in range(1, n + 1):
-        masses.append(w.reshape(m**k, -1).sum(axis=1))
-    return masses
+    masses = (w.reshape(m**k, -1).sum(axis=1) for k in range(1, tree.spec.levels + 1))
+    return np.array([1.0] + [float(np.sum(mm**2)) for mm in masses])
 
 
 @dataclass(frozen=True)
@@ -139,27 +139,16 @@ class IdentityCheck:
         return buf.getvalue()
 
 
-def _pair_mass_below(tree: CascadeTree) -> np.ndarray:
-    """Per-replica values of the pair measure of {overlap <= k}, k = 1..n:
-    exact weighted double sums, grouping pairs by common ancestor depth, in
-    O(leaves) from the prefix masses."""
-    same_prefix = np.array([float(np.sum(mm**2)) for mm in _prefix_masses(tree)])  # P(overlap >= k+1)
-    return 1.0 - same_prefix[1:]  # k = 1..n; P(<= n+1) appended by caller
-
-
 def overlap_distribution_check(
     spec: CascadeSpec,
     replicas: int = 256,
     seed: int = 0,
 ) -> IdentityCheck:
     """E[ pair measure {overlap <= k} ] = x_k for k = 1..n (and 1 at n+1)."""
-    n = spec.levels
-    seeds = np.random.SeedSequence(seed).spawn(replicas)
-    rows = np.asarray([_pair_mass_below(build_cascade(spec, np.random.default_rng(s))) for s in seeds])
-    est = np.concatenate((rows.mean(axis=0), [1.0]))
-    se = np.concatenate((rows.std(axis=0, ddof=1) / np.sqrt(replicas), [1e-300]))
-    targets = np.concatenate((spec.weights, [1.0]))
-    return IdentityCheck(tuple(range(1, n + 2)), est, se, targets)
+    # A pair has overlap <= k unless it shares its depth-k ancestor.
+    mean, se, _ = replicate(lambda s: 1.0 - _same_prefix(build_cascade(spec, s))[1:], replicas, seed)
+    labels = tuple(range(1, spec.levels + 2))
+    return IdentityCheck(labels, np.append(mean, 1.0), np.append(se, 1e-300), np.append(spec.weights, 1.0))
 
 
 def pair_sum_check(spec: CascadeSpec, replicas: int = 256, seed: int = 0) -> IdentityCheck:
@@ -171,18 +160,12 @@ def pair_sum_check(spec: CascadeSpec, replicas: int = 256, seed: int = 0) -> Ide
     the slabs and the diagonal add to one exactly in every replica.
     """
     n = spec.levels
-    seeds = np.random.SeedSequence(seed).spawn(replicas)
-    rows = []
-    for s in seeds:
-        rng = np.random.default_rng(s)
-        tree = build_cascade(spec, rng)
-        masses = _prefix_masses(tree)
-        same = np.array([float(np.sum(mm**2)) for mm in masses])
-        slabs = same[:-1] - same[1:]          # overlap exactly k+1, k = 0..n-1
-        rows.append(np.concatenate((slabs, [same[-1]])))
-    rows = np.asarray(rows)
-    est = rows.mean(axis=0)
-    se = rows.std(axis=0, ddof=1) / np.sqrt(replicas)
+
+    def slabs_and_diagonal(s):
+        same = _same_prefix(build_cascade(spec, s))
+        return np.append(same[:-1] - same[1:], same[-1])  # overlap exactly k+1, k = 0..n-1
+
+    est, se, _ = replicate(slabs_and_diagonal, replicas, seed)
     x = np.concatenate(([0.0], spec.weights))
     targets = np.concatenate((np.diff(x), [1.0 - spec.weights[-1]]))
     labels = tuple([f"slab{k}" for k in range(1, n + 1)] + ["diagonal"])
@@ -201,11 +184,7 @@ def sample_leaf_fields(
     total = np.zeros((m**n, d))
     for k in range(n + 1):
         fac = sqrt_factor(incs[k])
-        nodes = m**k
-        if fac.shape[1]:
-            draw = rng.standard_normal((nodes, fac.shape[1])) @ fac.T
-        else:
-            draw = np.zeros((nodes, d))
+        draw = rng.standard_normal((m**k, fac.shape[1])) @ fac.T
         total += np.repeat(draw, m ** (n - k), axis=0)
     return total
 
@@ -229,20 +208,20 @@ def cascade_representation(
         raise ValueError("cascade weights must match the partition interior")
     if x.levels != chain.levels:
         raise ValueError("partition and chain level counts differ")
-    seeds = np.random.SeedSequence(seed).spawn(replicas)
-    vals = np.empty(replicas)
-    for i, s in enumerate(seeds):
+
+    def log_ratio(s):
         rng = np.random.default_rng(s)
         tree = build_cascade(spec, rng)
-        fields = sample_leaf_fields(tree, chain, rng)
-        g = np.asarray(tc(fields))
+        g = np.asarray(tc(sample_leaf_fields(tree, chain, rng)))
         logw = np.log(tree.leaf_weights)
         top = (logw + g).max()
         lhs = top + np.log(np.sum(np.exp(logw + g - top)))
         top0 = logw.max()
         rhs = top0 + np.log(np.sum(np.exp(logw - top0)))
-        vals[i] = lhs - rhs
-    return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(replicas))
+        return lhs - rhs
+
+    mean, se, _ = replicate(log_ratio, replicas, seed)
+    return float(mean), float(se)
 
 
 def representation_vs_recursion(

@@ -58,7 +58,10 @@ def _required(config: dict, key: str):
 
 def _number(key: str, value, kind=float):
     """The value of config key ``key`` as a finite ``kind`` (float or int).
-    An int is never truncated from a float with a fractional part."""
+    An int is never truncated from a float with a fractional part, and a
+    JSON boolean is not a number."""
+    if isinstance(value, bool):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
     try:
         number = kind(value)
     except (TypeError, ValueError, OverflowError) as exc:

@@ -23,6 +23,10 @@ so each scalar minimizer runs L-BFGS-B on that closure alone: n - 1 free
 weights under a top weight of 1 and n overlap levels (plus the multiplier),
 with the gradient pulled back through the parameterization that keeps the
 order parameters feasible.
+
+``multistart`` is the package's one restart-and-reject driver around
+L-BFGS-B: the scalar minimizers here and ``saddle.inner_minimize`` all run
+through it, and it rejects every INFEASIBLE point the same way.
 """
 
 from __future__ import annotations
@@ -34,7 +38,8 @@ import numpy as np
 from scipy.optimize import minimize
 
 from parisi_lab.matrices import MatrixError, as_sym, eigh_jacobi
-from parisi_lab.paths import MonotoneChain, UnitPartition, cumulative_fractions
+from parisi_lab.measures import MeasureError
+from parisi_lab.paths import MonotoneChain, PathError, UnitPartition, cumulative_fractions
 
 # Scalar-layer values are twice the free-energy-scale functional.
 PAIR_SCALE = 2.0
@@ -354,17 +359,14 @@ def _orders_from(theta: np.ndarray, n: int, u: float):
 
 @dataclass(frozen=True)
 class ScalarOptimum:
-    """Best of a multistart search.  ``iterations`` and ``converged`` belong
-    to the winning search; ``evaluations`` counts the value-and-gradient
-    calls of all searches and ``rejections`` their infeasible points by
-    reason."""
+    """Best of a multistart search.  ``evaluations`` counts the
+    value-and-gradient calls of all searches and ``rejections`` their
+    infeasible points by error type."""
 
     value: float
     x: np.ndarray
     q: np.ndarray
     lam: float | None
-    iterations: int
-    converged: bool
     evaluations: int
     rejections: dict
 
@@ -372,50 +374,46 @@ class ScalarOptimum:
 # Value and gradient L-BFGS-B sees at an infeasible point.
 REJECTED_VALUE = 1e6
 
+# Errors that mark a parameter vector as infeasible.  ``multistart`` rejects
+# such a point with REJECTED_VALUE and a zero gradient; any other exception
+# is a bug and propagates.
+INFEASIBLE = (FeasibilityError, MeasureError, MatrixError, PathError)
+
 # Random starts of each scalar minimizer.
 RESTARTS = 5
 
+# L-BFGS-B options of the scalar minimizers.  Optima often sit where a level
+# merges or vanishes, which the softmax parameters reach only at infinity
+# with an exponentially vanishing gradient: the relative-reduction test ends
+# the search.
+SCALAR_OPTIONS = {"maxiter": 4000, "ftol": 1e-15, "gtol": 1e-14}
 
-def _multistart(functional, unpack, starts) -> ScalarOptimum:
-    """L-BFGS-B on ``functional(*unpack(theta)[:3])`` from each start in
-    turn; the lowest value wins, the earliest on ties.  ``unpack`` maps a
-    parameter vector to (x, q, lam, pullback), where ``pullback`` maps the
-    functional's ScalarGradient to the gradient in the parameters.  An
-    infeasible point (FeasibilityError) is rejected with REJECTED_VALUE and
-    a zero gradient; any other error propagates."""
-    evaluations = 0
+
+def multistart(evaluate, starts, options: dict):
+    """L-BFGS-B with ``options`` on ``evaluate(theta) -> (value, gradient)``
+    from each start in turn.  A point where ``evaluate`` raises an INFEASIBLE
+    error is rejected with REJECTED_VALUE and a zero gradient.  Returns
+    (best, runs, calls, rejections): the lowest scipy result, the earliest on
+    ties; every scipy result in start order; the objective calls of each run;
+    and the rejected points counted by error type name."""
+    calls: list[int] = []
     rejections: dict[str, int] = {}
 
     def objective(theta):
-        nonlocal evaluations
-        evaluations += 1
+        calls[-1] += 1
         try:
-            x, q, lam, pullback = unpack(theta)
-            value, grad = functional(x, q, lam)
-        except FeasibilityError as exc:
-            rejections[str(exc)] = rejections.get(str(exc), 0) + 1
+            return evaluate(theta)
+        except INFEASIBLE as exc:
+            kind = type(exc).__name__
+            rejections[kind] = rejections.get(kind, 0) + 1
             return REJECTED_VALUE, np.zeros_like(theta)
-        return value, pullback(grad)
 
-    best = None
+    runs = []
     for s0 in starts:
-        res = minimize(
-            objective,
-            s0,
-            jac=True,
-            method="L-BFGS-B",
-            # Optima often sit where a level merges or vanishes, which the
-            # softmax parameters reach only at infinity with an exponentially
-            # vanishing gradient: the relative-reduction test ends the search.
-            options={"maxiter": 4000, "ftol": 1e-15, "gtol": 1e-14},
-        )
-        if best is None or res.fun < best.fun:
-            best = res
-    x, q, lam, _ = unpack(best.x)
-    return ScalarOptimum(
-        float(best.fun), x, q, lam, int(best.nit), bool(best.success and best.fun < REJECTED_VALUE),
-        evaluations, dict(sorted(rejections.items())),
-    )
+        calls.append(0)
+        runs.append(minimize(objective, s0, jac=True, method="L-BFGS-B", options=options))
+    best = min(runs, key=lambda res: res.fun)
+    return best, runs, calls, dict(sorted(rejections.items()))
 
 
 def minimize_parisi_1d(c: float, u: float, h: float, beta: float, n: int, seed: int = 0) -> ScalarOptimum:
@@ -450,6 +448,11 @@ def minimize_parisi_1d(c: float, u: float, h: float, beta: float, n: int, seed: 
 
         return x, q, lam, pullback
 
+    def evaluate(theta):
+        x, q, lam, pullback = unpack(theta)
+        value, grad = parisi_1d(x, q, u, lam, c, h, beta)
+        return value, pullback(grad)
+
     def start(theta):
         """A start drawn as (raw x, raw q, lam), with lam mapped to eta."""
         x, q, _ = _orders_from(theta, n, u)
@@ -461,21 +464,23 @@ def minimize_parisi_1d(c: float, u: float, h: float, beta: float, n: int, seed: 
     warm = np.zeros(2 * n)
     warm[-1] = c - 2.0 * beta**2 * gap - 1.0 / gap
     starts = [np.zeros(2 * n), warm] + [rng.normal(scale=1.0, size=2 * n) for _ in range(RESTARTS - 1)]
-    return _multistart(
-        lambda x, q, lam: parisi_1d(x, q, u, lam, c, h, beta), unpack, [start(s0) for s0 in starts]
-    )
+    best, _, calls, rejections = multistart(evaluate, [start(s0) for s0 in starts], SCALAR_OPTIONS)
+    return ScalarOptimum(float(best.fun), *unpack(best.x)[:3], sum(calls), rejections)
 
 
 def minimize_cs_1d(c: float, u: float, h: float, beta: float, n: int, seed: int = 0) -> ScalarOptimum:
     """Minimize crisanti_sommers over (q, interior x) with the top weight at 1."""
     rng = np.random.default_rng(seed)
 
-    def unpack(theta):
-        x, q, pull_orders = _orders_from(theta, n, u)
-        return x, q, None, lambda grad: pull_orders(grad.x, grad.q)
+    def evaluate(theta):
+        x, q, pullback = _orders_from(theta, n, u)
+        value, grad = crisanti_sommers(x, q, u, c, h, beta)
+        return value, pullback(grad.x, grad.q)
 
     starts = [np.zeros(2 * n - 1)] + [rng.normal(scale=1.0, size=2 * n - 1) for _ in range(RESTARTS)]
-    return _multistart(lambda x, q, lam: crisanti_sommers(x, q, u, c, h, beta), unpack, starts)
+    best, _, calls, rejections = multistart(evaluate, starts, SCALAR_OPTIONS)
+    x, q, _ = _orders_from(best.x, n, u)
+    return ScalarOptimum(float(best.fun), x, q, None, sum(calls), rejections)
 
 
 @dataclass(frozen=True)

@@ -362,5 +362,9 @@ class EvalConfig:
             raise MeasureError(f"unknown engine {self.engine!r}")
         if self.nodes < 8:
             raise MeasureError("need at least 8 quadrature nodes per axis")
-        if self.grid_points < 33:
+        if min(self.grid_points, self.grid_points_2d) < 33:
             raise MeasureError("grid too coarse")
+        if self.samples < 8:
+            raise MeasureError("need at least 8 Monte Carlo samples per level")
+        if self.replicas < 2:
+            raise MeasureError("need at least 2 replicas for a standard error")

@@ -13,8 +13,8 @@ are provided:
   grids so the cost is linear in the number of levels (d = 1 and d = 2).
 * monte_carlo: nested sampling over all levels at once with antithetic pairs
   and half-sample (Richardson) debiasing of the log-mean-exp bias; standard
-  errors come from independent replicas.  Works for any d, cost grows like
-  samples**levels.
+  errors come from independent replicas (``seeds.replicate``).  Works for
+  any d, cost grows like samples**levels.
 
 Level weights may be arbitrary values in [0, 1] (not only the partition
 points); this generality is used by the monotonicity and convexity probes
@@ -41,6 +41,7 @@ from scipy.interpolate import CubicSpline, RectBivariateSpline
 from parisi_lab.matrices import frobenius_inner, frobenius_norm, sqrt_factor
 from parisi_lab.measures import EvalConfig, TerminalCondition, shifted_grid_points
 from parisi_lab.paths import DiscretePath, MonotoneChain, UnitPartition
+from parisi_lab.seeds import replicate
 from parisi_lab.sk import BudgetError
 
 
@@ -362,7 +363,7 @@ def _mc_value(terminal, levels: list[Level], cfg: EvalConfig, rng: np.random.Gen
 
     Raises BudgetError, before any draw, when the (2 * half)**levels
     terminal points exceed MC_POINT_BUDGET."""
-    half = max(4, cfg.samples // 2)
+    half = cfg.samples // 2
     points = (2 * half) ** len(levels)
     if points > MC_POINT_BUDGET:
         raise BudgetError(
@@ -372,10 +373,7 @@ def _mc_value(terminal, levels: list[Level], cfg: EvalConfig, rng: np.random.Gen
     draws = []
     for lv in levels:
         fac = sqrt_factor(lv.cov)
-        if fac.shape[1]:
-            z = rng.standard_normal((half, fac.shape[1])) @ fac.T
-        else:
-            z = np.zeros((half, lv.cov.shape[0]))
+        z = rng.standard_normal((half, fac.shape[1])) @ fac.T
         # Interleave antithetic pairs so every prefix is itself antithetic.
         paired = np.empty((2 * half, z.shape[1]))
         paired[0::2] = z
@@ -417,12 +415,10 @@ def recursion_from_levels(terminal, levels: list[Level], cfg: EvalConfig) -> Rec
             raise ValueError(f"level weight {lv.weight} outside [0, 1]")
     if cfg.engine == "quadrature":
         return RecursionResult(_backward_pass(terminal, levels, cfg)[1], 0.0, "quadrature")
-    seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.replicas)
-    vals = np.array(
-        [_mc_value(terminal, levels, cfg, np.random.default_rng(s)) for s in seeds]
+    mean, se, _ = replicate(
+        lambda s: _mc_value(terminal, levels, cfg, np.random.default_rng(s)), cfg.replicas, cfg.seed
     )
-    se = float(vals.std(ddof=1) / np.sqrt(len(vals))) if len(vals) > 1 else 0.0
-    return RecursionResult(float(vals.mean()), se, "monte_carlo")
+    return RecursionResult(float(mean), float(se), "monte_carlo")
 
 
 def recursion_value(

@@ -6,7 +6,8 @@ order parameters go through the one parameterization of ``paths``: the
 weights are ``cumulative_fractions`` of n + 1 logits, and the chain is
 ``chain_from_blocks`` of the positive-definite blocks G_k G_k^T + 1e-8 I,
 so monotonicity and the terminal constraint hold exactly for every parameter
-vector.  The inner solver is L-BFGS-B on the analytic gradient: the
+vector.  The inner solver is ``gaussian.multistart``, the shared
+restart-and-reject L-BFGS-B driver, on the analytic gradient: the
 recursion's first-order formula (``recursion.local_functional_gradient``)
 pulled back through the pullbacks of these two maps.  The result holds the
 optimum as the partition and the chain of a ``paths.DiscretePath``.  Outer
@@ -29,24 +30,19 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog, minimize, minimize_scalar
+from scipy.optimize import linprog, minimize_scalar
 
-from parisi_lab.gaussian import PAIR_SCALE, REJECTED_VALUE, FeasibilityError, minimize_parisi_1d
-from parisi_lab.matrices import MatrixError, project_psd
+from parisi_lab.gaussian import PAIR_SCALE, REJECTED_VALUE, minimize_parisi_1d, multistart
+from parisi_lab.matrices import project_psd
 # eigh_jacobi is not called here.  It stays in this namespace because
 # perfbench/spans.py instruments saddle.eigh_jacobi.
 from parisi_lab.matrices import eigh_jacobi  # noqa: F401
-from parisi_lab.measures import AprioriMeasure, EvalConfig, MeasureError, TerminalCondition
-from parisi_lab.paths import MonotoneChain, PathError, UnitPartition, chain_from_blocks, cumulative_fractions
+from parisi_lab.measures import AprioriMeasure, EvalConfig, TerminalCondition
+from parisi_lab.paths import MonotoneChain, UnitPartition, chain_from_blocks, cumulative_fractions
 from parisi_lab.recursion import FunctionalGradient, local_functional_gradient
 # local_functional is not called here.  It stays in this namespace because
 # perfbench/spans.py instruments saddle.local_functional.
 from parisi_lab.recursion import local_functional  # noqa: F401
-
-# Errors that mark a parameter vector as infeasible.  The inner objective
-# rejects such a point with a large value and a zero gradient; any other
-# exception is a bug and propagates.
-INFEASIBLE = (FeasibilityError, MeasureError, MatrixError, PathError)
 
 # Bracket width at which the bounded outer search stops.
 OUTER_XATOL = 1e-3
@@ -79,7 +75,6 @@ class SaddleResult:
     tilt: np.ndarray
     self_overlap: np.ndarray
     evaluations: int
-    restarts_used: int
     all_restart_values: list
     value_paired: float | None = None  # doubled-units value for closed-form layers
     rejections: dict = field(default_factory=dict)  # rejected evals by error type
@@ -167,20 +162,11 @@ def inner_minimize(u_matrix, problem: SaddleProblem) -> SaddleResult:
     n = problem.levels
     ntri = d * (d + 1) // 2
     size = (n + 1) + (n + 1) * ntri + ntri
-    evals = 0
-    rejections: dict[str, int] = {}
 
-    def objective(theta: np.ndarray):
-        nonlocal evals
-        evals += 1
-        try:
-            part, chain, tilt, pullback = _unpack(theta, d, n, u_mat)
-            tc = TerminalCondition(problem.beta, tilt, problem.mu)
-            result, grad = local_functional_gradient(part, chain, tc, problem.engine)
-        except INFEASIBLE as exc:
-            kind = type(exc).__name__
-            rejections[kind] = rejections.get(kind, 0) + 1
-            return REJECTED_VALUE, np.zeros(size)
+    def evaluate(theta: np.ndarray):
+        part, chain, tilt, pullback = _unpack(theta, d, n, u_mat)
+        tc = TerminalCondition(problem.beta, tilt, problem.mu)
+        result, grad = local_functional_gradient(part, chain, tc, problem.engine)
         return result.value, pullback(grad)
 
     # Feasible symmetric start: uniform gaps, identity factors (equal
@@ -189,23 +175,8 @@ def inner_minimize(u_matrix, problem: SaddleProblem) -> SaddleResult:
     base[n + 1 : -ntri] = np.tile(np.eye(d)[np.tril_indices(d)], n + 1)
 
     rng = np.random.default_rng(problem.seed)
-    starts = [base]
-    for _ in range(problem.restarts - 1):
-        starts.append(base + rng.normal(scale=0.4, size=size))
-
-    best = None
-    restart_values, restart_evals, nit, converged = [], [], [], []
-    for s0 in starts:
-        before = evals
-        res = minimize(
-            objective, s0, jac=True, method="L-BFGS-B", options={"maxfun": problem.max_evals}
-        )
-        restart_values.append(float(res.fun))
-        restart_evals.append(evals - before)
-        nit.append(int(res.nit))
-        converged.append(bool(res.success and res.fun < REJECTED_VALUE))
-        if best is None or res.fun < best.fun:
-            best = res
+    starts = [base] + [base + rng.normal(scale=0.4, size=size) for _ in range(problem.restarts - 1)]
+    best, runs, calls, rejections = multistart(evaluate, starts, {"maxfun": problem.max_evals})
     part, chain, tilt, _ = _unpack(best.x, d, n, u_mat)
     return SaddleResult(
         value=float(best.fun),
@@ -213,14 +184,13 @@ def inner_minimize(u_matrix, problem: SaddleProblem) -> SaddleResult:
         chain=chain,
         tilt=tilt,
         self_overlap=u_mat,
-        evaluations=evals,
-        restarts_used=len(starts),
-        all_restart_values=restart_values,
+        evaluations=sum(calls),
+        all_restart_values=[float(res.fun) for res in runs],
         value_paired=float(PAIR_SCALE * best.fun),
-        rejections=dict(sorted(rejections.items())),
-        restart_evaluations=restart_evals,
-        nit=nit,
-        converged=converged,
+        rejections=rejections,
+        restart_evaluations=calls,
+        nit=[int(res.nit) for res in runs],
+        converged=[bool(res.success and res.fun < REJECTED_VALUE) for res in runs],
     )
 
 

@@ -27,6 +27,7 @@ import numpy as np
 
 from parisi_lab.matrices import frobenius_norm
 from parisi_lab.measures import AprioriMeasure
+from parisi_lab.seeds import replicate
 
 _QUANTUM = 2.0**26
 
@@ -205,13 +206,9 @@ def disorder_average(
     and the values have shape (replicas,); for an array they are arrays over
     beta and the values have shape (len(beta), replicas).
     """
-    seeds = np.random.SeedSequence(seed).spawn(replicas)
-    vals = np.empty(np.shape(beta) + (replicas,))
-    for i, s in enumerate(seeds):
-        dis = Disorder.sample(n_sites, s)
-        vals[..., i] = exact_local_free_energy(dis, beta, constraint, space)
-    mean = vals.mean(axis=-1)
-    se = vals.std(axis=-1, ddof=1) / np.sqrt(replicas)
+    mean, se, vals = replicate(
+        lambda s: exact_local_free_energy(Disorder.sample(n_sites, s), beta, constraint, space), replicas, seed
+    )
     if np.ndim(beta) == 0:
         return float(mean), float(se), vals
     return mean, se, vals
@@ -300,14 +297,13 @@ def superadditivity_experiment(
     """
     space = space or SpinSpace.ising()
     constraint = constraint or OverlapConstraint.everything()
-    seeds = np.random.SeedSequence(seed).spawn(replicas)
-    margins = np.empty(replicas)
-    for i, s in enumerate(seeds):
+
+    def margin(s):
         kids = s.spawn(3)
         pn = exact_local_free_energy(Disorder.sample(n_small, kids[0]), beta, constraint, space)
         pm = exact_local_free_energy(Disorder.sample(m_small, kids[1]), beta, constraint, space)
-        pnm = exact_local_free_energy(
-            Disorder.sample(n_small + m_small, kids[2]), beta, constraint, space
-        )
-        margins[i] = (n_small + m_small) * pnm - n_small * pn - m_small * pm
-    return float(margins.mean()), float(margins.std(ddof=1) / np.sqrt(replicas))
+        pnm = exact_local_free_energy(Disorder.sample(n_small + m_small, kids[2]), beta, constraint, space)
+        return (n_small + m_small) * pnm - n_small * pn - m_small * pm
+
+    mean, se, _ = replicate(margin, replicas, seed)
+    return float(mean), float(se)

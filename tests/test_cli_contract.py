@@ -190,6 +190,12 @@ def test_free_energy_csv_equals_disorder_average(tmp_path):
         ({"command": "eval", "seed": 1, "measure": {"kind": "discrete", "points": "ab", "weights": [1.0]},
           "path": PATH}, "invalid discrete measure: could not convert string to float"),
         ({"command": "rpc", "seed": 1.5, "weights": [0.5]}, "seed must be an integer, got 1.5"),
+        # JSON booleans are not numbers, although Python's int(True) is 1.
+        ({"command": "rpc", "seed": True, "weights": [0.5]}, "seed must be a number, got True"),
+        ({"command": "gaussian", "seed": 1, "c": 3.0, "u": 0.5, "levels": True},
+         "levels must be a number, got True"),
+        ({"command": "gaussian", "seed": 1, "c": 3.0, "u": 0.5, "beta": False},
+         "beta must be a number, got False"),
     ],
 )
 def test_bad_config_exits_two(config, message, tmp_path, capsys):

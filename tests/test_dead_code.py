@@ -1,9 +1,12 @@
 """Dead-code ratchet: every public top-level function or class of
 ``parisi_lab``, and every public method or property of a public class, is
 referenced by name in ``src/`` or ``perfbench/`` outside its own
-definition, or is listed in ``ALLOWED`` with the reason it stays.  Methods
-are listed as ``Class.method``; a method counts as referenced wherever its
-name is, whatever the owner.
+definition, or is listed in ``ALLOWED`` with the reason it stays.  A
+top-level name counts as referenced by its bare name, an import, a string or
+``<module>.<name>``; an attribute of any other object with the same name
+(``RsSolution.overlap`` for ``sk.overlap``) does not.  Methods are listed as
+``Class.method``; a method counts as referenced wherever its name is, as a
+bare name or as an attribute, whatever the owner.
 The package ``__init__.py`` does not count as a caller: its imports and its
 ``__all__`` strings re-export a name without using it.  A helper that only
 its own tests call is dead; delete it with its tests instead of listing
@@ -21,6 +24,7 @@ ALLOWED = {
     "diagonal_outer": "per-mode outer optimum, the general saddle solver's reference",
     "outer_maximize": "outer search of the sup-inf, tested against the closed form",
     "hamiltonian": "per-configuration reference for the enumeration's energy table",
+    "overlap": "per-configuration overlap matrix, the reference test_variance_identity uses",
     "AprioriMeasure.to_json_dict": "inverse of from_json_dict, which reads CLI measures; tests round-trip it",
     "SpinSpace.from_measure": "spin space of a discrete measure; tests enumerate hypercube spins with it",
     "OverlapConstraint.ball": "overlap-ball constraint; tests bound constrained free energies with it",
@@ -29,14 +33,19 @@ ALLOWED = {
 
 
 def _names(tree) -> Counter:
-    """Identifiers a subtree refers to: names, attributes, imported names and
-    whole-identifier strings (perfbench looks entry points up by string)."""
+    """References a subtree makes: loaded names, imported names and
+    whole-identifier strings (perfbench looks entry points up by string)
+    under the name itself; an attribute ``owner.attr`` under ``.attr``, and
+    under ``owner.attr`` too when the owner is a bare name.  A stored name,
+    such as a dataclass field, refers to nothing."""
     found = Counter()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             found[node.id] += 1
         elif isinstance(node, ast.Attribute):
-            found[node.attr] += 1
+            found["." + node.attr] += 1
+            if isinstance(node.value, ast.Name):
+                found[f"{node.value.id}.{node.attr}"] += 1
         elif isinstance(node, ast.alias):
             found[node.name] += 1
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
@@ -56,13 +65,17 @@ def _unreferenced() -> set[str]:
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
                 continue
-            definitions[node.name] = node
+            # A top-level name by itself or through its module; a method by
+            # itself or as an attribute of anything.
+            definitions[node.name] = (node, (node.name, f"{path.stem}.{node.name}"))
             if isinstance(node, ast.ClassDef):
                 for method in node.body:
                     if isinstance(method, ast.FunctionDef) and not method.name.startswith("_"):
-                        definitions[f"{node.name}.{method.name}"] = method
+                        definitions[f"{node.name}.{method.name}"] = (method, (method.name, "." + method.name))
     return {
-        key for key, node in definitions.items() if references[node.name] <= _names(node)[node.name]
+        key
+        for key, (node, keys) in definitions.items()
+        if sum(references[k] for k in keys) <= sum(_names(node)[k] for k in keys)
     }
 
 

@@ -409,7 +409,7 @@ def test_scalar_minimizers_count_rejected_evaluations(functional, minimizer, mon
     monkeypatch.setattr(gaussian, functional, flaky)
     opt = minimizer(3.0, 0.5, 0.0, 1.0, 1)
     assert opt.evaluations == calls
-    assert opt.rejections == {"rejected on purpose": calls // 5}
+    assert opt.rejections == {"FeasibilityError": calls // 5}
 
 
 def test_minimizer_objectives_pull_gradients_back_exactly(monkeypatch):

@@ -91,6 +91,13 @@ def test_eval_config_validation():
         EvalConfig(engine="magic")
     with pytest.raises(MeasureError):
         EvalConfig(nodes=4)
+    with pytest.raises(MeasureError, match="grid too coarse"):
+        EvalConfig(grid_points_2d=32)
+    with pytest.raises(MeasureError, match="samples"):
+        EvalConfig(samples=7)
+    with pytest.raises(MeasureError, match="replicas"):
+        EvalConfig(replicas=1)
+    EvalConfig(grid_points_2d=33, samples=8, replicas=2)
 
 
 def test_measure_json_round_trip():

@@ -151,10 +151,8 @@ def test_monte_carlo_d3():
     assert np.isfinite(res.value) and res.std_error > 0
 
 
-@st.composite
-def _weight_pairs(draw):
-    """A d = 1 terminal (Rademacher, or up to 8 random support points), the
-    variance increments of 1-3 levels and per level a weight pair lo <= hi."""
+def _d1_terminal(draw) -> TerminalCondition:
+    """A d = 1 terminal: Rademacher, or up to 8 random support points."""
     if draw(st.booleans()):
         mu = RADEMACHER
     else:
@@ -162,7 +160,14 @@ def _weight_pairs(draw):
         points = draw(st.lists(st.floats(-2.0, 2.0), min_size=k, max_size=k))
         weights = draw(st.lists(st.floats(0.1, 2.0), min_size=k, max_size=k))
         mu = AprioriMeasure.discrete(np.array(points)[:, None], weights)
-    tc = TerminalCondition(draw(st.floats(0.0, 1.5)), np.zeros((1, 1)), mu)
+    return TerminalCondition(draw(st.floats(0.0, 1.5)), np.zeros((1, 1)), mu)
+
+
+@st.composite
+def _weight_pairs(draw):
+    """A d = 1 terminal, the variance increments of 1-3 levels and per level
+    a weight pair lo <= hi."""
+    tc = _d1_terminal(draw)
     n = draw(st.integers(1, 3))
     seg = draw(st.lists(st.floats(0.05, 0.5), min_size=n, max_size=n))
     pairs = [sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2))) for _ in range(n)]
@@ -181,20 +186,48 @@ def test_monotone_in_weights(case):
     assert recursion_from_levels(tc, lo, cfg).value <= recursion_from_levels(tc, hi, cfg).value + 1e-9
 
 
-def test_monotone_in_terminal():
+class Raised:
+    """The terminal ``base`` plus the function ``bump`` of the coordinate."""
+
+    dim = 1
+
+    def __init__(self, base, bump):
+        self.base, self.bump = base, bump
+
+    def __call__(self, pts):
+        return self.base(pts) + self.bump(np.asarray(pts)[:, 0])
+
+
+@st.composite
+def _terminal_bumps(draw):
+    """A d = 1 terminal, 1-3 levels (weight, variance increment) and a
+    nonnegative, nonconstant bump b (1 + tanh(a y)) / 2."""
+    tc = _d1_terminal(draw)
+    n = draw(st.integers(1, 3))
+    levels = [Level(draw(st.floats(0.0, 1.0)), np.array([[draw(st.floats(0.05, 0.5))]])) for _ in range(n)]
+    a = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.1, 3.0))
+    b = draw(st.floats(0.01, 1.0))
+    return tc, levels, lambda y: b * (1.0 + np.tanh(a * y)) / 2.0
+
+
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(_terminal_bumps())
+def test_monotone_in_terminal(case):
+    # Every level is monotone in the next one's values, so raising the
+    # terminal anywhere cannot lower X_0.
+    tc, levels, bump = case
+    cfg = EvalConfig(grid_points=801)
+    low = recursion_from_levels(Raised(tc, lambda y: 0.0 * y), levels, cfg).value
+    high = recursion_from_levels(Raised(tc, bump), levels, cfg).value
+    assert low <= high + 1e-9
+
+
+def test_constant_terminal_shift_shifts_the_value():
     cfg = EvalConfig(grid_points=801)
     levels = [Level(0.0, np.array([[0.4]])), Level(0.5, np.array([[0.6]]))]
     g1 = LinearProbe(0.5)
-
-    class Shifted:
-        dim = 1
-
-        def __call__(self, pts):
-            return g1(pts) + 0.2
-
     v1 = recursion_from_levels(g1, levels, cfg).value
-    v2 = recursion_from_levels(Shifted(), levels, cfg).value
-    assert v1 <= v2 + 1e-10
+    v2 = recursion_from_levels(Raised(g1, lambda y: 0.2), levels, cfg).value
     assert v2 == pytest.approx(v1 + 0.2, abs=1e-9)
 
 
