@@ -24,7 +24,6 @@ from parisi_lab.saddle import SaddleProblem, diagonal_inner, inner_minimize
 from parisi_lab.seeds import derive_seed
 from parisi_lab.sk import (
     OverlapConstraint,
-    SpinSpace,
     concentration_experiment,
     disorder_average,
     superadditivity_experiment,
@@ -225,7 +224,7 @@ def check_finite_size_bound(seed: int) -> CheckResult:
     ok = True
     for n_sites in sizes:
         means, ses, _ = disorder_average(
-            n_sites, np.array(betas), OverlapConstraint.everything(), SpinSpace.ising(),
+            n_sites, np.array(betas), OverlapConstraint(), mu,
             200, derive_seed(seed, f"bound-N{n_sites}"),
         )
         for b, beta in enumerate(betas):

@@ -38,7 +38,6 @@ from parisi_lab.seeds import derive_seed
 from parisi_lab.sk import (
     BudgetError,
     OverlapConstraint,
-    SpinSpace,
     concentration_experiment,
     disorder_average,
     superadditivity_experiment,
@@ -87,6 +86,19 @@ def _count(config: dict, key: str, default: int, least: int) -> int:
     if value < least:
         raise ConfigError(f"{key} must be at least {least}, got {value}")
     return value
+
+
+def _refuse_booleans(key: str, value) -> None:
+    """Raise if an array under config key ``key`` or its nested keys holds a
+    JSON boolean, which numpy reads as 0 or 1; path.allow_equal is no array."""
+    if isinstance(value, dict):
+        for name, item in value.items():
+            _refuse_booleans(f"{key}.{name}" if key else name, item)
+    elif isinstance(value, list):
+        for item in value:
+            if isinstance(item, bool):
+                raise ConfigError(f"{key} must hold numbers, got {item!r}")
+            _refuse_booleans(key, item)
 
 
 def _matrix(key: str, value, d: int) -> np.ndarray:
@@ -210,7 +222,7 @@ def _run_sk(config: dict, master: int, workers: int):
     n_sites = _count(config, "n_sites", 8, 1)
     if experiment == "average":
         mean, se, vals = disorder_average(
-            n_sites, beta, OverlapConstraint.everything(), SpinSpace.ising(),
+            n_sites, beta, OverlapConstraint(), AprioriMeasure.rademacher(),
             replicas, derive_seed(master, "sk-average"),
         )
         rows = ["N,beta,seed,estimate,se"]
@@ -309,6 +321,7 @@ def run_config(config: dict, out_dir: Path, seed_override: int | None, workers: 
     unknown = sorted(set(config) - allowed - {"command", "seed"})
     if unknown:
         raise ConfigError(f"unknown keys for {command}: {', '.join(unknown)}")
+    _refuse_booleans("", config)
     master = config.get("seed") if seed_override is None else seed_override
     if master is None:
         if command != "verify-all":

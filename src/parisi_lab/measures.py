@@ -25,8 +25,8 @@ on a grid its quadratic form is summed over broadcast per-axis tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import reduce
+from dataclasses import dataclass
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -152,6 +152,13 @@ class AprioriMeasure:
             return self.points.shape[1]
         return self.precision.shape[0]
 
+    @property
+    def size(self) -> int:
+        """Number of support points (discrete only)."""
+        if self.kind != "discrete":
+            raise MeasureError("support size is defined for discrete measures")
+        return self.points.shape[0]
+
     def support_radius(self) -> float:
         """Largest Euclidean norm on the support (discrete only)."""
         if self.kind != "discrete":
@@ -185,7 +192,6 @@ class TerminalCondition:
     beta: float
     tilt: np.ndarray
     mu: AprioriMeasure
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.beta < 0.0:
@@ -199,23 +205,17 @@ class TerminalCondition:
     def dim(self) -> int:
         return self.mu.dim
 
-    def _gaussian_data(self):
-        data = self._cache.get("gaussian")
-        if data is None:
-            c = self.mu.precision
-            m = c - 2.0 * self.tilt
-            w, _ = eigh_jacobi(m)
-            if w[0] <= 0.0:
-                raise MeasureError(
-                    "tilted Gaussian integral diverges: precision - 2*tilt not positive definite"
-                )
-            sign_c, logdet_c = np.linalg.slogdet(c)
-            sign_m, logdet_m = np.linalg.slogdet(m)
-            const = 0.5 * (logdet_c - logdet_m)
-            minv = np.linalg.inv(m)
-            data = (const, minv)
-            self._cache["gaussian"] = data
-        return data
+    @cached_property
+    def _gaussian_data(self) -> tuple[float, np.ndarray]:
+        """(log det(C (C - 2 tilt)^-1) / 2, (C - 2 tilt)^-1), computed once."""
+        c = self.mu.precision
+        m = c - 2.0 * self.tilt
+        w, _ = eigh_jacobi(m)
+        if w[0] <= 0.0:
+            raise MeasureError("tilted Gaussian integral diverges: precision - 2*tilt not positive definite")
+        sign_c, logdet_c = np.linalg.slogdet(c)
+        sign_m, logdet_m = np.linalg.slogdet(m)
+        return 0.5 * (logdet_c - logdet_m), np.linalg.inv(m)
 
     def _discrete_values(self, coords: list[np.ndarray]) -> np.ndarray:
         """g for discrete mu from the scaled coordinates coords[i] =
@@ -261,7 +261,7 @@ class TerminalCondition:
         if self.mu.kind == "discrete":
             vals = self._discrete_values([root2b * flat[:, i] for i in range(self.dim)])
         else:
-            const, minv = self._gaussian_data()
+            const, minv = self._gaussian_data
             w = self.mu.shift[None, :] + root2b * flat
             vals = const + 0.5 * _quadratic_form(w.T, minv)
         if scalar_in:
@@ -290,7 +290,7 @@ class TerminalCondition:
             tables.append(table.reshape((len(shifts),) + tuple(a.size if j == i else 1 for j in range(d))))
         if self.mu.kind == "discrete":
             return self._discrete_values(tables)
-        const, minv = self._gaussian_data()
+        const, minv = self._gaussian_data
         vals = _quadratic_form([h_i + t for h_i, t in zip(self.mu.shift, tables)], minv)
         vals *= 0.5
         vals += const
@@ -325,7 +325,7 @@ class TerminalCondition:
             outer = sigma[:, :, None] * sigma[:, None, :]
             moment = (gibbs @ outer.reshape(len(sigma), -1)).reshape(-1, self.dim, self.dim)
         else:
-            const, minv = self._gaussian_data()
+            const, minv = self._gaussian_data
             w = self.mu.shift[None, :] + root2b * flat
             mean = w @ minv
             value = const + 0.5 * np.einsum("ij,ij->i", w, mean)

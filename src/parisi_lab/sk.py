@@ -6,16 +6,24 @@ ordered site pairs with an UNsymmetrized matrix of standard normals; the
 model's covariance is then exactly the squared Frobenius norm of the mutual
 overlap matrix, which the variance tests rely on.
 
-Exact enumeration builds the table of N * X(s) over all S^N configurations
-once per disorder sample, by batched einsum quadratic forms, and takes one
-log-sum-exp per inverse temperature, so a vector of betas costs one table.
+Exact enumeration splits the sites into a, the first ceil(N/2), and b, the
+rest, and enumerates the S^k configurations of each half of a discrete
+measure with S support points.  With A and B the half configurations as
+rows, N X = E_a + E_b + A kron(G_ab + G_ba^T, I_d) B^T gives all S^N
+energies by one matrix product, in a table whose row-major order is the
+lexicographic order of the configurations; log weights and self-overlaps
+add over the halves the same way.  Each inverse temperature then takes one
+log-sum-exp of the one table.
 
 Disorder entries are rounded to the dyadic grid 2^-26.  For supports with
-+-1 coordinates (Ising, hypercubes) every partial sum of those quadratic
-forms is then an exact multiple of 2^-26 far below the 53-bit mantissa
-limit, so the energies do not depend on summation order, batch size or
-BLAS; the rounding itself is ~1.5e-8 per entry, negligible against every
-statistical tolerance used here.
++-1 coordinates (Ising, hypercubes) every partial sum of the energies and
+self-overlaps is then exact, far below the 53-bit mantissa limit, so the
+values do not depend on the split, the summation order or BLAS; other
+supports agree to rounding.  The rounding itself is ~1.5e-8 per entry,
+negligible against every statistical tolerance used here.
+
+``ENUMERATION_BUDGET`` bounds S^N and so memory: a few float64 tables of S^N
+entries, 128 MiB each at the budget, and S^N d x d self-overlaps under a ball.
 """
 
 from __future__ import annotations
@@ -37,36 +45,6 @@ class BudgetError(RuntimeError):
 
 
 ENUMERATION_BUDGET = 2**24
-
-
-@dataclass(frozen=True)
-class SpinSpace:
-    """Finite single-site configuration set with a priori weights."""
-
-    points: np.ndarray      # (S, d)
-    weights: np.ndarray     # (S,)
-
-    @classmethod
-    def from_measure(cls, mu: AprioriMeasure) -> "SpinSpace":
-        if mu.kind != "discrete":
-            raise ValueError("enumeration needs a discrete measure; discretize first")
-        return cls(mu.points.copy(), mu.weights.copy())
-
-    @classmethod
-    def ising(cls) -> "SpinSpace":
-        return cls(np.array([[-1.0], [1.0]]), np.ones(2))
-
-    @property
-    def size(self) -> int:
-        return self.points.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.points.shape[1]
-
-    @property
-    def radius(self) -> float:
-        return float(np.sqrt((self.points**2).sum(axis=1).max()))
 
 
 @dataclass(frozen=True)
@@ -111,56 +89,56 @@ class OverlapConstraint:
     radius: float = 0.0
 
     @classmethod
-    def everything(cls) -> "OverlapConstraint":
-        return cls(None, 0.0)
-
-    @classmethod
     def ball(cls, center, radius: float | None = None) -> "OverlapConstraint":
         c = np.atleast_2d(np.asarray(center, dtype=float))
         r = 0.05 * frobenius_norm(c) if radius is None else float(radius)
         return cls(c, r)
 
     def admits(self, self_overlaps: np.ndarray) -> np.ndarray:
-        """Vectorized membership for an array (..., d, d) of self-overlaps."""
-        if self.center is None:
-            return np.ones(self_overlaps.shape[:-2], dtype=bool)
+        """Vectorized ball membership for an array (..., d, d) of self-overlaps."""
         diff = self_overlaps - self.center
         return np.sqrt((diff**2).sum(axis=(-2, -1))) <= self.radius
 
 
-def _all_configs(space: SpinSpace, n_sites: int) -> np.ndarray:
-    """(S^N, N) table of per-site support indices, lexicographic order."""
-    total = space.size**n_sites
-    if total > ENUMERATION_BUDGET:
-        raise BudgetError(f"{total} states exceed the enumeration budget")
-    idx = np.arange(total)
-    digits = np.empty((total, n_sites), dtype=np.int64)
-    for j in range(n_sites):
-        digits[:, j] = (idx // space.size ** (n_sites - 1 - j)) % space.size
-    return digits
+def _check_budget(mu: AprioriMeasure, n_sites: int) -> None:
+    """Raise BudgetError past ``ENUMERATION_BUDGET`` configurations."""
+    if mu.size**n_sites > ENUMERATION_BUDGET:
+        raise BudgetError(f"{mu.size}^{n_sites} states exceed the enumeration budget of {ENUMERATION_BUDGET}")
 
 
-def _energies_fresh(digits: np.ndarray, space: SpinSpace, disorder: Disorder) -> np.ndarray:
-    """N * X for every configuration via batched quadratic forms."""
-    pts = space.points
-    out = np.empty(digits.shape[0])
-    batch = max(1, 2**22 // max(digits.shape[1] ** 2, 1))
-    for lo in range(0, digits.shape[0], batch):
-        sl = digits[lo : lo + batch]
-        s = pts[sl]  # (b, N, d)
-        gs = np.einsum("ij,bjd->bid", disorder.matrix, s)
-        out[lo : lo + batch] = np.einsum("bid,bid->b", s, gs)
-    return out
+def _split_sum(disorder: Disorder, mu: AprioriMeasure, constraint: OverlapConstraint):
+    """N X(s) and log prod_i w(s_i) of the configurations s that the
+    constraint admits, in lexicographic order, by the split sum of the
+    module docstring."""
+    n = disorder.n_sites
+    _check_budget(mu, n)
+    g, eye, m = disorder.matrix, np.eye(mu.dim), (n + 1) // 2
+    halves = []
+    for lo, k in ((0, m), (m, n - m)):
+        digits = np.indices((mu.size,) * k).reshape(k, mu.size**k).T
+        s = mu.points[digits]  # (S^k, k, d)
+        flat = s.reshape(mu.size**k, k * mu.dim)
+        energy = np.einsum("bi,ij,bj->b", flat, np.kron(g[lo : lo + k, lo : lo + k], eye), flat)
+        halves.append((flat, energy, np.log(mu.weights)[digits].sum(axis=1), np.einsum("bnd,bne->bde", s, s)))
+    (a, e_a, w_a, r_a), (b, e_b, w_b, r_b) = halves
+    nx = (e_a[:, None] + e_b[None, :] + a @ np.kron(g[:m, m:] + g[m:, :m].T, eye) @ b.T).ravel()
+    logw = (w_a[:, None] + w_b[None, :]).ravel()
+    if constraint.center is not None:
+        mask = constraint.admits((r_a[:, None] + r_b[None, :]) / n).ravel()
+        if not np.any(mask):
+            raise ValueError("empty constraint set: enlarge the overlap ball")
+        nx, logw = nx[mask], logw[mask]
+    return nx, logw
 
 
 def exact_local_free_energy(
     disorder: Disorder,
     beta: float | np.ndarray,
     constraint: OverlapConstraint,
-    space: SpinSpace,
+    mu: AprioriMeasure,
 ) -> float | np.ndarray:
     """(1/N) log sum over admissible configurations of
-    exp(beta sqrt(N) X(s)) prod_i w(s_i), by full enumeration.
+    exp(beta sqrt(N) X(s)) prod_i w(s_i), by full enumeration of discrete mu.
 
     ``beta`` is a scalar or a 1-D array.  The energy table is built once and
     the log-sum-exp is taken separately for each beta, so an array gives
@@ -168,23 +146,11 @@ def exact_local_free_energy(
     a float, an array an array.
     """
     n = disorder.n_sites
-    digits = _all_configs(space, n)
-    nx = _energies_fresh(digits, space, disorder)
-    logw = np.log(space.weights)[digits].sum(axis=1)
-    if constraint.center is not None:
-        pts = space.points
-        s_all = pts[digits]
-        self_ov = np.einsum("bnd,bne->bde", s_all, s_all) / n
-        mask = constraint.admits(self_ov)
-        if not np.any(mask):
-            raise ValueError("empty constraint set: enlarge the overlap ball")
-    else:
-        mask = slice(None)
+    nx, logw = _split_sum(disorder, mu, constraint)
     betas = np.asarray(beta, dtype=float)
     values = np.empty(betas.size)
     for k, b in enumerate(betas.ravel()):
         expo = b * nx / np.sqrt(n) + logw
-        expo = expo[mask]
         top = expo.max()
         values[k] = (top + np.log(np.sum(np.exp(expo - top)))) / n
     return float(values[0]) if betas.ndim == 0 else values
@@ -194,7 +160,7 @@ def disorder_average(
     n_sites: int,
     beta: float | np.ndarray,
     constraint: OverlapConstraint,
-    space: SpinSpace,
+    mu: AprioriMeasure,
     replicas: int,
     seed: int,
 ):
@@ -204,10 +170,12 @@ def disorder_average(
     ``beta`` is a scalar or a 1-D array; each disorder sample's energy table
     serves every beta.  For a scalar the mean and standard error are floats
     and the values have shape (replicas,); for an array they are arrays over
-    beta and the values have shape (len(beta), replicas).
+    beta and the values have shape (len(beta), replicas).  The budget is
+    checked before any disorder is drawn.
     """
+    _check_budget(mu, n_sites)
     mean, se, vals = replicate(
-        lambda s: exact_local_free_energy(Disorder.sample(n_sites, s), beta, constraint, space), replicas, seed
+        lambda s: exact_local_free_energy(Disorder.sample(n_sites, s), beta, constraint, mu), replicas, seed
     )
     if np.ndim(beta) == 0:
         return float(mean), float(se), vals
@@ -261,15 +229,14 @@ def concentration_experiment(
     confidence limit at zero exceedances.  Beyond t_max the bound lies below
     every limit the replicas can give, so no disorder sample could pass there.
     """
-    space = SpinSpace.ising()
-    constraint = OverlapConstraint.everything()
-    mean, _, vals = disorder_average(n_sites, beta, constraint, space, replicas, seed)
+    mu = AprioriMeasure.rademacher()
+    mean, _, vals = disorder_average(n_sites, beta, OverlapConstraint(), mu, replicas, seed)
     if beta == 0.0:
         ts = np.linspace(0.5, 4.0, 8)
         zeros = np.zeros_like(ts)
         return TailTable(ts, zeros, zeros, 2.0 * np.exp(-(ts**2)))
     dev = n_sites * np.abs(vals - mean)
-    r = space.radius
+    r = mu.support_radius()
     scale = np.sqrt(4.0 * beta**2 * r**4 * n_sites)
     floor = clopper_pearson_upper(0, replicas)
     t_max = min(12.0, float(scale * np.sqrt(np.log(2.0 / floor))))
@@ -286,23 +253,24 @@ def superadditivity_experiment(
     beta: float,
     replicas: int,
     seed: int,
-    space: SpinSpace | None = None,
-    constraint: OverlapConstraint | None = None,
+    mu: AprioriMeasure | None = None,
+    constraint: OverlapConstraint = OverlapConstraint(),
 ):
     """Margin (N+M) E[p_{N+M}] - N E[p_N] - M E[p_M] with its standard error.
 
     Superadditivity predicts a nonnegative margin up to the O(radius)
     correction of the overlap localization; the measured value is returned,
-    nothing about the correction constant is assumed.
+    nothing about the correction constant is assumed.  The budget of the
+    largest system is checked before any disorder is drawn.
     """
-    space = space or SpinSpace.ising()
-    constraint = constraint or OverlapConstraint.everything()
+    mu = mu or AprioriMeasure.rademacher()
+    _check_budget(mu, n_small + m_small)
 
     def margin(s):
         kids = s.spawn(3)
-        pn = exact_local_free_energy(Disorder.sample(n_small, kids[0]), beta, constraint, space)
-        pm = exact_local_free_energy(Disorder.sample(m_small, kids[1]), beta, constraint, space)
-        pnm = exact_local_free_energy(Disorder.sample(n_small + m_small, kids[2]), beta, constraint, space)
+        pn = exact_local_free_energy(Disorder.sample(n_small, kids[0]), beta, constraint, mu)
+        pm = exact_local_free_energy(Disorder.sample(m_small, kids[1]), beta, constraint, mu)
+        pnm = exact_local_free_energy(Disorder.sample(n_small + m_small, kids[2]), beta, constraint, mu)
         return (n_small + m_small) * pnm - n_small * pn - m_small * pm
 
     mean, se, _ = replicate(margin, replicas, seed)

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from parisi_lab.cli import main, run_config
+from parisi_lab.measures import AprioriMeasure
 from parisi_lab.paths import DiscretePath, MonotoneChain, UnitPartition, path_to_json
 from parisi_lab.seeds import derive_seed
-from parisi_lab.sk import OverlapConstraint, SpinSpace, disorder_average
+from parisi_lab.sk import Disorder, OverlapConstraint, disorder_average
 
 PATH = json.loads(
     path_to_json(
@@ -81,7 +82,7 @@ def test_free_energy_csv_equals_disorder_average(tmp_path):
     header, *rows = (tmp_path / "free_energy.csv").read_text().splitlines()
     assert header == "N,beta,seed,estimate,se"
     mean, se, vals = disorder_average(
-        6, 1.0, OverlapConstraint.everything(), SpinSpace.ising(), 4, derive_seed(11, "sk-average")
+        6, 1.0, OverlapConstraint(), AprioriMeasure.rademacher(), 4, derive_seed(11, "sk-average")
     )
     assert np.array_equal([float(row.split(",")[3]) for row in rows[:-1]], vals)
     assert rows[-1] == f"6,1.0,mean,{mean!r},{se!r}"
@@ -196,6 +197,20 @@ def test_free_energy_csv_equals_disorder_average(tmp_path):
          "levels must be a number, got True"),
         ({"command": "gaussian", "seed": 1, "c": 3.0, "u": 0.5, "beta": False},
          "beta must be a number, got False"),
+        # Nor is a boolean inside a numeric array.
+        ({"command": "saddle", "seed": 1, "u": [[True]]}, "u must hold numbers, got True"),
+        ({"command": "eval", "seed": 1, "measure": {"kind": "discrete", "points": [[True], [-1]]},
+          "path": PATH}, "measure.points must hold numbers, got True"),
+        ({"command": "eval", "seed": 1, "measure": {"kind": "gaussian", "precision": [[1.0]], "shift": [True]},
+          "path": PATH}, "measure.shift must hold numbers, got True"),
+        ({"command": "eval", "seed": 1, "measure": RADEMACHER, "path": PATH, "tilt": [[False]]},
+         "tilt must hold numbers, got False"),
+        ({"command": "eval", "seed": 1, "measure": RADEMACHER, "path": dict(PATH, U=[[True]])},
+         "path.U must hold numbers, got True"),
+        ({"command": "eval", "seed": 1, "measure": RADEMACHER,
+          "path": {"x": [False, True], "Q": [[[0.0]], [[1.0]]], "U": [[1.0]]}},
+         "path.x must hold numbers, got False"),
+        ({"command": "rpc", "seed": 1, "weights": [0.25, True]}, "weights must hold numbers, got True"),
     ],
 )
 def test_bad_config_exits_two(config, message, tmp_path, capsys):
@@ -212,3 +227,16 @@ def test_unreadable_config_exits_two(tmp_path, capsys):
     path.write_text("{not json")
     assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith("config error: ")
+
+
+@pytest.mark.parametrize("experiment", ["average", "concentration", "superadditivity"])
+def test_sk_budget_checked_before_any_draw(experiment, monkeypatch, tmp_path, capsys):
+    def fail(*args):
+        raise AssertionError("disorder drawn before the budget check")
+
+    monkeypatch.setattr(Disorder, "sample", fail)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"command": "sk", "seed": 1, "experiment": experiment, "n_sites": 3000,
+                                "replicas": 2}))
+    assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "states exceed the enumeration budget" in capsys.readouterr().err

@@ -26,7 +26,6 @@ ALLOWED = {
     "hamiltonian": "per-configuration reference for the enumeration's energy table",
     "overlap": "per-configuration overlap matrix, the reference test_variance_identity uses",
     "AprioriMeasure.to_json_dict": "inverse of from_json_dict, which reads CLI measures; tests round-trip it",
-    "SpinSpace.from_measure": "spin space of a discrete measure; tests enumerate hypercube spins with it",
     "OverlapConstraint.ball": "overlap-ball constraint; tests bound constrained free energies with it",
     "PdeSolution.feedback": "optimal control of the verification argument, fed to simulate_control_value",
 }

@@ -18,7 +18,7 @@ ALLOWED = {
     "pde.simulate_control_value.seed": "seed",
     "saddle.diagonal_outer.seed": "seed",
     "sk.superadditivity_experiment.constraint": "tests bound constrained free energies",
-    "sk.superadditivity_experiment.space": "tests bound other spin spaces",
+    "sk.superadditivity_experiment.mu": "tests bound other discrete measures",
 }
 
 

@@ -1,14 +1,16 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from parisi_lab.measures import AprioriMeasure
+from parisi_lab.measures import AprioriMeasure, MeasureError
 from parisi_lab.sk import (
     BudgetError,
     Disorder,
     OverlapConstraint,
-    SpinSpace,
-    _all_configs,
-    _energies_fresh,
+    _split_sum,
     concentration_experiment,
     disorder_average,
     exact_local_free_energy,
@@ -17,7 +19,7 @@ from parisi_lab.sk import (
     superadditivity_experiment,
 )
 
-ISING = SpinSpace.ising()
+ISING = AprioriMeasure.rademacher()
 
 
 def test_hamiltonian_examples():
@@ -72,55 +74,91 @@ def test_paired_overlap_block_psd():
         assert np.all(np.linalg.eigvalsh(block) >= -1e-10)
 
 
+def _lexicographic(mu, n):
+    """Every configuration of n sites as an (n, d) array, site 0 slowest."""
+    return [mu.points[list(row)] for row in itertools.product(range(mu.size), repeat=n)]
+
+
 def test_energies_fresh_match_hamiltonian():
     # N = 4 and 8 are powers of two, so N * X(s) is exact on both sides.
-    hypercube = SpinSpace.from_measure(AprioriMeasure.hypercube(2))
-    for space, n in ((ISING, 4), (ISING, 8), (hypercube, 4)):
+    for mu, n in ((ISING, 4), (ISING, 8), (AprioriMeasure.hypercube(2), 4)):
         dis = Disorder.sample(n, 42 + n)
-        digits = _all_configs(space, n)
-        direct = [n * hamiltonian(space.points[row], dis) for row in digits]
-        assert np.array_equal(_energies_fresh(digits, space, dis), direct)
+        nx, _ = _split_sum(dis, mu, OverlapConstraint())
+        direct = [n * hamiltonian(s, dis) for s in _lexicographic(mu, n)]
+        assert np.array_equal(nx, direct)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(
+    st.one_of(
+        st.tuples(st.sampled_from(["ising", "flipped"]), st.integers(1, 8)),
+        # 4^6 configurations keep the per-configuration reference fast.
+        st.tuples(st.just("square"), st.integers(1, 6)),
+    ),
+    st.integers(0, 2**16),
+    st.floats(0.0, 1.5),
+)
+def test_split_sum_matches_per_configuration(case, seed, radius):
+    # The energies of a +-1 support are exact multiples of 2^-26, so they
+    # equal the per-configuration sum exactly whatever the split.  The ball
+    # keeps exactly the configurations whose overlap(s, s) it admits.
+    support, n = case
+    mu = {
+        "ising": ISING,
+        "flipped": AprioriMeasure.discrete([[1.0], [-1.0]]),
+        "square": AprioriMeasure.hypercube(2),
+    }[support]
+    dis = Disorder.sample(n, seed)
+    centre = 0.8 * np.eye(mu.dim) + 0.3 * (1.0 - np.eye(mu.dim))
+    ball = OverlapConstraint.ball(centre, radius)
+    admitted = [s for s in _lexicographic(mu, n) if ball.admits(overlap(s, s))]
+    if not admitted:
+        with pytest.raises(ValueError, match="empty constraint set"):
+            _split_sum(dis, mu, ball)
+        return
+    nx, logw = _split_sum(dis, mu, ball)
+    assert np.array_equal(nx, [np.sum(dis.matrix * (s @ s.T)) for s in admitted])
+    assert np.array_equal(logw, np.zeros(len(admitted)))
 
 
 def _weighted_square():
-    square = SpinSpace.from_measure(AprioriMeasure.hypercube(2))
-    return SpinSpace(square.points, np.array([0.1, 0.2, 0.3, 0.4]))
+    return AprioriMeasure.discrete(AprioriMeasure.hypercube(2).points, [0.1, 0.2, 0.3, 0.4])
 
 
 @pytest.mark.parametrize(
-    "space, constraint, n",
+    "mu, constraint, n",
     [
-        (ISING, OverlapConstraint.everything(), 8),
-        (_weighted_square(), OverlapConstraint.everything(), 4),
+        (ISING, OverlapConstraint(), 8),
+        (_weighted_square(), OverlapConstraint(), 4),
         (_weighted_square(), OverlapConstraint.ball(np.eye(2), 0.8), 4),
     ],
     ids=["ising", "weighted-square", "overlap-ball"],
 )
-def test_beta_vector_equals_scalar_calls(space, constraint, n):
+def test_beta_vector_equals_scalar_calls(mu, constraint, n):
     betas = np.array([0.0, 0.3, 0.9, 1.7])
     dis = Disorder.sample(n, 5)
-    vec = exact_local_free_energy(dis, betas, constraint, space)
-    scalars = [exact_local_free_energy(dis, float(b), constraint, space) for b in betas]
+    vec = exact_local_free_energy(dis, betas, constraint, mu)
+    scalars = [exact_local_free_energy(dis, float(b), constraint, mu) for b in betas]
     assert all(type(v) is float for v in scalars)
     assert vec.shape == betas.shape and np.array_equal(vec, scalars)
-    mean, se, vals = disorder_average(n, betas, constraint, space, 6, 3)
+    mean, se, vals = disorder_average(n, betas, constraint, mu, 6, 3)
     assert vals.shape == (betas.size, 6)
     for k, b in enumerate(betas):
-        m, s, v = disorder_average(n, float(b), constraint, space, 6, 3)
+        m, s, v = disorder_average(n, float(b), constraint, mu, 6, 3)
         assert type(m) is float and type(s) is float
         assert mean[k] == m and se[k] == s and np.array_equal(vals[k], v)
 
 
 def test_beta_zero_probability_measure():
-    space = SpinSpace(np.array([[-1.0], [1.0]]), np.array([0.5, 0.5]))
+    mu = AprioriMeasure.discrete([[-1.0], [1.0]], [0.5, 0.5])
     dis = Disorder.sample(6, 7)
-    assert exact_local_free_energy(dis, 0.0, OverlapConstraint.everything(), space) == pytest.approx(0.0)
+    assert exact_local_free_energy(dis, 0.0, OverlapConstraint(), mu) == pytest.approx(0.0)
 
 
 def test_ising_local_equals_global():
     # self-overlap is identically one, so any ball around it changes nothing
     dis = Disorder.sample(6, 8)
-    p_all = exact_local_free_energy(dis, 0.8, OverlapConstraint.everything(), ISING)
+    p_all = exact_local_free_energy(dis, 0.8, OverlapConstraint(), ISING)
     p_ball = exact_local_free_energy(dis, 0.8, OverlapConstraint.ball([[1.0]], 0.05), ISING)
     assert p_all == p_ball
 
@@ -132,26 +170,42 @@ def test_empty_constraint_raises():
 
 
 def test_budget_guard():
+    with pytest.raises(BudgetError, match="2\\^30 states exceed the enumeration budget"):
+        exact_local_free_energy(Disorder.sample(30, 0), 1.0, OverlapConstraint(), ISING)
+    gaussian = AprioriMeasure.gaussian([[1.0]])
+    with pytest.raises(MeasureError, match="discrete"):
+        exact_local_free_energy(Disorder.sample(2, 0), 1.0, OverlapConstraint(), gaussian)
+
+
+def test_budget_checked_before_any_draw(monkeypatch):
+    def fail(*args):
+        raise AssertionError("disorder drawn before the budget check")
+
+    monkeypatch.setattr(Disorder, "sample", fail)
     with pytest.raises(BudgetError):
-        _all_configs(ISING, 30)
+        disorder_average(3000, 1.0, OverlapConstraint(), ISING, 2, 0)
+    with pytest.raises(BudgetError):
+        concentration_experiment(3000, 1.0, 2, 0)
+    with pytest.raises(BudgetError):
+        superadditivity_experiment(2, 2998, 1.0, 2, 0)
 
 
 def test_annealed_bound():
-    mean, se, _ = disorder_average(8, 1.0, OverlapConstraint.everything(), ISING, 200, 7)
+    mean, se, _ = disorder_average(8, 1.0, OverlapConstraint(), ISING, 200, 7)
     annealed = np.log(2) + 0.5
     assert mean <= annealed + 3 * se
 
 
 def test_relabeling_and_flip_invariance():
     dis = Disorder.sample(5, 11)
-    p = exact_local_free_energy(dis, 0.7, OverlapConstraint.everything(), ISING)
+    p = exact_local_free_energy(dis, 0.7, OverlapConstraint(), ISING)
     # site relabeling permutes the interaction matrix consistently
     perm = np.random.default_rng(0).permutation(5)
     dis_p = Disorder(5, dis.matrix[np.ix_(perm, perm)], dis.seed)
-    assert exact_local_free_energy(dis_p, 0.7, OverlapConstraint.everything(), ISING) == pytest.approx(p, abs=1e-12)
+    assert exact_local_free_energy(dis_p, 0.7, OverlapConstraint(), ISING) == pytest.approx(p, abs=1e-12)
     # global spin flip is a symmetry of the +-1 configuration space
-    space_flipped = SpinSpace(np.array([[1.0], [-1.0]]), np.ones(2))
-    assert exact_local_free_energy(dis, 0.7, OverlapConstraint.everything(), space_flipped) == pytest.approx(p, abs=1e-12)
+    flipped = AprioriMeasure.discrete([[1.0], [-1.0]])
+    assert exact_local_free_energy(dis, 0.7, OverlapConstraint(), flipped) == pytest.approx(p, abs=1e-12)
 
 
 def test_concentration_beta_zero_and_table():
@@ -179,12 +233,12 @@ def test_superadditivity_beta_zero_and_margin():
 
 
 def test_superadditivity_constrained_d2_eps_grid():
-    space = SpinSpace.from_measure(AprioriMeasure.hypercube(2))
+    square = AprioriMeasure.hypercube(2)
     center = np.eye(2)
     margins = []
     for eps in (0.6, 0.8, 1.0):
         m, se = superadditivity_experiment(
-            3, 3, 0.5, 60, 6, space=space, constraint=OverlapConstraint.ball(center, eps)
+            3, 3, 0.5, 60, 6, mu=square, constraint=OverlapConstraint.ball(center, eps)
         )
         margins.append((m, se))
     for (m1, s1), (m2, s2) in zip(margins[:-1], margins[1:]):
