@@ -63,9 +63,10 @@ def levels_from_order_params(x: UnitPartition, chain: MonotoneChain) -> list[Lev
     return [Level(float(w), inc) for w, inc in zip(weights, incs)]
 
 
-# Points per f_next call in propagate_segment.  A block holds as many whole
-# quadrature nodes as fit under this budget: every d=1 level is one call and
-# d=2 temporaries stay near 1 MB.
+# Points per f_next call in propagate_segment, and per block of its
+# streaming reduction.  A block holds as many whole quadrature nodes as fit
+# under this budget: every d=1 level of the default grids is one block, and a
+# d=2 level is reduced block by block with temporaries near 1 MB.
 BLOCK_POINTS = 2**16
 
 # Margin of the quadrature grids beyond every point the nodes reach.
@@ -111,26 +112,44 @@ def _gh_nodes(cov: np.ndarray, nodes: int):
     return shifts, wgt
 
 
-def _log_avg_exp(weight: float, vals: np.ndarray, wgt: np.ndarray) -> np.ndarray:
-    """(1/w) log sum_i wgt_i exp(w * vals_i) along the first axis, stabilized.
+def _log_avg_exp(weight: float, blocks) -> np.ndarray:
+    """(1/w) log sum_i wgt_i exp(w * vals_i) along the first axis, stabilized,
+    streamed over an iterable of ``(vals, wgt)`` blocks of nodes.
 
-    Below SMALL_WEIGHT the expansion mean + (w/2) * variance is used,
-    removing the cancellation of the w -> 0 plain-expectation limit.
+    Each block is reduced as soon as it arrives.  The reducer keeps the
+    running maximum ``top`` of the values at every output point and the
+    running sum of wgt_i exp(w (vals_i - top)); where a later block raises
+    the maximum, the sum is rescaled at those points only.  Below
+    SMALL_WEIGHT it keeps the running mean and second moment instead and
+    returns the expansion mean + (w/2) * variance, removing the
+    cancellation of the w -> 0 plain-expectation limit.
 
-    The value block ``vals`` is consumed: it is shifted, scaled and
-    exponentiated (or squared) in place, so the reduction needs no second
-    block.  Callers pass a block they no longer need.
+    A single block gets exactly the operations of a one-shot reduction, so
+    its result does not depend on how the reducer streams.  Every block is
+    consumed: it is shifted, scaled and exponentiated (or squared) in place.
+    Callers pass blocks they no longer need.
     """
     if weight < SMALL_WEIGHT:
-        mean = np.tensordot(wgt, vals, axes=(0, 0))
-        sq = np.tensordot(wgt, np.multiply(vals, vals, out=vals), axes=(0, 0))
+        mean = sq = 0.0
+        for vals, wgt in blocks:
+            mean += np.tensordot(wgt, vals, axes=(0, 0))
+            sq += np.tensordot(wgt, np.multiply(vals, vals, out=vals), axes=(0, 0))
         var = np.maximum(sq - mean * mean, 0.0)
         return mean + 0.5 * weight * var
-    top = vals.max(axis=0)
-    vals -= top[None, ...]
-    vals *= weight
-    shifted = np.exp(vals, out=vals)
-    return top + np.log(np.tensordot(wgt, shifted, axes=(0, 0))) / weight
+    top, total = None, 0.0
+    for vals, wgt in blocks:
+        peak = vals.max(axis=0)
+        if top is None:
+            top = peak
+        else:
+            rose = peak > top
+            if np.any(rose):
+                total[rose] *= np.exp(weight * (top[rose] - peak[rose]))
+                top[rose] = peak[rose]
+        vals -= top[None, ...]
+        vals *= weight
+        total += np.tensordot(wgt, np.exp(vals, out=vals), axes=(0, 0))
+    return top + np.log(total) / weight
 
 
 class GridFunction:
@@ -204,8 +223,11 @@ def propagate_segment(
     one such call per block and builds its grids its own way; any other
     vectorized callable gets the stacked (block * grid, d) points of
     ``shifted_grid_points``.  Every point gets the same arithmetic as in a
-    call per node, so the values do not depend on the block size.  The
-    value block of all nodes is then reduced in place by ``_log_avg_exp``.
+    call per node.  Each block is reduced by the streaming ``_log_avg_exp``
+    as soon as it is evaluated, so memory stays at a few blocks whatever the
+    node count; no array of all nodes is built.  A level that fits in one
+    block, as every d = 1 level of the default grids does, is reduced
+    exactly as in one shot.
     """
     shifts, wgt = _gh_nodes(cov, cfg.nodes)
     shape = tuple(a.size for a in axes)
@@ -217,17 +239,17 @@ def propagate_segment(
             f_next(shifted_grid_points(axes, block).reshape(-1, len(axes)))
         ).reshape((len(block),) + shape)
     step = max(1, BLOCK_POINTS // size)
-    vals = np.empty((shifts.shape[0],) + shape)
-    for start in range(0, shifts.shape[0], step):
-        vals[start : start + step] = evaluate(shifts[start : start + step])
-    out = _log_avg_exp(weight, vals, wgt)
-    return GridFunction(axes, out)
+    blocks = (
+        (evaluate(shifts[start : start + step]), wgt[start : start + step])
+        for start in range(0, shifts.shape[0], step)
+    )
+    return GridFunction(axes, _log_avg_exp(weight, blocks))
 
 
 def _backward_pass(terminal, levels: list[Level], cfg: EvalConfig) -> tuple[list[GridFunction], float]:
     """The quadrature engine: X_1 .. X_n as grid functions (X_k at index
-    k - 1) and X_0 at the origin.  Only the level functions are kept; the
-    per-node value blocks of each level are freed once it is done."""
+    k - 1) and X_0 at the origin.  Only the level functions are kept; each
+    level's node values are reduced block by block as they are evaluated."""
     d = levels[0].cov.shape[0]
     if d > 2:
         raise ValueError("quadrature engine supports d <= 2; use monte_carlo")
@@ -250,7 +272,7 @@ def _backward_pass(terminal, levels: list[Level], cfg: EvalConfig) -> tuple[list
     # Outermost level: evaluate at the origin only.
     shifts, wgt = _gh_nodes(levels[0].cov, cfg.nodes)
     vals = np.asarray(terminal(shifts)) if f is None else f(shifts)
-    return fs, float(_log_avg_exp(levels[0].weight, vals, wgt))
+    return fs, float(_log_avg_exp(levels[0].weight, [(vals, wgt)]))
 
 
 def _deposit(mass: np.ndarray, coords: list[np.ndarray], axes: list[np.ndarray]) -> np.ndarray:
@@ -388,7 +410,7 @@ def _mc_value(terminal, levels: list[Level], cfg: EvalConfig, rng: np.random.Gen
         wgt = np.full(count, 1.0 / count)
         for lv in reversed(levels):
             vals = vals.reshape(-1, count)
-            vals = _log_avg_exp(lv.weight, vals.T, wgt)
+            vals = _log_avg_exp(lv.weight, [(vals.T, wgt)])
         return float(vals.reshape(())) if vals.ndim else float(vals)
 
     full = 2 * half

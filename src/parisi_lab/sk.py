@@ -23,12 +23,14 @@ supports agree to rounding.  The rounding itself is ~1.5e-8 per entry,
 negligible against every statistical tolerance used here.
 
 ``ENUMERATION_BUDGET`` bounds S^N and so memory: a few float64 tables of S^N
-entries, 128 MiB each at the budget, and S^N d x d self-overlaps under a ball.
+entries, 128 MiB each at the budget.  Under a ball the squared distances are
+summed one self-overlap entry at a time, so no S^N x d x d table is built.
 """
 
 from __future__ import annotations
 
 import io
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,18 +51,20 @@ ENUMERATION_BUDGET = 2**24
 
 @dataclass(frozen=True)
 class Disorder:
-    """One realization of the N x N interaction matrix, reproducible by seed."""
+    """One realization of the N x N interaction matrix; ``sample`` draws it
+    reproducibly from a seed."""
 
-    n_sites: int
     matrix: np.ndarray
-    seed: int
+
+    @property
+    def n_sites(self) -> int:
+        return self.matrix.shape[0]
 
     @classmethod
     def sample(cls, n_sites: int, seed: int) -> "Disorder":
         rng = np.random.default_rng(seed)
         g = rng.standard_normal((n_sites, n_sites))
-        g = np.round(g * _QUANTUM) / _QUANTUM
-        return cls(n_sites, g, seed)
+        return cls(np.round(g * _QUANTUM) / _QUANTUM)
 
 
 def hamiltonian(config: np.ndarray, disorder: Disorder) -> float:
@@ -94,10 +98,16 @@ class OverlapConstraint:
         r = 0.05 * frobenius_norm(c) if radius is None else float(radius)
         return cls(c, r)
 
-    def admits(self, self_overlaps: np.ndarray) -> np.ndarray:
-        """Vectorized ball membership for an array (..., d, d) of self-overlaps."""
-        diff = self_overlaps - self.center
-        return np.sqrt((diff**2).sum(axis=(-2, -1))) <= self.radius
+    def admits(self, entry) -> np.ndarray:
+        """Vectorized ball membership from ``entry(i, j)``, the (i, j) entries
+        of the self-overlaps as arrays of any one shape.  The squared
+        distances are added one entry at a time in row-major order, so no
+        (..., d, d) table of self-overlaps is needed."""
+        d = self.center.shape[0]
+        total = 0.0
+        for i, j in itertools.product(range(d), repeat=2):
+            total += (entry(i, j) - self.center[i, j]) ** 2
+        return np.sqrt(total) <= self.radius
 
 
 def _check_budget(mu: AprioriMeasure, n_sites: int) -> None:
@@ -124,7 +134,7 @@ def _split_sum(disorder: Disorder, mu: AprioriMeasure, constraint: OverlapConstr
     nx = (e_a[:, None] + e_b[None, :] + a @ np.kron(g[:m, m:] + g[m:, :m].T, eye) @ b.T).ravel()
     logw = (w_a[:, None] + w_b[None, :]).ravel()
     if constraint.center is not None:
-        mask = constraint.admits((r_a[:, None] + r_b[None, :]) / n).ravel()
+        mask = constraint.admits(lambda i, j: (r_a[:, None, i, j] + r_b[None, :, i, j]) / n).ravel()
         if not np.any(mask):
             raise ValueError("empty constraint set: enlarge the overlap ball")
         nx, logw = nx[mask], logw[mask]
@@ -149,10 +159,14 @@ def exact_local_free_energy(
     nx, logw = _split_sum(disorder, mu, constraint)
     betas = np.asarray(beta, dtype=float)
     values = np.empty(betas.size)
+    expo = np.empty_like(nx)
     for k, b in enumerate(betas.ravel()):
-        expo = b * nx / np.sqrt(n) + logw
+        np.multiply(nx, b, out=expo)
+        expo /= np.sqrt(n)
+        expo += logw
         top = expo.max()
-        values[k] = (top + np.log(np.sum(np.exp(expo - top)))) / n
+        expo -= top
+        values[k] = (top + np.log(np.sum(np.exp(expo, out=expo)))) / n
     return float(values[0]) if betas.ndim == 0 else values
 
 

@@ -14,6 +14,7 @@ from parisi_lab.sk import BudgetError
 from parisi_lab.recursion import (
     BLOCK_POINTS,
     MC_POINT_BUDGET,
+    SMALL_WEIGHT,
     FunctionalGradient,
     GridFunction,
     Level,
@@ -293,7 +294,8 @@ def test_lipschitz_witness():
 
 
 def per_node_segment(f_next, weight, cov, axes, cfg):
-    """propagate_segment's values with one f_next evaluation per node."""
+    """propagate_segment's values with one f_next evaluation per node,
+    reduced by the streaming reducer in the blocks propagate_segment uses."""
     shifts, wgt = _gh_nodes(cov, cfg.nodes)
     shape = tuple(a.size for a in axes)
     vals = np.empty((len(shifts),) + shape)
@@ -305,7 +307,9 @@ def per_node_segment(f_next, weight, cov, axes, cfg):
         base = np.stack([m.ravel() for m in mesh], axis=1)
         for i, s in enumerate(shifts):
             vals[i] = np.asarray(f_next(base + s[None, :])).reshape(shape)
-    return _log_avg_exp(weight, vals, wgt)
+    step = max(1, BLOCK_POINTS // vals[0].size)
+    blocks = [(vals[i : i + step], wgt[i : i + step]) for i in range(0, len(vals), step)]
+    return _log_avg_exp(weight, blocks)
 
 
 def _segment_cases():
@@ -343,10 +347,40 @@ def test_batched_segment_is_bit_identical_to_per_node(case):
         assert cfg.nodes * axes[0].size > BLOCK_POINTS
 
 
+def one_shot_log_avg_exp(weight, vals, wgt):
+    """(1/w) log sum_i wgt_i exp(w vals_i) over all nodes at once, or the
+    small-weight expansion mean + (w/2) variance: the formulas _log_avg_exp
+    streams, with the operations it applies to a single block."""
+    if weight < SMALL_WEIGHT:
+        mean = np.tensordot(wgt, vals, axes=(0, 0))
+        var = np.maximum(np.tensordot(wgt, vals * vals, axes=(0, 0)) - mean * mean, 0.0)
+        return mean + 0.5 * weight * var
+    top = vals.max(axis=0)
+    return top + np.log(np.tensordot(wgt, np.exp(weight * (vals - top)), axes=(0, 0))) / weight
+
+
+@pytest.mark.parametrize("weight", [0.05, 0.7, 1.0, 0.5 * SMALL_WEIGHT, 0.0])
+def test_streaming_reducer_matches_one_shot(weight):
+    # Blocks of uneven size whose maxima rise block after block at some grid
+    # points and fall at others, so the running sum is rescaled pointwise.
+    # A single block is reduced exactly as in one shot, bit for bit.
+    rng = np.random.default_rng(3)
+    vals = rng.normal(2.0, 1.0, size=(40, 7, 5))
+    vals += np.linspace(-3.0, 3.0, 40)[:, None, None] * np.sign(rng.normal(size=(7, 5)))
+    wgt = rng.uniform(0.1, 1.0, size=40)
+    wgt /= wgt.sum()
+    expected = one_shot_log_avg_exp(weight, vals, wgt)
+    assert np.array_equal(_log_avg_exp(weight, [(vals.copy(), wgt)]), expected)
+    cuts = [0, 1, 3, 10, 11, 25, 40]
+    blocks = [(vals[a:b].copy(), wgt[a:b]) for a, b in zip(cuts, cuts[1:])]
+    assert np.allclose(_log_avg_exp(weight, blocks), expected, rtol=1e-14, atol=0.0)
+
+
 @pytest.mark.parametrize("measure", ["gaussian", "hypercube"])
-def test_segment_reduces_its_value_block_in_place(measure):
-    # One d=2 level, 16 nodes per axis on a 161^2 grid: besides the value
-    # block of all 256 nodes, only per-block temporaries are allocated.
+def test_segment_streams_its_value_blocks(measure):
+    # One d=2 level, 16 nodes per axis on a 161^2 grid: the 256 nodes are
+    # reduced block by block, so only per-block temporaries are allocated,
+    # never the 53 MB value block of all nodes.
     tilt = np.array([[0.1, -0.05], [-0.05, 0.2]])
     mu = {
         "gaussian": AprioriMeasure.gaussian(np.array([[3.0, 0.4], [0.4, 4.0]]), np.array([0.3, -0.2])),
@@ -355,14 +389,30 @@ def test_segment_reduces_its_value_block_in_place(measure):
     tc = TerminalCondition(0.6, tilt, mu)
     cov = np.array([[0.5, 0.15], [0.15, 0.3]])
     axes = [np.linspace(-3.0, 3.0, 161), np.linspace(-2.5, 2.5, 161)]
-    value_block = 16**2 * 161**2 * 8
     tracemalloc.start()
     try:
         propagate_segment(tc, 0.7, cov, axes, EvalConfig(nodes=16, grid_points_2d=161))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.5 * value_block
+    assert peak < 16 * BLOCK_POINTS * 8
+
+
+def test_d2_recursion_memory_stays_at_a_few_blocks():
+    # A default-config d=2 evaluation: 32^2 nodes on a 161^2 grid would be a
+    # 212 MB value block if the nodes were not streamed.
+    x = UnitPartition.from_interior([0.4])
+    u = np.array([[1.0, 0.3], [0.3, 1.0]])
+    chain = MonotoneChain([np.zeros((2, 2)), u / 2, u])
+    tc = TerminalCondition(0.9, np.array([[0.1, -0.05], [-0.05, 0.2]]), AprioriMeasure.hypercube(2))
+    tracemalloc.start()
+    try:
+        value = recursion_value(x, chain, tc).value
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(value)
+    assert peak < 16 * 2**20
 
 
 def test_gauss_hermite_table_cached_read_only():

@@ -101,7 +101,8 @@ def test_energies_fresh_match_hamiltonian():
 def test_split_sum_matches_per_configuration(case, seed, radius):
     # The energies of a +-1 support are exact multiples of 2^-26, so they
     # equal the per-configuration sum exactly whatever the split.  The ball
-    # keeps exactly the configurations whose overlap(s, s) it admits.
+    # keeps exactly the configurations whose overlap(s, s) it admits, and it
+    # rounds as a sum over the (S^N, d, d) table of those overlaps would.
     support, n = case
     mu = {
         "ising": ISING,
@@ -111,12 +112,17 @@ def test_split_sum_matches_per_configuration(case, seed, radius):
     dis = Disorder.sample(n, seed)
     centre = 0.8 * np.eye(mu.dim) + 0.3 * (1.0 - np.eye(mu.dim))
     ball = OverlapConstraint.ball(centre, radius)
-    admitted = [s for s in _lexicographic(mu, n) if ball.admits(overlap(s, s))]
+    configs = list(_lexicographic(mu, n))
+    table = np.array([overlap(s, s) for s in configs])
+    mask = ball.admits(lambda i, j: table[:, i, j])
+    assert np.array_equal(mask, np.sqrt(((table - centre) ** 2).sum(axis=(-2, -1))) <= radius)
+    admitted = [s for s, keep in zip(configs, mask) if keep]
     if not admitted:
         with pytest.raises(ValueError, match="empty constraint set"):
             _split_sum(dis, mu, ball)
         return
     nx, logw = _split_sum(dis, mu, ball)
+    assert np.array_equal(nx, _split_sum(dis, mu, OverlapConstraint())[0][mask])
     assert np.array_equal(nx, [np.sum(dis.matrix * (s @ s.T)) for s in admitted])
     assert np.array_equal(logw, np.zeros(len(admitted)))
 
@@ -147,6 +153,29 @@ def test_beta_vector_equals_scalar_calls(mu, constraint, n):
         m, s, v = disorder_average(n, float(b), constraint, mu, 6, 3)
         assert type(m) is float and type(s) is float
         assert mean[k] == m and se[k] == s and np.array_equal(vals[k], v)
+
+
+@pytest.mark.parametrize(
+    "mu, constraint, n",
+    [
+        (ISING, OverlapConstraint(), 9),
+        (_weighted_square(), OverlapConstraint(), 5),
+        (_weighted_square(), OverlapConstraint.ball(np.eye(2), 0.8), 5),
+    ],
+    ids=["ising", "weighted-square", "overlap-ball"],
+)
+def test_free_energy_is_the_plain_log_sum_exp(mu, constraint, n):
+    # The reused exponent buffer changes no operation and no order.
+    dis = Disorder.sample(n, 13)
+    nx, logw = _split_sum(dis, mu, constraint)
+    betas = np.array([0.0, 0.4, 1.3, 2.2])
+    plain = []
+    for b in betas:
+        expo = b * nx / np.sqrt(n) + logw
+        top = expo.max()
+        plain.append((top + np.log(np.sum(np.exp(expo - top)))) / n)
+    assert np.array_equal(exact_local_free_energy(dis, betas, constraint, mu), plain)
+    assert exact_local_free_energy(dis, float(betas[2]), constraint, mu) == plain[2]
 
 
 def test_beta_zero_probability_measure():
@@ -201,7 +230,8 @@ def test_relabeling_and_flip_invariance():
     p = exact_local_free_energy(dis, 0.7, OverlapConstraint(), ISING)
     # site relabeling permutes the interaction matrix consistently
     perm = np.random.default_rng(0).permutation(5)
-    dis_p = Disorder(5, dis.matrix[np.ix_(perm, perm)], dis.seed)
+    dis_p = Disorder(dis.matrix[np.ix_(perm, perm)])
+    assert dis_p.n_sites == 5
     assert exact_local_free_energy(dis_p, 0.7, OverlapConstraint(), ISING) == pytest.approx(p, abs=1e-12)
     # global spin flip is a symmetry of the +-1 configuration space
     flipped = AprioriMeasure.discrete([[1.0], [-1.0]])
