@@ -191,7 +191,6 @@ def sample_leaf_fields(
 
 def cascade_representation(
     spec: CascadeSpec,
-    x: UnitPartition,
     chain: MonotoneChain,
     tc: TerminalCondition,
     replicas: int = 256,
@@ -202,12 +201,11 @@ def cascade_representation(
         E[ log sum_a xi(a) exp(g(Y(a))) ] - E[ log sum_a xi(a) ]
 
     over independent (tree, field) replicas; the subtracted log-mass term
-    normalizes the truncated cascade.  Returns (estimate, std_error).
+    normalizes the truncated cascade.  The cascade weights are the interior
+    partition points.  Returns (estimate, std_error).
     """
-    if not np.allclose(spec.weights, x.interior):
-        raise ValueError("cascade weights must match the partition interior")
-    if x.levels != chain.levels:
-        raise ValueError("partition and chain level counts differ")
+    if spec.levels != chain.levels:
+        raise ValueError("cascade and chain level counts differ")
 
     def log_ratio(s):
         rng = np.random.default_rng(s)
@@ -234,6 +232,6 @@ def representation_vs_recursion(
     """(cascade estimate, SE, recursion value) for the same order parameters;
     the recursion runs on the default quadrature engine."""
     x = UnitPartition.from_interior(spec.weights)
-    est, se = cascade_representation(spec, x, chain, tc, replicas=replicas, seed=seed)
+    est, se = cascade_representation(spec, chain, tc, replicas=replicas, seed=seed)
     rec = recursion_value(x, chain, tc).value
     return est, se, rec

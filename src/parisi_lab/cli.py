@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 assertion/check failure, 2 configuration error,
 including a config whose work exceeds an engine's budget (``sk.BudgetError``,
-raised by the enumeration, Monte Carlo, cascade and PDE engines).
+raised by the enumeration, Monte Carlo, cascade and PDE engines) and a PDE
+whose solve does not converge (``pde.PdeError``).
 Manifests contain the config hash, derived seeds and artifact list but no
 timestamps, so rerunning the same config and seed writes byte-identical
 output.
@@ -24,7 +25,7 @@ from parisi_lab import __version__, acceptance
 from parisi_lab.matrices import MatrixError
 from parisi_lab.measures import AprioriMeasure, EvalConfig, MeasureError, TerminalCondition
 from parisi_lab.paths import DiscretePath, PathError, path_from_json, path_to_json
-from parisi_lab.pde import PdeProblem, solve_parisi_pde
+from parisi_lab.pde import PdeError, PdeProblem, solve_parisi_pde
 # local_functional is no longer called here.  It stays in this namespace
 # because perfbench/spans.py instruments cli.local_functional.
 from parisi_lab.recursion import (  # noqa: F401
@@ -160,6 +161,12 @@ def _terminal_from(config: dict, mu: AprioriMeasure) -> TerminalCondition:
     return tc
 
 
+def _quadrature_dim(mu: AprioriMeasure) -> None:
+    """Refuse a measure of d > 2, which the quadrature engine cannot grid."""
+    if mu.dim > 2:
+        raise ConfigError(f"quadrature engine supports d <= 2, got d = {mu.dim}; eval's monte_carlo runs any d")
+
+
 # Each handler takes (config, master seed, workers) and returns
 # (artifacts by file name, exit status).
 
@@ -172,8 +179,8 @@ def _run_eval(config: dict, master: int, workers: int):
         cfg = EvalConfig(engine=config.get("engine", "quadrature"), seed=derive_seed(master, "eval"))
     except MeasureError as exc:
         raise ConfigError(f"invalid eval config: {exc}") from exc
-    if cfg.engine == "quadrature" and mu.dim > 2:
-        raise ConfigError(f"quadrature engine supports d <= 2, got d = {mu.dim}; use monte_carlo")
+    if cfg.engine == "quadrature":
+        _quadrature_dim(mu)
     rec = recursion_value(path.partition, path.chain, tc, cfg)
     loc = functional_from_recursion(path.partition, path.chain, tc, rec)
     lines = [
@@ -267,6 +274,7 @@ def _run_gaussian(config: dict, master: int, workers: int):
 
 def _run_saddle(config: dict, master: int, workers: int):
     mu = _measure_from(config)
+    _quadrature_dim(mu)
     problem = SaddleProblem(
         beta=_beta(config),
         mu=mu,
@@ -381,7 +389,7 @@ def main(argv=None) -> int:
     out_dir = args.out or Path(os.environ.get("PARISI_LAB_OUT", "parisi_lab_out"))
     try:
         return run_config(config, Path(out_dir), args.seed, max(args.workers, 1))
-    except (ConfigError, BudgetError) as exc:
+    except (ConfigError, BudgetError, PdeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

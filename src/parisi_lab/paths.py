@@ -5,7 +5,7 @@ paired with a Loewner-monotone chain 0 = Q[0] << ... << Q[n+1] = U.  It is
 the right-continuous step path rho(t) = Q[k] on [x_k, x_{k+1}) with a final
 jump to the terminal matrix U at t = 1.  The recursion, the closed forms and
 the saddle solver read its two parts; the PDE reads the path whole.  The
-distance between inverse profiles is computed exactly on merged value
+distance between d = 1 inverse profiles is computed exactly on merged value
 grids; no quadrature is involved.
 
 The parameterization maps free reals to feasible order parameters:
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from parisi_lab.matrices import PSD_TOL, MatrixError, as_sym, eigh_jacobi, eigmin, frobenius_norm, sym_sqrt
+from parisi_lab.matrices import PSD_TOL, as_sym, eigh_jacobi, eigmin, frobenius_norm, sym_sqrt
 
 
 class PathError(ValueError):
@@ -178,34 +178,26 @@ def chain_from_blocks(u: np.ndarray, blocks):
 
 
 def inverse_profile_distance(p1: DiscretePath, p2: DiscretePath) -> float:
-    """L1 distance between the weight-versus-overlap profiles of two paths.
+    """L1 distance between the weight-versus-overlap profiles of two d = 1
+    paths; any other dimension raises PathError.
 
     The recursion pairs weight x_k with the overlap increment
     [Q[k], Q[k+1]); the functional is Lipschitz in the L1 distance between
-    these inverse profiles, NOT in the time-integral distance of the matrix
-    paths (two paths with tiny values but very different weights are close in
-    time but far in effect).  For d = 1 the distance is computed exactly on
-    the merged value grid; for d > 1 the pairing is only defined on a shared
-    partition, where it reduces to sum_k (x_k - x_{k-1}) ||Q1[k] - Q2[k]||_F.
+    these inverse profiles, NOT in the time-integral distance of the paths
+    (two paths with tiny values but very different weights are close in time
+    but far in effect).  The distance is computed exactly on the merged
+    value grid.
     """
-    if p1.dim != p2.dim:
-        raise MatrixError(f"dimension mismatch: {p1.dim} vs {p2.dim}")
-    if p1.dim == 1:
-        q1 = p1.chain.matrices[:, 0, 0]
-        q2 = p2.chain.matrices[:, 0, 0]
-        grid = np.unique(np.concatenate((q1, q2)))
-        total = 0.0
-        for a, b in zip(grid[:-1], grid[1:]):
-            m1 = p1.partition.values[np.searchsorted(q1, a, side="right") - 1]
-            m2 = p2.partition.values[np.searchsorted(q2, a, side="right") - 1]
-            total += (b - a) * abs(m1 - m2)
-        return float(total)
-    if not np.array_equal(p1.partition.values, p2.partition.values):
-        raise PathError("d > 1 profile distance needs a shared partition")
-    x = p1.partition.values
+    if p1.dim != 1 or p2.dim != 1:
+        raise PathError(f"the profile distance is defined for d = 1 only, got d = {p1.dim} and {p2.dim}")
+    q1 = p1.chain.matrices[:, 0, 0]
+    q2 = p2.chain.matrices[:, 0, 0]
+    grid = np.unique(np.concatenate((q1, q2)))
     total = 0.0
-    for k in range(1, p1.chain.matrices.shape[0]):
-        total += (x[k] - x[k - 1]) * frobenius_norm(p1.chain.matrices[k] - p2.chain.matrices[k])
+    for a, b in zip(grid[:-1], grid[1:]):
+        m1 = p1.partition.values[np.searchsorted(q1, a, side="right") - 1]
+        m2 = p2.partition.values[np.searchsorted(q2, a, side="right") - 1]
+        total += (b - a) * abs(m1 - m2)
     return float(total)
 
 

@@ -24,12 +24,11 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_banded
 
-from parisi_lab.measures import EvalConfig
 from parisi_lab.paths import DiscretePath
 # propagate_segment is not called here.  It stays in this namespace because
 # perfbench/spans.py instruments pde.propagate_segment.
@@ -158,14 +157,17 @@ def _grad(f: np.ndarray, h: float) -> np.ndarray:
     return g
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def solve_parisi_pde(problem: PdeProblem) -> PdeSolution:
     """Backward Crank-Nicolson sweep through the segments (d = 1).
 
     The quadratic gradient term is lagged inside a fixed-point iteration per
-    time step, which stops once an iteration moves f by at most 1e-10;
-    failure to converge within 50 iterations raises PdeError with the
-    residual.  Raises BudgetError, before any allocation, when the table of
-    time rows x grid points would exceed CELL_BUDGET.
+    time step, which stops once an iteration moves f by at most 1e-10.  It
+    raises PdeError with the residual when 50 iterations do not converge, or
+    as soon as an iterate stops being finite: a diverging iterate overflows
+    to inf and NaN without a warning, and its residual is no longer finite.
+    Raises BudgetError, before any allocation, when the table of time rows x
+    grid points would exceed CELL_BUDGET.
     """
     # The grid size is tested alone first: time_steps cannot count the steps
     # of a spacing so small that the grid size is already infinite.
@@ -198,16 +200,17 @@ def solve_parisi_pde(problem: PdeProblem) -> PdeSolution:
             it = 0
             while True:
                 rhs = expl + a * xw * _grad(fk, h) ** 2
-                fn = solve_banded((1, 1), lhs, rhs)
+                fn = solve_banded((1, 1), lhs, rhs, check_finite=False)
                 delta = np.max(np.abs(fn - fk))
                 fk = fn
                 it += 1
                 if delta <= 1e-10:
                     break
-                if it >= 50:
+                if it >= 50 or not math.isfinite(delta):
+                    verdict = "stalled" if math.isfinite(delta) else "diverged"
                     raise PdeError(
-                        f"fixed point stalled on segment {seg} (residual {delta:.3e}); "
-                        "reduce the time step"
+                        f"fixed point {verdict} on segment {seg} (residual {delta:.3e}); "
+                        "reduce the spacing, which sets the time step"
                     )
             worst_iters = max(worst_iters, it)
             f = fk
@@ -247,63 +250,3 @@ def simulate_control_value(problem: PdeProblem, control, paths: int = 4096, seed
     est = float(payoff.mean())
     se = float(payoff.std(ddof=1) / np.sqrt(paths))
     return est, se
-
-
-@dataclass(frozen=True)
-class ConvexityReport:
-    gammas: np.ndarray
-    values: np.ndarray
-    chord: np.ndarray
-    margins: np.ndarray          # chord - value, >= 0 under convexity
-    numeric_error: float
-
-    @property
-    def min_interior_margin(self) -> float:
-        inner = self.margins[1:-1]
-        return float(inner.min()) if inner.size else 0.0
-
-
-def convexity_probe(
-    total_variance: float,
-    x_profile_1,
-    x_profile_2,
-    gammas,
-    terminal,
-    cfg: EvalConfig | None = None,
-) -> ConvexityReport:
-    """Midpoint-convexity probe of x -> f_{Q,x}(0, 0) in d = 1.
-
-    The diffusion path is the straight line Q(t) = total_variance * t; the two
-    step weight profiles are given on a common time grid as (times, values)
-    with values in [0, 1].  Values along gamma*x1 + (1-gamma)*x2 are computed
-    with the deterministic quadrature engine; the reported numeric error is
-    the change under one grid refinement.
-    """
-    from parisi_lab.recursion import Level, recursion_from_levels
-
-    cfg = cfg or EvalConfig()
-    t1, v1 = x_profile_1
-    t2, v2 = x_profile_2
-    grid = np.unique(np.concatenate((np.asarray(t1, float), np.asarray(t2, float), [0.0, 1.0])))
-
-    def profile_on(grid_pts, tt, vv):
-        idx = np.searchsorted(np.asarray(tt, float), grid_pts[:-1], side="right") - 1
-        return np.asarray(vv, float)[np.clip(idx, 0, len(vv) - 1)]
-
-    p1 = profile_on(grid, t1, v1)
-    p2 = profile_on(grid, t2, v2)
-    seg_var = total_variance * np.diff(grid)
-
-    def value(weights, config) -> float:
-        levels = [Level(float(w), np.array([[dv]])) for w, dv in zip(weights, seg_var)]
-        return recursion_from_levels(terminal, levels, config).value
-
-    gs = np.asarray(gammas, dtype=float)
-    vals = np.array([value(g * p1 + (1.0 - g) * p2, cfg) for g in gs])
-    v_at_1 = value(p1, cfg)
-    v_at_0 = value(p2, cfg)
-    chord = gs * v_at_1 + (1.0 - gs) * v_at_0
-    fine = replace(cfg, nodes=cfg.nodes + 8, grid_points=2 * cfg.grid_points - 1)
-    probe_g = gs[len(gs) // 2]
-    err = abs(value(probe_g * p1 + (1.0 - probe_g) * p2, fine) - vals[len(gs) // 2])
-    return ConvexityReport(gs, vals, chord, chord - vals, float(err + 1e-14))

@@ -17,8 +17,8 @@ are provided:
   any d, cost grows like samples**levels.
 
 Level weights may be arbitrary values in [0, 1] (not only the partition
-points); this generality is used by the monotonicity and convexity probes
-where convex combinations of step profiles appear as weights.
+points); acceptance check 10 uses this generality, where convex
+combinations of step profiles appear as weights.
 
 ``local_functional_gradient`` adds the first derivatives of the local
 functional in the weights, the chain and the tilt: every one is an
@@ -40,7 +40,7 @@ from scipy.interpolate import CubicSpline, RectBivariateSpline
 
 from parisi_lab.matrices import frobenius_inner, frobenius_norm, sqrt_factor
 from parisi_lab.measures import EvalConfig, TerminalCondition, shifted_grid_points
-from parisi_lab.paths import DiscretePath, MonotoneChain, UnitPartition
+from parisi_lab.paths import MonotoneChain, UnitPartition
 from parisi_lab.seeds import replicate
 from parisi_lab.sk import BudgetError
 
@@ -189,11 +189,6 @@ class GridFunction:
             for dx in (1, 0)
         ]
         return np.stack(parts, axis=-1)
-
-    def at_origin(self) -> float:
-        if self.dim == 1:
-            return float(self._spline(0.0))
-        return float(self._spline(0.0, 0.0))
 
     def __call__(self, pts) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -428,10 +423,7 @@ class RecursionResult:
 
 
 def recursion_from_levels(terminal, levels: list[Level], cfg: EvalConfig) -> RecursionResult:
-    """Evaluate the recursion for an explicit level list."""
-    if not levels:
-        pts = np.zeros((1, terminal.dim if hasattr(terminal, "dim") else 1))
-        return RecursionResult(float(np.asarray(terminal(pts))[0]), 0.0, cfg.engine)
+    """Evaluate the recursion for an explicit, nonempty level list."""
     for lv in levels:
         if not 0.0 <= lv.weight <= 1.0:
             raise ValueError(f"level weight {lv.weight} outside [0, 1]")
@@ -539,31 +531,6 @@ def functional_from_recursion(
         + rec.value
     )
     return RecursionResult(val, rec.std_error, rec.engine)
-
-
-def lipschitz_witness(
-    path1: DiscretePath,
-    path2: DiscretePath,
-    tc: TerminalCondition,
-    cfg: EvalConfig | None = None,
-):
-    """(lhs, rhs) with lhs = |X_0(rho1) - X_0(rho2)| and
-    rhs = (C/2) * d(rho1, rho2), where d is the L1 distance between the
-    weight-versus-overlap profiles (see inverse_profile_distance) and C the
-    computable sup |grad g|^2 bound from the measure's support radius.
-
-    The time-integral distance of the matrix paths does NOT dominate the
-    difference (weights can differ wildly where values nearly agree); the
-    inverse-profile distance is what the value actually responds to.
-    """
-    from parisi_lab.paths import inverse_profile_distance
-
-    cfg = cfg or EvalConfig()
-    v1 = recursion_value(path1.partition, path1.chain, tc, cfg).value
-    v2 = recursion_value(path2.partition, path2.chain, tc, cfg).value
-    lhs = abs(v1 - v2)
-    rhs = 0.5 * tc.gradient_sup_bound() * inverse_profile_distance(path1, path2)
-    return lhs, rhs
 
 
 def evaluation_record(name: str, inputs: dict, result: RecursionResult, seed: int) -> str:

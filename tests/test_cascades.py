@@ -14,7 +14,7 @@ from parisi_lab.cascades import (
     top_poisson_atoms,
 )
 from parisi_lab.measures import AprioriMeasure, TerminalCondition
-from parisi_lab.paths import MonotoneChain, UnitPartition
+from parisi_lab.paths import MonotoneChain
 from parisi_lab.sk import BudgetError
 
 RADEMACHER = AprioriMeasure.rademacher()
@@ -149,9 +149,7 @@ def test_representation_constant_terminal():
 
     spec = CascadeSpec([0.4], branching=64)
     chain = MonotoneChain([[[0.0]], [[0.5]], [[1.0]]])
-    est, se = cascade_representation(
-        spec, UnitPartition.from_interior([0.4]), chain, Const(), replicas=8, seed=3
-    )
+    est, se = cascade_representation(spec, chain, Const(), replicas=8, seed=3)
     assert est == pytest.approx(2.5, abs=1e-12)
 
 
@@ -164,9 +162,7 @@ def test_representation_linear_probe():
 
     spec = CascadeSpec([0.4], branching=256)
     chain = MonotoneChain([[[0.0]], [[0.5]], [[1.0]]])
-    est, se = cascade_representation(
-        spec, UnitPartition.from_interior([0.4]), chain, Linear(), replicas=256, seed=4
-    )
+    est, se = cascade_representation(spec, chain, Linear(), replicas=256, seed=4)
     expected = 0.4 * 0.81 * 0.5 / 2
     assert abs(est - expected) <= 3 * se
 

@@ -96,6 +96,14 @@ def test_verify_all_runs_real_checks(tmp_path, monkeypatch):
         assert row["details"] == json.loads(json.dumps(_jsonable(direct.details)))
 
 
+def test_checks_6_and_10_pass_at_the_default_seed():
+    representation = acceptance.check_cascade_representation(acceptance.DEFAULT_MASTER_SEED)
+    convexity = acceptance.check_convexity_monotonicity(acceptance.DEFAULT_MASTER_SEED)
+    assert representation.passed and convexity.passed
+    # Check 10's convexity margin is strict: above three times its refinement error.
+    assert convexity.details["convexity_margin"] > 3.0 * convexity.details["convexity_err"] > 0.0
+
+
 def test_verify_all_is_reproducible_and_records_its_seed(tmp_path, monkeypatch):
     seen = []
 

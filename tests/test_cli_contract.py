@@ -39,6 +39,9 @@ DEEP_PATH = json.loads(
     )
 )
 
+# x = (0.5), Q = 0, 0.5, 1.
+STEEP_PATH = {"x": [0.0, 0.5, 1.0], "Q": [[[0.0]], [[0.5]], [[1.0]]], "U": [[1.0]]}
+
 TINY = {
     "eval": {"command": "eval", "beta": 0.5, "measure": RADEMACHER, "path": PATH},
     "pde": {"command": "pde", "beta": 0.5, "measure": RADEMACHER, "path": PATH, "spacing": 0.05},
@@ -211,6 +214,18 @@ def test_free_energy_csv_equals_disorder_average(tmp_path):
           "path": {"x": [False, True], "Q": [[[0.0]], [[1.0]]], "U": [[1.0]]}},
          "path.x must hold numbers, got False"),
         ({"command": "rpc", "seed": 1, "weights": [0.25, True]}, "weights must hold numbers, got True"),
+        # saddle always runs the quadrature engine.
+        ({"command": "saddle", "seed": 1, "measure": {"kind": "hypercube", "d": 3}, "u": np.eye(3).tolist(),
+          "levels": 1, "restarts": 1, "max_evals": 2}, "quadrature engine supports d <= 2, got d = 3"),
+        ({"command": "saddle", "seed": 1, "measure": {"kind": "gaussian", "precision": (4.0 * np.eye(3)).tolist(),
+          "shift": [0.0, 0.0, 0.0]}, "u": np.eye(3).tolist(), "levels": 1, "restarts": 1, "max_evals": 2},
+         "quadrature engine supports d <= 2, got d = 3"),
+        # A PDE time step too coarse for the terminal: the fixed point stalls,
+        # or at the larger beta its iterate overflows.
+        ({"command": "pde", "seed": 1, "beta": 10, "measure": RADEMACHER, "path": STEEP_PATH, "spacing": 0.05},
+         "fixed point stalled on segment 1"),
+        ({"command": "pde", "seed": 1, "beta": 20, "measure": RADEMACHER, "path": STEEP_PATH, "spacing": 0.05},
+         "fixed point diverged on segment 1"),
     ],
 )
 def test_bad_config_exits_two(config, message, tmp_path, capsys):

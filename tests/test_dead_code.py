@@ -10,7 +10,11 @@ bare name or as an attribute, whatever the owner.
 The package ``__init__.py`` does not count as a caller: its imports and its
 ``__all__`` strings re-export a name without using it.  A helper that only
 its own tests call is dead; delete it with its tests instead of listing
-it."""
+it.
+
+A second ratchet covers imports: every name a module imports is loaded in
+that module, except the few that only the benchmark's tracer looks up
+there."""
 
 import ast
 from collections import Counter
@@ -83,3 +87,38 @@ def test_every_public_definition_has_a_caller_or_a_reason():
     dead = unreferenced - set(ALLOWED)
     assert not dead, "no caller in src/ or perfbench/: delete it, or give a reason in ALLOWED"
     assert not set(ALLOWED) - unreferenced, "now has a caller: drop it from ALLOWED"
+
+
+# Names imported into a module that no code there loads.  perfbench/spans.py
+# wraps an entry point in every namespace that holds it, so each must stay
+# importable from the module named.
+BENCHMARK_IMPORTS = {
+    "cli.local_functional": "spans.install target recursion.local_functional, looked up in cli",
+    "pde.propagate_segment": "spans.install target recursion.propagate, looked up in pde",
+    "saddle.eigh_jacobi": "spans.install target matrices.eigh_jacobi, looked up in saddle",
+    "saddle.local_functional": "spans.install target saddle.local_functional",
+}
+
+
+def _unused_imports() -> set[str]:
+    """``module.name`` for every name a package module (``__init__.py``
+    aside) binds by an import and never loads."""
+    unused = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        loaded = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in loaded:
+                        unused.add(f"{path.stem}.{bound}")
+    return unused
+
+
+def test_every_import_is_loaded_or_serves_the_benchmark():
+    assert _unused_imports() == set(BENCHMARK_IMPORTS)

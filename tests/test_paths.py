@@ -63,6 +63,11 @@ def test_inverse_profile_distance():
     # weights differ on the overlap interval [0.5, 1)
     p3 = scalar_path([0.5], [0.4])
     assert inverse_profile_distance(p1, p3) == pytest.approx(0.5 * 0.1)
+    # only d = 1 profiles are defined
+    chain = MonotoneChain([np.zeros((2, 2)), 0.5 * np.eye(2), np.eye(2)])
+    p4 = DiscretePath(UnitPartition.from_interior([0.5]), chain)
+    with pytest.raises(PathError, match="d = 1 only"):
+        inverse_profile_distance(p4, p4)
 
 
 @st.composite

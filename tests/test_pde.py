@@ -5,8 +5,8 @@ from parisi_lab.measures import AprioriMeasure, EvalConfig, TerminalCondition
 from parisi_lab.paths import DiscretePath, MonotoneChain, UnitPartition
 from parisi_lab.pde import (
     CELL_BUDGET,
+    PdeError,
     PdeProblem,
-    convexity_probe,
     simulate_control_value,
     solve_parisi_pde,
 )
@@ -76,7 +76,7 @@ def test_hopf_cole_composition_equals_recursion():
     f = propagate_segment(tc, weights[2], incs[2], [np.linspace(-w2, w2, cfg.grid_points)], cfg)
     f = propagate_segment(f, weights[1], incs[1], [np.linspace(-w1, w1, cfg.grid_points)], cfg)
     f = propagate_segment(f, weights[0], incs[0], [np.linspace(-1.0, 1.0, 33)], cfg)
-    assert f.at_origin() == pytest.approx(rec, abs=1e-9)
+    assert f([0.0])[0] == pytest.approx(rec, abs=1e-9)
 
 
 def test_grid_refinement_second_order():
@@ -119,29 +119,6 @@ def test_sk_feedback_attains_pde_value():
     assert abs(est - sol.at_origin()) <= 3 * se + 5e-3
 
 
-class SoftPlus:
-    dim = 1
-
-    def __call__(self, pts):
-        return np.logaddexp(0.0, np.asarray(pts)[:, 0])
-
-
-def test_convexity_probe_trivial_and_strict():
-    steps = np.linspace(0.0, 1.0, 11)
-    prof = (steps, steps[:-1])
-    gammas = np.linspace(0.0, 1.0, 5)
-    same = convexity_probe(1.0, prof, prof, gammas, SoftPlus(), EvalConfig(grid_points=801))
-    assert np.max(np.abs(same.margins)) <= 1e-10
-
-    prof2 = (steps, steps[:-1] ** 2)
-    rep = convexity_probe(1.0, prof, prof2, gammas, SoftPlus(), EvalConfig(grid_points=801))
-    assert rep.min_interior_margin > 3 * rep.numeric_error
-
-    # linear terminal: value is linear in the weights, margin ~ 0
-    lin = convexity_probe(1.0, prof, prof2, gammas, Linear(0.7), EvalConfig(grid_points=801))
-    assert np.max(np.abs(lin.margins)) <= 1e-8
-
-
 def test_csv_export():
     sol = solve_parisi_pde(PdeProblem(sk_path(), Const(), spacing=0.05))
     text = sol.to_csv()
@@ -181,3 +158,13 @@ def test_budget_refuses_before_any_work():
     for spacing in (1e-4, 1e-320):
         with pytest.raises(BudgetError, match="exceeds the budget of 16777216 cells"):
             solve_parisi_pde(PdeProblem(sk_path(), Untouched(), spacing=spacing))
+
+
+@pytest.mark.parametrize("beta, verdict", [(10.0, "stalled"), (20.0, "diverged")])
+def test_nonconvergence_raises_pde_error(beta, verdict):
+    # Too coarse a time step for a steep terminal: at beta = 20 the iterate
+    # overflows, which is refused without a RuntimeWarning.
+    path = DiscretePath(UnitPartition([0.0, 0.5, 1.0]), MonotoneChain([[[0.0]], [[0.5]], [[1.0]]]))
+    tc = TerminalCondition(beta, np.zeros((1, 1)), RADEMACHER)
+    with pytest.raises(PdeError, match=f"fixed point {verdict} on segment 1"):
+        solve_parisi_pde(PdeProblem(path, tc, spacing=0.05))

@@ -9,7 +9,7 @@ from numpy.polynomial.hermite import hermgauss
 from parisi_lab.acceptance import _random_gaussian_instance
 from parisi_lab.gaussian import closed_form_recursion
 from parisi_lab.measures import AprioriMeasure, EvalConfig, TerminalCondition
-from parisi_lab.paths import DiscretePath, MonotoneChain, UnitPartition, chain_from_blocks
+from parisi_lab.paths import DiscretePath, MonotoneChain, UnitPartition, chain_from_blocks, inverse_profile_distance
 from parisi_lab.sk import BudgetError
 from parisi_lab.recursion import (
     BLOCK_POINTS,
@@ -25,7 +25,6 @@ from parisi_lab.recursion import (
     _mc_value,
     functional_from_recursion,
     levels_from_order_params,
-    lipschitz_witness,
     local_functional,
     local_functional_gradient,
     overlap_energy_term,
@@ -243,7 +242,7 @@ def test_propagate_segment_identity_and_collapse():
     zs = np.sqrt(2 * 0.3) * hermgauss(cfg.nodes)[0]
     ws = hermgauss(cfg.nodes)[1] / np.sqrt(np.pi)
     direct = np.log(sum(w * np.exp(tc(np.array([[0.0 + z]]))[0]) for w, z in zip(ws, zs)))
-    assert full.at_origin() == pytest.approx(float(direct), abs=1e-9)
+    assert full([0.0])[0] == pytest.approx(float(direct), abs=1e-9)
 
 
 def test_overlap_energy_term():
@@ -276,21 +275,40 @@ def test_level_collapse_in_functional():
 
 
 def test_lipschitz_witness():
+    # |X_0(p) - X_0(q)| <= (C/2) d(p, q), with C the sup |grad g|^2 bound and
+    # d the inverse-profile distance, as acceptance check 10 tests it.
     x, chain, tc = scalar_setup([0.5], [0.5])
     p = DiscretePath(x, chain)
-    lhs, rhs = lipschitz_witness(p, p, tc)
-    assert lhs == 0.0 and rhs == 0.0
+
+    def gap(q, cfg):
+        return abs(recursion_value(x, chain, tc, cfg).value - recursion_value(q.partition, q.chain, tc, cfg).value)
+
+    assert gap(p, EvalConfig()) == 0.0 and inverse_profile_distance(p, p) == 0.0
     x2, chain2, _ = scalar_setup([0.5], [0.7])
     p2 = DiscretePath(x2, chain2)
-    lhs, rhs = lipschitz_witness(p, p2, tc, EvalConfig(grid_points=801))
-    assert lhs <= rhs
+    assert gap(p2, EvalConfig(grid_points=801)) <= 0.5 * tc.gradient_sup_bound() * inverse_profile_distance(p, p2)
     # refining a path's representation with a zero-variance top level keeps
-    # the value, so the witness lhs vanishes
+    # the value, so the difference vanishes
     x3 = UnitPartition.from_interior([0.5, 0.8])
     chain3 = MonotoneChain([[[0.0]], [[0.5]], [[1.0]], [[1.0]]], allow_equal=True)
-    p3 = DiscretePath(x3, chain3)
-    lhs3, _ = lipschitz_witness(p, p3, tc, EvalConfig(grid_points=3201))
-    assert lhs3 <= 1e-9
+    assert gap(DiscretePath(x3, chain3), EvalConfig(grid_points=3201)) <= 1e-9
+
+
+def test_linear_terminal_is_affine_in_the_weights():
+    # For g(y) = a y each level adds w_k a^2 dQ_k / 2, so X_0 is affine in the
+    # level weights and lies on every chord between two weight profiles.
+    steps = np.linspace(0.0, 1.0, 11)
+    prof1, prof2, variances = steps[:-1], steps[:-1] ** 2, np.diff(steps)
+    cfg = EvalConfig(grid_points=801)
+
+    def value(weights):
+        levels = [Level(float(w), np.array([[v]])) for w, v in zip(weights, variances)]
+        return recursion_from_levels(LinearProbe(0.7), levels, cfg).value
+
+    gammas = np.linspace(0.0, 1.0, 5)
+    vals = np.array([value(g * prof1 + (1.0 - g) * prof2) for g in gammas])
+    chord = gammas * vals[-1] + (1.0 - gammas) * vals[0]
+    assert np.max(np.abs(chord - vals)) <= 1e-8
 
 
 def per_node_segment(f_next, weight, cov, axes, cfg):
