@@ -71,18 +71,13 @@ def top_poisson_atoms(x_k: float, shape, rng: np.random.Generator) -> np.ndarray
 
 @dataclass(frozen=True)
 class CascadeTree:
-    """One sampled cascade: per-level raw atoms and normalized leaf weights.
-
-    ``level_atoms[k]`` has shape (M**k, M): the atoms of every level-(k+1)
-    node, nodes in lexicographic order.  ``leaf_weights`` are the products
+    """One sampled cascade: ``leaf_weights`` are the products of the atoms
     along branches, flattened lexicographically; ``normalized`` sums to one.
     """
 
     spec: CascadeSpec
-    level_atoms: tuple
     leaf_weights: np.ndarray
     normalized: np.ndarray
-    truncation_share: float
 
 
 def build_cascade(spec: CascadeSpec, seed) -> CascadeTree:
@@ -92,16 +87,10 @@ def build_cascade(spec: CascadeSpec, seed) -> CascadeTree:
         raise BudgetError(f"{spec.leaves} cascade leaves exceed the budget of {LEAF_BUDGET}")
     rng = np.random.default_rng(seed)
     m = spec.branching
-    atoms = []
     leaf = np.ones(1)
-    share = 0.0
     for k, xk in enumerate(spec.weights):
-        a = top_poisson_atoms(xk, (m**k, m), rng)
-        atoms.append(a)
-        share = max(share, float(np.max(a[:, -1] / a.sum(axis=1))))
-        leaf = (leaf[:, None] * a).reshape(-1)
-    total = leaf.sum()
-    return CascadeTree(spec, tuple(atoms), leaf, leaf / total, share)
+        leaf = (leaf[:, None] * top_poisson_atoms(xk, (m**k, m), rng)).reshape(-1)
+    return CascadeTree(spec, leaf, leaf / leaf.sum())
 
 
 def _same_prefix(tree: CascadeTree) -> np.ndarray:

@@ -222,8 +222,21 @@ def _run_rpc(config: dict, master: int, workers: int):
     return artifacts, 0 if dist.within(3.0) and pairs.within(3.0) else 1
 
 
+# sk experiment -> the keys it reads besides "command", "seed" and "experiment"
+SK_EXPERIMENTS = {
+    "average": {"n_sites", "beta", "replicas"},
+    "concentration": {"n_sites", "beta", "replicas"},
+    "superadditivity": {"n_sites", "m_sites", "beta", "replicas"},
+}
+
+
 def _run_sk(config: dict, master: int, workers: int):
     experiment = config.get("experiment", "average")
+    if not isinstance(experiment, str) or experiment not in SK_EXPERIMENTS:
+        raise ConfigError(f"unknown keys for sk: experiment={experiment!r}")
+    unknown = sorted(set(config) - SK_EXPERIMENTS[experiment] - {"command", "seed", "experiment"})
+    if unknown:
+        raise ConfigError(f"unknown keys for sk experiment {experiment}: {', '.join(unknown)}")
     beta = _beta(config)
     replicas = _count(config, "replicas", 200, 2)
     n_sites = _count(config, "n_sites", 8, 1)
@@ -246,7 +259,6 @@ def _run_sk(config: dict, master: int, workers: int):
         )
         csv = f"N,M,beta,margin,se\n{n_sites},{m_sites},{beta!r},{margin!r},{se!r}\n"
         return {"margin.csv": csv}, 1 if margin < -3.0 * se else 0
-    raise ConfigError(f"unknown keys for sk: experiment={experiment!r}")
 
 
 def _run_gaussian(config: dict, master: int, workers: int):
@@ -312,7 +324,7 @@ COMMANDS = {
     "eval": ({"beta", "tilt", "measure", "path", "engine"}, _run_eval),
     "pde": ({"beta", "tilt", "measure", "path", "spacing"}, _run_pde),
     "rpc": ({"weights", "branching", "replicas"}, _run_rpc),
-    "sk": ({"experiment", "n_sites", "m_sites", "beta", "replicas"}, _run_sk),
+    "sk": ({"experiment"}.union(*SK_EXPERIMENTS.values()), _run_sk),
     "gaussian": ({"c", "u", "h", "beta", "levels"}, _run_gaussian),
     "saddle": ({"beta", "levels", "u", "measure", "restarts", "max_evals"}, _run_saddle),
     "verify-all": (set(), _run_verify_all),

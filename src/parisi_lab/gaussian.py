@@ -488,12 +488,10 @@ class EquivalenceReport:
     parisi_value: float
     cs_value: float
     gap: float
-    parisi_opt: ScalarOptimum
-    cs_opt: ScalarOptimum
 
 
 def equivalence_check(c: float, u: float, h: float, beta: float, n: int, seed: int = 0) -> EquivalenceReport:
     """Minimize both scalar functionals at fixed n and report the gap."""
     p = minimize_parisi_1d(c, u, h, beta, n, seed=seed)
     cs = minimize_cs_1d(c, u, h, beta, n, seed=seed)
-    return EquivalenceReport(p.value, cs.value, abs(p.value - cs.value), p, cs)
+    return EquivalenceReport(p.value, cs.value, abs(p.value - cs.value))

@@ -6,27 +6,28 @@ mu(ds) = (det C / (2 pi)^d)^(1/2) * exp(-<C s, s>/2 + <h, s>) ds.
 
 The terminal condition bundles (beta, tilt, mu) and evaluates
 
-    g(y) = log Integral exp(sqrt(2) * beta * <y, s> + <tilt s, s>) mu(ds).
+    g(y) = log Integral exp(sqrt(2) * beta * <y, s> + <tilt s, s>) mu(ds)
 
-For discrete mu this is a max-shifted log-sum-exp over the support, taken
-support-major: one logit array per support point s_j, built from the
-coordinates of y one axis at a time, reduced elementwise.  The coordinates
-may be per-axis tables of a tensor grid, so g on a grid needs no point
-array and equals g at the stacked grid points bit for bit.  For Gaussian mu
-the integral is exact: completing the square with the quadratic tilt turns
-the precision matrix C into C - 2*tilt (the tilt enters the exponent as a
-full quadratic form, hence the factor 2), giving
+by one formula per measure, from the scaled coordinates sqrt(2) beta y_i:
+point columns or per-axis tables of tensor grids, so g on a grid needs no
+point array, equals g at the stacked grid points bit for bit, and is the g
+that the derivatives reweight with.  For discrete mu this is a max-shifted
+log-sum-exp over the support, taken support-major: one logit array per
+support point, built one axis at a time.  For Gaussian mu the integral is
+exact: completing the square with the quadratic tilt turns the precision
+matrix C into C - 2*tilt (the tilt enters the exponent as a full quadratic
+form, hence the factor 2), giving
 
     g(y) = log det(C (C - 2 tilt)^-1) / 2 + <(C - 2 tilt)^-1 w, w> / 2,
 
 with w = h + sqrt(2) beta y, valid while C - 2 tilt stays positive definite;
-on a grid its quadratic form is summed over broadcast per-axis tables.
+its quadratic form is summed over the broadcast coordinates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 
 import numpy as np
 
@@ -217,17 +218,27 @@ class TerminalCondition:
         sign_m, logdet_m = np.linalg.slogdet(m)
         return 0.5 * (logdet_c - logdet_m), np.linalg.inv(m)
 
-    def _discrete_values(self, coords: list[np.ndarray]) -> np.ndarray:
-        """g for discrete mu from the scaled coordinates coords[i] =
-        sqrt(2) beta y_i, arrays that broadcast together.
+    def _scaled_tables(self, axes: list[np.ndarray], shifts: np.ndarray) -> list[np.ndarray]:
+        """Coordinate i of the grids {axes + s}, scaled by sqrt(2) beta, as a
+        (len(shifts), n_i) table along grid axis i; the tables broadcast
+        into the grids and equal the scaled columns of
+        ``shifted_grid_points(axes, shifts)`` bit for bit."""
+        root2b = np.sqrt(2.0) * self.beta
+        tables = []
+        for i, a in enumerate(axes):
+            table = root2b * (a[None, :] + shifts[:, i : i + 1])
+            tables.append(table.reshape((len(shifts),) + tuple(a.size if j == i else 1 for j in range(len(axes)))))
+        return tables
 
-        Support point s_j gives the logit array
-        (coords[0] s_j0 + coords[1] s_j1 + ...) + c_j, added left to right,
-        with c_j = log w_j + <tilt s_j, s_j>; ``_logsumexp_columns`` reduces
-        the K arrays.  A logit array has the broadcast shape of the
-        coordinates, so per-axis tables of a grid give logits on the grid
-        and no point array or (points, K) block is formed.  Every step is
-        elementwise, so equal coordinates give equal values bit for bit.
+    def _logits(self, coords: list[np.ndarray]) -> list[np.ndarray]:
+        """For discrete mu, the logit array of each support point s_j,
+        (coords[0] s_j0 + coords[1] s_j1 + ...) + c_j added left to right
+        with c_j = log w_j + <tilt s_j, s_j>, from the scaled coordinates
+        coords[i] = sqrt(2) beta y_i, arrays that broadcast together.
+
+        A logit array has the broadcast shape of the coordinates, so grid
+        tables give logits on the grid and no (points, K) block is formed.
+        Every step is elementwise: equal coordinates give equal logits.
         """
         sigma = self.mu.points
         consts = np.log(self.mu.weights) + np.einsum("ij,jk,ik->i", sigma, self.tilt, sigma)
@@ -238,19 +249,28 @@ class TerminalCondition:
                 acc = acc + coord * s_ji
             acc += c_j
             logits.append(acc)
-        return _logsumexp_columns(logits)
+        return logits
+
+    def _values(self, coords: list[np.ndarray]) -> np.ndarray:
+        """g from the scaled coordinates coords[i] = sqrt(2) beta y_i: the
+        one evaluator behind ``__call__``, ``on_shifted_grids`` and
+        ``derivatives``."""
+        if self.mu.kind == "discrete":
+            return _logsumexp_columns(self._logits(coords))
+        const, minv = self._gaussian_data
+        vals = _quadratic_form([h_i + c for h_i, c in zip(self.mu.shift, coords)], minv)
+        vals *= 0.5
+        vals += const
+        return vals
 
     def __call__(self, y) -> np.ndarray | float:
         """g(y) for y of shape (..., d); scalar input allowed at d = 1.
 
         One call evaluates any number of points, so callers stack all their
-        points into one array instead of calling once per point.  For
-        discrete mu the columns sqrt(2) beta y_i go to ``_discrete_values``,
-        a log-sum-exp over the support.  For a +-1 support every product
-        y_i s_ji is exact, so the logits equal the matrix product
-        sqrt(2) beta y sigma^T bit for bit.  The Gaussian quadratic form is
-        ``_quadratic_form``.  ``on_shifted_grids`` runs the same formulas on
-        grid tables, so the two agree bit for bit for every measure.
+        points into one array instead of calling once per point.  The
+        columns sqrt(2) beta y_i go to ``_values``, the evaluator that
+        ``on_shifted_grids`` runs on grid tables, so the two agree bit for
+        bit for every measure.
         """
         pts = np.asarray(y, dtype=float)
         scalar_in = pts.ndim == 0
@@ -258,12 +278,7 @@ class TerminalCondition:
             pts = pts.reshape(pts.shape + (1,)) if not scalar_in else pts.reshape(1, 1)
         flat = pts.reshape(-1, self.dim)
         root2b = np.sqrt(2.0) * self.beta
-        if self.mu.kind == "discrete":
-            vals = self._discrete_values([root2b * flat[:, i] for i in range(self.dim)])
-        else:
-            const, minv = self._gaussian_data
-            w = self.mu.shift[None, :] + root2b * flat
-            vals = const + 0.5 * _quadratic_form(w.T, minv)
+        vals = self._values([root2b * flat[:, i] for i in range(self.dim)])
         if scalar_in:
             return float(vals[0])
         return vals.reshape(pts.shape[:-1])
@@ -271,65 +286,38 @@ class TerminalCondition:
     def on_shifted_grids(self, axes: list[np.ndarray], shifts: np.ndarray) -> np.ndarray:
         """g on the tensor grids {axes + s} for each row s of shifts, shape
         (len(shifts),) + grid shape, bit-identical to ``__call__`` on
-        ``shifted_grid_points(axes, shifts)``.
+        ``shifted_grid_points(axes, shifts)``.  No point array is built:
+        ``_values`` reads the per-axis ``_scaled_tables``."""
+        return self._values(self._scaled_tables(axes, shifts))
 
-        No point array is built.  Coordinate i of the points, scaled by
-        sqrt(2) beta, is a (len(shifts), n_i) table along grid axis i, and
-        the tables broadcast into the grid.  Gaussian mu adds h_i to each
-        table and takes ``_quadratic_form``; discrete mu passes the tables
-        to ``_discrete_values``, whose logits are the same left-to-right
-        sums as in ``__call__``.  For a +-1 support the products are exact,
-        so the logits equal the matrix product of the stacked points with
-        the support bit for bit.
-        """
-        root2b = np.sqrt(2.0) * self.beta
-        d = self.dim
-        tables = []
-        for i, a in enumerate(axes):
-            table = root2b * (a[None, :] + shifts[:, i : i + 1])
-            tables.append(table.reshape((len(shifts),) + tuple(a.size if j == i else 1 for j in range(d))))
-        if self.mu.kind == "discrete":
-            return self._discrete_values(tables)
-        const, minv = self._gaussian_data
-        vals = _quadratic_form([h_i + t for h_i, t in zip(self.mu.shift, tables)], minv)
-        vals *= 0.5
-        vals += const
-        return vals
-
-    def derivatives(self, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def derivatives(self, axes: list[np.ndarray], shifts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """g, grad g and the tilted second moment <s s^T>, which is the
-        derivative of g in the tilt, at the rows of y (shape (m, d)); the
-        shapes are (m,), (m, d) and (m, d, d).
+        derivative of g in the tilt, on the grids {axes + s}; the shapes are
+        (len(shifts),) + grid shape, then that + (d,) and + (d, d).
 
         Under the tilted measure nu_y(ds) ~ exp(sqrt(2) beta <y, s> +
-        <tilt s, s>) mu(ds), grad g = sqrt(2) beta <s>.  For Gaussian mu,
-        nu_y is Gaussian with covariance (C - 2 tilt)^-1 and mean
-        (C - 2 tilt)^-1 w.  The value of g agrees with ``__call__`` to
-        rounding, not bit for bit: it comes out of the same exponentials as
-        the derivatives.
+        <tilt s, s>) mu(ds), grad g = sqrt(2) beta <s>.  The grid tables are
+        those of ``on_shifted_grids`` and g is taken by the same formula, so
+        the two agree bit for bit.  For discrete mu the Gibbs weight of s_j
+        is exp(logit_j - g).  For Gaussian mu, nu_y is Gaussian with
+        covariance (C - 2 tilt)^-1 and mean (C - 2 tilt)^-1 w.
         """
-        flat = np.asarray(y, dtype=float).reshape(-1, self.dim)
+        coords = self._scaled_tables(axes, shifts)
         root2b = np.sqrt(2.0) * self.beta
         if self.mu.kind == "discrete":
+            logits = self._logits(coords)
+            value = _logsumexp_columns([logit.copy() for logit in logits])
+            gibbs = np.stack([np.exp(logit - value) for logit in logits], axis=-1)
             sigma = self.mu.points
-            quad = np.einsum("ij,jk,ik->i", sigma, self.tilt, sigma)
-            logits = root2b * flat @ sigma.T + (np.log(self.mu.weights) + quad)[None, :]
-            # Column-wise max and a matrix-vector row sum: faster than row
-            # reductions over the few support points.
-            top = reduce(np.maximum, logits.T)
-            gibbs = np.exp(logits - top[:, None])
-            total = gibbs @ np.ones(len(sigma))
-            gibbs /= total[:, None]
-            value = top + np.log(total)
             mean = gibbs @ sigma
             outer = sigma[:, :, None] * sigma[:, None, :]
-            moment = (gibbs @ outer.reshape(len(sigma), -1)).reshape(-1, self.dim, self.dim)
+            moment = (gibbs @ outer.reshape(len(sigma), -1)).reshape(mean.shape + (self.dim,))
         else:
-            const, minv = self._gaussian_data
-            w = self.mu.shift[None, :] + root2b * flat
-            mean = w @ minv
-            value = const + 0.5 * np.einsum("ij,ij->i", w, mean)
-            moment = minv[None] + mean[:, :, None] * mean[:, None, :]
+            value = self._values(coords)
+            minv = self._gaussian_data[1]
+            w = np.broadcast_arrays(*(h_i + c for h_i, c in zip(self.mu.shift, coords)))
+            mean = np.stack(w, axis=-1) @ minv
+            moment = minv + mean[..., :, None] * mean[..., None, :]
         return value, root2b * mean, moment
 
     def gradient_sup_bound(self) -> float:

@@ -179,16 +179,16 @@ class GridFunction:
             return self._spline(axes[0][None, :] + shifts[:, 0:1])
         return np.stack([self._spline(axes[0] + s[0], axes[1] + s[1]) for s in shifts])
 
-    def gradient_on_shifted_grids(self, axes: list[np.ndarray], shifts: np.ndarray) -> np.ndarray:
-        """Spline gradient on the grids {axes + s}, shape (len(shifts),) +
-        grid shape + (d,)."""
+    def derivatives(self, axes: list[np.ndarray], shifts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``on_shifted_grids`` and the spline gradient on the same grids,
+        shape (len(shifts),) + grid shape + (d,)."""
         if self.dim == 1:
-            return self._spline(axes[0][None, :] + shifts[:, 0:1], 1)[..., None]
-        parts = [
-            np.stack([self._spline(axes[0] + s[0], axes[1] + s[1], dx=dx, dy=1 - dx) for s in shifts])
-            for dx in (1, 0)
-        ]
-        return np.stack(parts, axis=-1)
+            grad = self._spline(axes[0][None, :] + shifts[:, 0:1], 1)[..., None]
+        else:
+            grids = [(axes[0] + s[0], axes[1] + s[1]) for s in shifts]
+            parts = [np.stack([self._spline(*g, dx=dx, dy=1 - dx) for g in grids]) for dx in (1, 0)]
+            grad = np.stack(parts, axis=-1)
+        return self.on_shifted_grids(axes, shifts), grad
 
     def __call__(self, pts) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -270,14 +270,14 @@ def _backward_pass(terminal, levels: list[Level], cfg: EvalConfig) -> tuple[list
     return fs, float(_log_avg_exp(levels[0].weight, [(vals, wgt)]))
 
 
-def _deposit(mass: np.ndarray, coords: list[np.ndarray], axes: list[np.ndarray]) -> np.ndarray:
+def _deposit(mass: np.ndarray, pts: np.ndarray, axes: list[np.ndarray]) -> np.ndarray:
     """Spread point masses onto the uniform tensor grid ``axes`` with linear
-    (d = 1) or bilinear (d = 2) weights.  ``coords[i]`` holds the i-th
-    coordinate of every point, in the shape of ``mass``.  Total mass and the
-    first moments are kept exactly; points outside the grid go to its edge."""
+    (d = 1) or bilinear (d = 2) weights.  ``pts`` holds the points, shape
+    mass.shape + (d,).  Total mass and the first moments are kept exactly;
+    points outside the grid go to its edge."""
     cells = []
-    for c, a in zip(coords, axes):
-        t = np.clip((c - a[0]) / (a[1] - a[0]), 0.0, a.size - 1.0).ravel()
+    for axis, a in enumerate(axes):
+        t = np.clip((pts[..., axis] - a[0]) / (a[1] - a[0]), 0.0, a.size - 1.0).ravel()
         i = np.minimum(t.astype(np.intp), a.size - 2)
         cells.append((i, t - i))
     shape = tuple(a.size for a in axes)
@@ -308,8 +308,9 @@ def _forward_pass(tc: TerminalCondition, levels: list[Level], fs: list[GridFunct
         dX_0/ddQ_k = sym(A_k dQ_k^+ / 2),  A_k = E_pi[grad X_{k+1}(y + z_j) z_j^T],
         dX_0/dtilt = E_pi[<s s^T>] at the terminal level,
 
-    with X_{k+1} and its gradient read from the level splines and, at the
-    last level, from ``TerminalCondition.derivatives``.  The dQ_k formula is
+    with X_{k+1}, its gradient and, at the last level, <s s^T> from one
+    ``derivatives(axes, block)`` call per block of nodes, of the level's
+    ``GridFunction`` or of the ``TerminalCondition``.  The dQ_k formula is
     the derivative of the quadrature sum itself: its nodes z_j = sqrt(2) L
     xi_j move with the factor L L^T = dQ_k.  By Gaussian integration by parts
     it equals the continuum 1/2 E_pi[Hess X_{k+1} + w_k grad X_{k+1}
@@ -330,24 +331,17 @@ def _forward_pass(tc: TerminalCondition, levels: list[Level], fs: list[GridFunct
     mass = np.ones((1,) * d)      # pi_k on the level-k grid
     for k, lv in enumerate(levels):
         shifts, wgt = _gh_nodes(lv.cov, cfg.nodes)
-        shape = here.shape
         last = k == n
         small = lv.weight < SMALL_WEIGHT
-        sum_v = np.zeros(shape)   # sum_j p_j v_j, or wgt_j v_j below the threshold
-        sum_sq = np.zeros(shape)  # sum_j wgt_j v_j^2 below the threshold
+        sum_v = np.zeros(here.shape)   # sum_j p_j v_j, or wgt_j v_j below the threshold
+        sum_sq = np.zeros(here.shape)  # sum_j wgt_j v_j^2 below the threshold
         moves = np.zeros((d, d))  # A_k
         moved = None if last else np.zeros(fs[k].values.shape)
         expand = (slice(None),) + (None,) * d
         step = max(1, BLOCK_POINTS // here.size)
         for start in range(0, shifts.shape[0], step):
             block = shifts[start : start + step]
-            pts = shifted_grid_points(axes, block)
-            if last:
-                vals, grad, moment = tc.derivatives(pts.reshape(-1, d))
-                vals = vals.reshape((len(block),) + shape)
-            else:
-                vals = fs[k].on_shifted_grids(axes, block)
-                grad = fs[k].gradient_on_shifted_grids(axes, block)
+            vals, grad, *moment = (tc if last else fs[k]).derivatives(axes, block)
             node_w = wgt[start : start + step][expand]
             p = node_w * np.exp(lv.weight * (vals - here[None]))
             if small:
@@ -359,9 +353,9 @@ def _forward_pass(tc: TerminalCondition, levels: list[Level], fs: list[GridFunct
             flat = moving.reshape(len(block), -1)
             moves += np.einsum("bm,bmi,bj->ij", flat, grad.reshape(flat.shape + (d,)), block)
             if last:
-                d_tilt += np.tensordot(flat.ravel(), moment, axes=1)
+                d_tilt += np.tensordot(flat.ravel(), moment[0].reshape(-1, d, d), axes=1)
             else:
-                moved += _deposit(moving, [pts[..., i] for i in range(d)], fs[k].axes)
+                moved += _deposit(moving, shifted_grid_points(axes, block), fs[k].axes)
         back = np.linalg.pinv(sqrt_factor(lv.cov))
         half = 0.5 * moves @ back.T @ back
         d_cov[k] = 0.5 * (half + half.T)

@@ -15,8 +15,7 @@ problem: maximize the inner value over a one-parameter family of admissible
 self-overlap matrices by bounded Brent search (``_bounded_max``), which
 finds the supremum when the inner value is unimodal along the family.  The
 diagonal Gaussian scenario splits into scalar problems per eigenmode, which
-``gaussian.minimize_parisi_1d`` solves with L-BFGS-B on exact gradients too;
-its outer search runs the same bounded search once per mode.
+``gaussian.minimize_parisi_1d`` solves with L-BFGS-B on exact gradients too.
 
 For a discrete measure, U must lie in the convex hull of {s s^T : s in the
 support}; outside it the inner infimum is -infinity and ``inner_minimize``
@@ -33,7 +32,7 @@ import numpy as np
 from scipy.optimize import linprog, minimize_scalar
 
 from parisi_lab.gaussian import PAIR_SCALE, REJECTED_VALUE, minimize_parisi_1d, multistart
-from parisi_lab.matrices import project_psd
+from parisi_lab.matrices import PSD_TOL, MatrixError, eigmin, frobenius_norm, project_psd
 # eigh_jacobi is not called here.  It stays in this namespace because
 # perfbench/spans.py instruments saddle.eigh_jacobi.
 from parisi_lab.matrices import eigh_jacobi  # noqa: F401
@@ -98,6 +97,7 @@ class SaddleResult:
                 "restart_evaluations": self.restart_evaluations,
                 "nit": self.nit,
                 "converged": self.converged,
+                "rejections": self.rejections,
             }
         )
 
@@ -127,16 +127,27 @@ def _unpack(theta: np.ndarray, d: int, n: int, u_mat: np.ndarray):
     return partition, chain, tilt, pullback
 
 
-def _check_self_overlap(u_mat: np.ndarray, mu: AprioriMeasure) -> None:
-    """Raise SelfOverlapError if U has the wrong shape or, for discrete mu,
-    lies outside conv{s s^T : s in supp mu}: there -<tilt, U> + X_0 is
-    unbounded below in the tilt.  Membership is a linear feasibility
-    problem in the convex weights of the support points."""
+def _admissible_self_overlap(u_given: np.ndarray, mu: AprioriMeasure) -> np.ndarray:
+    """U projected onto the PSD cone.  Raise SelfOverlapError if U has the
+    wrong shape, is not symmetric, has an eigenvalue below
+    -PSD_TOL (1 + ||U||_F) (one above that is rounding, which the projection
+    clips), or, for discrete mu, lies outside conv{s s^T : s in supp mu}:
+    there -<tilt, U> + X_0 is unbounded below in the tilt.  Membership is a
+    linear feasibility problem in the convex weights of the support points."""
     d = mu.dim
-    if u_mat.shape != (d, d):
+    if u_given.shape != (d, d):
         raise SelfOverlapError("self-overlap shape disagrees with the measure dimension")
+    try:
+        lowest = eigmin(u_given)
+    except MatrixError as exc:
+        raise SelfOverlapError(f"self-overlap {u_given.tolist()} is not symmetric") from exc
+    if lowest < -PSD_TOL * (1.0 + frobenius_norm(u_given)):
+        raise SelfOverlapError(
+            f"self-overlap {u_given.tolist()} is not positive semidefinite (eigmin={lowest:.3e})"
+        )
+    u_mat = project_psd(u_given)
     if mu.kind != "discrete":
-        return
+        return u_mat
     tri = np.tril_indices(d)
     outer = np.array([np.outer(s, s)[tri] for s in mu.points]).T
     a_eq = np.vstack((outer, np.ones(len(mu.points))))
@@ -144,20 +155,20 @@ def _check_self_overlap(u_mat: np.ndarray, mu: AprioriMeasure) -> None:
     res = linprog(np.zeros(len(mu.points)), A_eq=a_eq, b_eq=b_eq, bounds=(0.0, None), method="highs")
     if res.status != 0:
         raise SelfOverlapError(
-            f"self-overlap {u_mat.tolist()} lies outside the convex hull of s s^T over the "
+            f"self-overlap {u_given.tolist()} lies outside the convex hull of s s^T over the "
             "support; the inner infimum is -infinity there"
         )
+    return u_mat
 
 
 def inner_minimize(u_matrix, problem: SaddleProblem) -> SaddleResult:
     """Infimum of the local functional at fixed terminal self-overlap.
 
     Raises SelfOverlapError when U is not admissible for the measure (see
-    ``_check_self_overlap``).  ``problem.max_evals`` is L-BFGS-B's
+    ``_admissible_self_overlap``).  ``problem.max_evals`` is L-BFGS-B's
     ``maxfun``, which scipy checks between iterations, so a restart may end
     a few evaluations past it."""
-    u_mat = project_psd(np.atleast_2d(np.asarray(u_matrix, dtype=float)))
-    _check_self_overlap(u_mat, problem.mu)
+    u_mat = _admissible_self_overlap(np.atleast_2d(np.asarray(u_matrix, dtype=float)), problem.mu)
     d = problem.dim
     n = problem.levels
     ntri = d * (d + 1) // 2
@@ -202,8 +213,6 @@ def inner_minimize(u_matrix, problem: SaddleProblem) -> SaddleResult:
 class DiagonalSaddleResult:
     value: float          # free-energy scale
     value_paired: float   # doubled-units sum of per-mode optima
-    per_mode: tuple
-    u_eigs: np.ndarray
 
 
 def diagonal_inner(c_eigs, u_eigs, beta: float, levels: int, seed: int = 0) -> DiagonalSaddleResult:
@@ -213,31 +222,9 @@ def diagonal_inner(c_eigs, u_eigs, beta: float, levels: int, seed: int = 0) -> D
     (C, U); the paired-units optimum is the sum of scalar minima and the
     free-energy scale value is half of it.
     """
-    cs = np.asarray(c_eigs, dtype=float)
-    us = np.asarray(u_eigs, dtype=float)
-    opts = tuple(
-        minimize_parisi_1d(c, u, 0.0, beta, levels, seed=seed) for c, u in zip(cs, us)
-    )
-    total = float(sum(o.value for o in opts))
-    return DiagonalSaddleResult(total / PAIR_SCALE, total, opts, us)
-
-
-def diagonal_outer(c_eigs, beta: float, levels: int, u_bounds, seed: int = 0) -> DiagonalSaddleResult:
-    """Maximize the per-mode infima over per-mode self-overlap intervals.
-
-    The paired objective is a sum of independent per-mode terms, so the outer
-    search also decouples: ``u_bounds`` holds one (lo, hi) per mode, and each
-    mode runs one ``_bounded_max`` over ``minimize_parisi_1d``.  The result
-    is built from the winners, so no u is solved twice.  Each mode finds its
-    maximum only when its infimum is unimodal in u on [lo, hi].
-    """
-    winners = [
-        _bounded_max(lambda u, c=c: minimize_parisi_1d(c, u, 0.0, beta, levels, seed=seed), lo, hi)
-        for c, (lo, hi) in zip(np.asarray(c_eigs, dtype=float), u_bounds)
-    ]
-    total = float(sum(opt.value for _, opt in winners))
-    us = np.array([u for u, _ in winners])
-    return DiagonalSaddleResult(total / PAIR_SCALE, total, tuple(opt for _, opt in winners), us)
+    modes = zip(np.asarray(c_eigs, dtype=float), np.asarray(u_eigs, dtype=float))
+    total = float(sum(minimize_parisi_1d(c, u, 0.0, beta, levels, seed=seed).value for c, u in modes))
+    return DiagonalSaddleResult(total / PAIR_SCALE, total)
 
 
 # ---------------------------------------------------------------------------

@@ -69,13 +69,17 @@ def test_build_cascade_refuses_leaves_over_budget_before_drawing():
 
 def test_build_cascade_draws_atoms_level_by_level():
     # Each level's (nodes, M) block is Gamma^{-1/x_k} of row-wise cumulative
-    # exponentials, drawn in row-major order from the cascade's generator.
+    # exponentials, drawn in row-major order from the cascade's generator;
+    # a leaf weight is the product of the atoms along its branch.
     spec = CascadeSpec([0.3, 0.6], branching=8)
     tree = build_cascade(spec, 3)
     rng = np.random.default_rng(3)
-    for k, (x_k, atoms) in enumerate(zip(spec.weights, tree.level_atoms)):
+    leaf = np.ones(1)
+    for k, x_k in enumerate(spec.weights):
         gamma = np.cumsum(rng.exponential(size=(8**k, 8)), axis=1)
-        assert np.array_equal(atoms, gamma ** (-1.0 / x_k))
+        leaf = (leaf[:, None] * gamma ** (-1.0 / x_k)).reshape(-1)
+    assert np.array_equal(tree.leaf_weights, leaf)
+    assert np.array_equal(tree.normalized, leaf / leaf.sum())
 
 
 def test_normalization_scale_invariant():
@@ -130,14 +134,6 @@ def test_leaf_field_covariance():
         arr = np.asarray(prods[key])
         se = arr.std(ddof=1) / np.sqrt(arr.size)
         assert abs(arr.mean() - target) <= 4 * se
-
-
-def test_truncation_share_decreases_with_branching():
-    shares = []
-    for m in (32, 64, 128, 256):
-        tree = build_cascade(CascadeSpec([0.4, 0.7], branching=m), 9)
-        shares.append(tree.truncation_share)
-    assert all(a > b for a, b in zip(shares[:-1], shares[1:]))
 
 
 def test_representation_constant_terminal():

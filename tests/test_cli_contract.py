@@ -226,6 +226,23 @@ def test_free_energy_csv_equals_disorder_average(tmp_path):
          "fixed point stalled on segment 1"),
         ({"command": "pde", "seed": 1, "beta": 20, "measure": RADEMACHER, "path": STEEP_PATH, "spacing": 0.05},
          "fixed point diverged on segment 1"),
+        # m_sites belongs to superadditivity only.
+        ({"command": "sk", "seed": 1, "experiment": "average", "n_sites": 4, "m_sites": 7, "replicas": 3},
+         "unknown keys for sk experiment average: m_sites"),
+        ({"command": "sk", "seed": 1, "n_sites": 4, "m_sites": 7, "replicas": 3},
+         "unknown keys for sk experiment average: m_sites"),
+        ({"command": "sk", "seed": 1, "experiment": "concentration", "n_sites": 4, "m_sites": 7, "replicas": 3},
+         "unknown keys for sk experiment concentration: m_sites"),
+        ({"command": "sk", "seed": 1, "experiment": ["average"]}, "unknown keys for sk: experiment=['average']"),
+        # The self-overlap must be PSD and symmetric as given; it is not projected first.
+        ({"command": "saddle", "seed": 1, "u": [[0.5, 0.9], [0.9, 0.5]], "levels": 1, "restarts": 1,
+          "max_evals": 2, "measure": {"kind": "gaussian", "precision": [[3.0, 0.0], [0.0, 3.0]], "shift": [0.0, 0.0]}},
+         "self-overlap [[0.5, 0.9], [0.9, 0.5]] is not positive semidefinite"),
+        ({"command": "saddle", "seed": 1, "u": [[-1]], "levels": 1, "restarts": 1, "max_evals": 2},
+         "self-overlap [[-1.0]] is not positive semidefinite"),
+        ({"command": "saddle", "seed": 1, "u": [[0.5, 0.9], [0.1, 0.5]], "levels": 1, "restarts": 1,
+          "max_evals": 2, "measure": {"kind": "hypercube", "d": 2}},
+         "self-overlap [[0.5, 0.9], [0.1, 0.5]] is not symmetric"),
     ],
 )
 def test_bad_config_exits_two(config, message, tmp_path, capsys):

@@ -12,7 +12,13 @@ The package ``__init__.py`` does not count as a caller: its imports and its
 its own tests call is dead; delete it with its tests instead of listing
 it.
 
-A second ratchet covers imports: every name a module imports is loaded in
+A field ratchet covers data: every public field of a public dataclass is
+read somewhere in ``src/`` or ``perfbench/``, or is listed in ``ALLOWED``
+as ``Class.field`` with the reason it stays.  A field counts as read
+wherever an attribute of its name is loaded, whatever the owner, as a
+method does; a value that is only stored is dead.
+
+A last ratchet covers imports: every name a module imports is loaded in
 that module, except the few that only the benchmark's tracer looks up
 there."""
 
@@ -25,7 +31,6 @@ PACKAGE = ROOT / "src" / "parisi_lab"
 
 ALLOWED = {
     "simulate_control_value": "independent route: control values that lower-bound the PDE",
-    "diagonal_outer": "per-mode outer optimum, the general saddle solver's reference",
     "outer_maximize": "outer search of the sup-inf, tested against the closed form",
     "hamiltonian": "per-configuration reference for the enumeration's energy table",
     "overlap": "per-configuration overlap matrix, the reference test_variance_identity uses",
@@ -57,9 +62,15 @@ def _names(tree) -> Counter:
     return found
 
 
-def _unreferenced() -> set[str]:
+def _trees() -> dict:
+    """Syntax tree of every module in ``src/`` and ``perfbench/`` but the
+    package ``__init__.py``, by path."""
     files = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
-    trees = {path: ast.parse(path.read_text()) for path in files if path.name != "__init__.py"}
+    return {path: ast.parse(path.read_text()) for path in files if path.name != "__init__.py"}
+
+
+def _unreferenced() -> set[str]:
+    trees = _trees()
     references = sum((_names(tree) for tree in trees.values()), Counter())
     definitions = {}
     for path, tree in trees.items():
@@ -86,7 +97,43 @@ def test_every_public_definition_has_a_caller_or_a_reason():
     unreferenced = _unreferenced()
     dead = unreferenced - set(ALLOWED)
     assert not dead, "no caller in src/ or perfbench/: delete it, or give a reason in ALLOWED"
-    assert not set(ALLOWED) - unreferenced, "now has a caller: drop it from ALLOWED"
+    assert not set(ALLOWED) - unreferenced - _unread_fields(), "now has a caller or reader: drop it from ALLOWED"
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(
+        isinstance(target, ast.Name) and target.id == "dataclass"
+        for target in (dec.func if isinstance(dec, ast.Call) else dec for dec in node.decorator_list)
+    )
+
+
+def _unread_fields() -> set[str]:
+    """``Class.field`` for every public field of a public dataclass in the
+    package that no code in ``src/`` or ``perfbench/`` reads.  A field is
+    read wherever an attribute of its name is loaded, whatever the owner; a
+    bare name, a keyword or a string does not count."""
+    trees = _trees()
+    loaded = {
+        node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    return {
+        f"{cls.name}.{stmt.target.id}"
+        for path, tree in trees.items()
+        if path.parent == PACKAGE
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_") and _is_dataclass(cls)
+        for stmt in cls.body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+        and not stmt.target.id.startswith("_") and stmt.target.id not in loaded
+    }
+
+
+def test_every_public_field_is_read_or_has_a_reason():
+    unread = _unread_fields() - set(ALLOWED)
+    assert not unread, f"nothing reads {sorted(unread)}: delete the field, or give a reason in ALLOWED"
 
 
 # Names imported into a module that no code there loads.  perfbench/spans.py

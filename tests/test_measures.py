@@ -202,6 +202,9 @@ def test_on_shifted_grids_is_bit_identical_to_stacked_points(case):
     got = tc.on_shifted_grids(axes, shifts)
     assert got.shape == (5,) + tuple(a.size for a in axes)
     assert np.array_equal(got, tc(shifted_grid_points(axes, shifts)))
+    value, grad, moment = tc.derivatives(axes, shifts)
+    assert np.array_equal(value, got)
+    assert grad.shape == got.shape + (tc.dim,) and moment.shape == got.shape + (tc.dim, tc.dim)
     # The points are a meshgrid of the axes plus each shift.
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
     stacked = mesh[None] + shifts.reshape((5,) + (1,) * tc.dim + (tc.dim,))
@@ -240,6 +243,7 @@ def test_discrete_on_shifted_grids_property(case):
     pts = shifted_grid_points(axes, shifts)
     got = tc.on_shifted_grids(axes, shifts)
     assert np.array_equal(got, tc(pts))
+    assert np.array_equal(tc.derivatives(axes, shifts)[0], got)
     if plus_minus_one:
         flat = pts.reshape(-1, tc.dim)
         assert np.array_equal(got.ravel(), _matrix_product_formula(tc, flat))

@@ -16,7 +16,6 @@ ALLOWED = {
     "cli.main.argv": "command-line arguments: tests pass them, the console script reads sys.argv",
     "pde.simulate_control_value.paths": "tests size the Monte Carlo estimate of a control value",
     "pde.simulate_control_value.seed": "seed",
-    "saddle.diagonal_outer.seed": "seed",
     "sk.superadditivity_experiment.constraint": "tests bound constrained free energies",
     "sk.superadditivity_experiment.mu": "tests bound other discrete measures",
 }

@@ -580,17 +580,19 @@ def test_gradient_needs_quadrature():
 
 
 def test_terminal_derivatives_match_differences():
-    # g from derivatives() agrees with __call__, and grad g and
-    # <s s^T> = dg/dtilt agree with central differences of __call__.
+    # g from derivatives() equals __call__ bit for bit, and grad g and
+    # <s s^T> = dg/dtilt agree with central differences of __call__.  The
+    # points are the shifts of a one-point grid at the origin.
     tilt = np.array([[0.1, -0.05], [-0.05, 0.2]])
     pts = np.array([[0.3, -0.4], [1.2, 0.5], [-0.7, 0.0]])
+    axes = [np.zeros(1)] * 2
     gauss = AprioriMeasure.gaussian(np.array([[3.0, 0.4], [0.4, 4.0]]), np.array([0.3, -0.2]))
     uneven = AprioriMeasure.discrete([[0.0, 1.0], [2.0, -1.0], [0.5, 0.5]], [1.0, 0.5, 2.0])
     h = 1e-5
     for mu in (AprioriMeasure.hypercube(2), gauss, uneven):
         tc = TerminalCondition(0.7, tilt, mu)
-        value, grad, moment = tc.derivatives(pts)
-        assert np.allclose(value, tc(pts), rtol=0.0, atol=1e-13)
+        value, grad, moment = (a.reshape((len(pts),) + a.shape[3:]) for a in tc.derivatives(axes, pts))
+        assert np.array_equal(value, tc(pts))
         for i, e in enumerate(np.eye(2)):
             assert np.allclose(grad[:, i], (tc(pts + h * e) - tc(pts - h * e)) / (2 * h), atol=1e-8)
         for i in range(2):
@@ -608,4 +610,14 @@ def test_d1_quadrature_matches_closed_form_property(seed, n):
     x, chain, tilt, c, h, beta = _random_gaussian_instance(np.random.default_rng(seed), 1, n)
     tc = TerminalCondition(beta, tilt, AprioriMeasure.gaussian(c, h))
     rec = recursion_value(x, chain, tc, EvalConfig(nodes=24, grid_points=1601, grid_points_2d=161))
+    assert rec.value == pytest.approx(closed_form_recursion(x, chain, tilt, c, h, beta), abs=1e-6)
+
+
+@settings(derandomize=True, max_examples=20, deadline=None, database=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3))
+def test_d2_quadrature_matches_closed_form_property(seed, n):
+    # Check 2's instances at d = 2 and its tolerance, on a coarse engine.
+    x, chain, tilt, c, h, beta = _random_gaussian_instance(np.random.default_rng(seed), 2, n)
+    tc = TerminalCondition(beta, tilt, AprioriMeasure.gaussian(c, h))
+    rec = recursion_value(x, chain, tc, EvalConfig(nodes=12, grid_points_2d=61))
     assert rec.value == pytest.approx(closed_form_recursion(x, chain, tilt, c, h, beta), abs=1e-6)

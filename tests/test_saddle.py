@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from parisi_lab import saddle
-from parisi_lab.gaussian import PAIR_SCALE, closed_form_value, optimal_self_overlap
+from parisi_lab.gaussian import PAIR_SCALE, closed_form_value, minimize_parisi_1d, optimal_self_overlap
 from parisi_lab.measures import AprioriMeasure, EvalConfig, TerminalCondition
 from parisi_lab.paths import PathError
 from parisi_lab.recursion import FunctionalGradient, local_functional_gradient
@@ -14,7 +14,6 @@ from parisi_lab.saddle import (
     SaddleProblem,
     SelfOverlapError,
     diagonal_inner,
-    diagonal_outer,
     inner_minimize,
     outer_maximize,
 )
@@ -82,32 +81,30 @@ def test_diagonal_inner_and_outer():
     target = closed_form_value(3.0, 0.5, 1.0) + closed_form_value(4.0, 0.5, 1.0)
     assert res.value_paired == pytest.approx(target, abs=1e-6)
     assert res.value == pytest.approx(target / PAIR_SCALE, abs=1e-6)
-    out = diagonal_outer([3.0], 1.0, 1, [(0.1, 1.0)], seed=0)
-    assert out.u_eigs[0] == pytest.approx(0.5, abs=0.05)
-    assert out.value_paired == pytest.approx(0.15546510810816438, abs=1e-4)
+    u, opt = saddle._bounded_max(lambda t: minimize_parisi_1d(3.0, t, 0.0, 1.0, 1, seed=0), 0.1, 1.0)
+    assert u == pytest.approx(0.5, abs=0.05)
+    assert opt.value == pytest.approx(0.15546510810816438, abs=1e-4)
 
 
-def test_diagonal_outer_off_grid_optimum():
+def test_bounded_max_off_grid_optimum():
     # u* = 1 - 1/sqrt(2) at c = 4, beta = 1: no round grid holds it.
-    out = diagonal_outer([4.0], 1.0, 1, [(0.1, 1.0)], seed=0)
-    assert out.value_paired == pytest.approx(optimal_self_overlap(4.0, 1.0).value, abs=1e-6)
+    _, opt = saddle._bounded_max(lambda t: minimize_parisi_1d(4.0, t, 0.0, 1.0, 1, seed=0), 0.1, 1.0)
+    assert opt.value == pytest.approx(optimal_self_overlap(4.0, 1.0).value, abs=1e-6)
 
 
-def test_diagonal_outer_solves_each_u_once(monkeypatch):
-    # The result is built from each mode's best evaluated point, so no u is
+def test_bounded_max_solves_each_point_once():
+    # The result is the best evaluated point as it was solved, so no t is
     # solved twice and the winner is not solved again.
-    calls = []
+    solved = []
 
-    def counted(c, u, h, beta, levels, seed=0):
-        calls.append((c, float(u)))
-        return SimpleNamespace(value=-((u - 0.43) ** 2) - c)
+    def solve(t):
+        solved.append((t, SimpleNamespace(value=-((t - 0.43) ** 2))))
+        return solved[-1][1]
 
-    monkeypatch.setattr(saddle, "minimize_parisi_1d", counted)
-    out = diagonal_outer([3.0, 4.0], 1.0, 1, [(0.1, 1.0)] * 2, seed=0)
-    assert len(set(calls)) == len(calls)
-    assert np.allclose(out.u_eigs, 0.43, atol=saddle.OUTER_XATOL)
-    for c, opt in zip([3.0, 4.0], out.per_mode):
-        assert opt.value == max(-((u - 0.43) ** 2) - c for cc, u in calls if cc == c)
+    t, opt = saddle._bounded_max(solve, 0.1, 1.0)
+    assert len({s for s, _ in solved}) == len(solved)
+    assert abs(t - 0.43) <= saddle.OUTER_XATOL
+    assert opt is max(solved, key=lambda pair: pair[1].value)[1]
 
 
 def test_general_matches_diagonal_d2():
@@ -198,7 +195,7 @@ def test_d2_rejections_are_infeasibility_errors(mu, expected):
     res = inner_minimize(np.array([[1.0, 0.2], [0.2, 1.0]]), prob)
     assert res.evaluations == sum(res.restart_evaluations)
     assert len(res.restart_evaluations) == len(res.nit) == len(res.converged) == 3
-    assert res.rejections == expected
+    assert res.rejections == expected == json.loads(res.to_json())["rejections"]
     assert res.value < REJECTED_VALUE
     if expected:
         assert res.restart_evaluations[2] == 1 and not res.converged[2]
@@ -226,6 +223,15 @@ def test_infeasible_self_overlap_is_rejected(mu, u):
     prob = SaddleProblem(beta=1.0, mu=mu, levels=1, restarts=1, max_evals=5)
     with pytest.raises(SelfOverlapError):
         inner_minimize(np.array(u), prob)
+
+
+def test_self_overlap_within_the_psd_tolerance_is_projected():
+    # An eigenvalue above -PSD_TOL (1 + ||U||) is rounding and is clipped;
+    # one below it is refused, quoting the U that was given.
+    mu = AprioriMeasure.gaussian(np.array([[3.0]]))
+    assert np.array_equal(saddle._admissible_self_overlap(np.array([[-1e-12]]), mu), [[0.0]])
+    with pytest.raises(SelfOverlapError, match=r"self-overlap \[\[-1e-09\]\] is not positive semidefinite"):
+        saddle._admissible_self_overlap(np.array([[-1e-9]]), mu)
 
 
 def test_feasible_self_overlap_inside_the_hull():
