@@ -8,7 +8,7 @@ closed forms, Ruelle-probability-cascade sampling, and exact enumeration of
 finite-size spin systems.
 """
 
-from parisi_lab.matrices import frobenius_inner, project_psd, sym_sqrt
+from parisi_lab.matrices import frobenius_inner, sym_sqrt
 from parisi_lab.measures import AprioriMeasure, EvalConfig, TerminalCondition
 from parisi_lab.paths import DiscretePath, MonotoneChain, UnitPartition
 
@@ -20,7 +20,6 @@ __all__ = [
     "TerminalCondition",
     "UnitPartition",
     "frobenius_inner",
-    "project_psd",
     "sym_sqrt",
 ]
 

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from parisi_lab import __version__, acceptance
+from parisi_lab import __version__, acceptance, gaussian
 from parisi_lab.matrices import MatrixError
 from parisi_lab.measures import AprioriMeasure, EvalConfig, MeasureError, TerminalCondition
 from parisi_lab.paths import DiscretePath, PathError, path_from_json, path_to_json
@@ -262,8 +262,6 @@ def _run_sk(config: dict, master: int, workers: int):
 
 
 def _run_gaussian(config: dict, master: int, workers: int):
-    from parisi_lab import gaussian
-
     c = _number("c", _required(config, "c"))
     u = _number("u", _required(config, "u"))
     h = _number("h", config.get("h", 0.0))

@@ -32,10 +32,7 @@ import numpy as np
 from scipy.optimize import linprog, minimize_scalar
 
 from parisi_lab.gaussian import PAIR_SCALE, REJECTED_VALUE, minimize_parisi_1d, multistart
-from parisi_lab.matrices import PSD_TOL, MatrixError, eigmin, frobenius_norm, project_psd
-# eigh_jacobi is not called here.  It stays in this namespace because
-# perfbench/spans.py instruments saddle.eigh_jacobi.
-from parisi_lab.matrices import eigh_jacobi  # noqa: F401
+from parisi_lab.matrices import PSD_TOL, MatrixError, eigh_jacobi, frobenius_norm
 from parisi_lab.measures import AprioriMeasure, EvalConfig, TerminalCondition
 from parisi_lab.paths import MonotoneChain, UnitPartition, chain_from_blocks, cumulative_fractions
 from parisi_lab.recursion import FunctionalGradient, local_functional_gradient
@@ -138,14 +135,15 @@ def _admissible_self_overlap(u_given: np.ndarray, mu: AprioriMeasure) -> np.ndar
     if u_given.shape != (d, d):
         raise SelfOverlapError("self-overlap shape disagrees with the measure dimension")
     try:
-        lowest = eigmin(u_given)
+        w, v = eigh_jacobi(u_given)
     except MatrixError as exc:
         raise SelfOverlapError(f"self-overlap {u_given.tolist()} is not symmetric") from exc
-    if lowest < -PSD_TOL * (1.0 + frobenius_norm(u_given)):
+    if w[0] < -PSD_TOL * (1.0 + frobenius_norm(u_given)):
         raise SelfOverlapError(
-            f"self-overlap {u_given.tolist()} is not positive semidefinite (eigmin={lowest:.3e})"
+            f"self-overlap {u_given.tolist()} is not positive semidefinite (eigmin={w[0]:.3e})"
         )
-    u_mat = project_psd(u_given)
+    u_mat = v @ np.diag(np.clip(w, 0.0, None)) @ v.T
+    u_mat = 0.5 * (u_mat + u_mat.T)
     if mu.kind != "discrete":
         return u_mat
     tri = np.tril_indices(d)

@@ -34,6 +34,7 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import betaincinv
 
 from parisi_lab.matrices import frobenius_norm
 from parisi_lab.measures import AprioriMeasure
@@ -111,8 +112,10 @@ class OverlapConstraint:
 
 
 def _check_budget(mu: AprioriMeasure, n_sites: int) -> None:
-    """Raise BudgetError past ``ENUMERATION_BUDGET`` configurations."""
-    if mu.size**n_sites > ENUMERATION_BUDGET:
+    """Raise BudgetError past ``ENUMERATION_BUDGET`` configurations.  S^N is
+    never formed: with b the budget's bit length, S^N exceeds the budget
+    exactly when S^min(N, b) does, since S^b >= 2^b > budget for S >= 2."""
+    if mu.size ** min(n_sites, ENUMERATION_BUDGET.bit_length()) > ENUMERATION_BUDGET:
         raise BudgetError(f"{mu.size}^{n_sites} states exceed the enumeration budget of {ENUMERATION_BUDGET}")
 
 
@@ -221,11 +224,9 @@ class TailTable:
 
 def clopper_pearson_upper(successes: int, trials: int) -> float:
     """One-sided 95% upper confidence bound for a binomial proportion."""
-    from scipy.stats import beta as beta_dist
-
     if successes >= trials:
         return 1.0
-    return float(beta_dist.ppf(0.95, successes + 1, trials - successes))
+    return float(betaincinv(successes + 1, trials - successes, 0.95))
 
 
 def concentration_experiment(

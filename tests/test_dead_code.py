@@ -20,7 +20,8 @@ method does; a value that is only stored is dead.
 
 A last ratchet covers imports: every name a module imports is loaded in
 that module, except the few that only the benchmark's tracer looks up
-there."""
+there, and every import sits at module level, so importing a module is its
+whole import cost and no call pays for one."""
 
 import ast
 from collections import Counter
@@ -142,7 +143,6 @@ def test_every_public_field_is_read_or_has_a_reason():
 BENCHMARK_IMPORTS = {
     "cli.local_functional": "spans.install target recursion.local_functional, looked up in cli",
     "pde.propagate_segment": "spans.install target recursion.propagate, looked up in pde",
-    "saddle.eigh_jacobi": "spans.install target matrices.eigh_jacobi, looked up in saddle",
     "saddle.local_functional": "spans.install target saddle.local_functional",
 }
 
@@ -169,3 +169,22 @@ def _unused_imports() -> set[str]:
 
 def test_every_import_is_loaded_or_serves_the_benchmark():
     assert _unused_imports() == set(BENCHMARK_IMPORTS)
+
+
+def _nested_imports() -> list[str]:
+    """``file:line`` of every import inside a function or class body of a
+    package module."""
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for scope in ast.walk(ast.parse(path.read_text())):
+            if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                found.update(
+                    f"{path.name}:{node.lineno}"
+                    for node in ast.walk(scope)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                )
+    return sorted(found)
+
+
+def test_every_import_sits_at_module_level():
+    assert _nested_imports() == []

@@ -230,6 +230,12 @@ def test_self_overlap_within_the_psd_tolerance_is_projected():
     # one below it is refused, quoting the U that was given.
     mu = AprioriMeasure.gaussian(np.array([[3.0]]))
     assert np.array_equal(saddle._admissible_self_overlap(np.array([[-1e-12]]), mu), [[0.0]])
+    # d = 2 with eigenvalues 1 and about -1e-12: the projection is symmetric
+    # and PSD.
+    u = np.array([[0.5, 0.5 + 1e-12], [0.5 + 1e-12, 0.5]])
+    assert np.linalg.eigvalsh(u)[0] == pytest.approx(-1e-12, rel=1e-3)
+    u_mat = saddle._admissible_self_overlap(u, AprioriMeasure.gaussian(np.eye(2)))
+    assert np.array_equal(u_mat, u_mat.T) and np.linalg.eigvalsh(u_mat)[0] >= 0.0
     with pytest.raises(SelfOverlapError, match=r"self-overlap \[\[-1e-09\]\] is not positive semidefinite"):
         saddle._admissible_self_overlap(np.array([[-1e-9]]), mu)
 

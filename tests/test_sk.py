@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from parisi_lab.sk import (
     BudgetError,
     Disorder,
     OverlapConstraint,
+    ENUMERATION_BUDGET,
+    _check_budget,
     _split_sum,
     concentration_experiment,
     disorder_average,
@@ -204,6 +207,21 @@ def test_budget_guard():
     gaussian = AprioriMeasure.gaussian([[1.0]])
     with pytest.raises(MeasureError, match="discrete"):
         exact_local_free_energy(Disorder.sample(2, 0), 1.0, OverlapConstraint(), gaussian)
+
+
+def test_budget_check_never_forms_the_power():
+    # S^N is not formed, so an absurd site count is refused at once.
+    start = time.perf_counter()
+    with pytest.raises(BudgetError, match=r"2\^1000000000000000000 states exceed"):
+        _check_budget(ISING, 10**18)
+    assert time.perf_counter() - start < 1.0
+    # The cut is exact: the largest N within the budget passes, N + 1 does not.
+    for mu in (ISING, AprioriMeasure.discrete([[0.0], [1.0], [2.0]]), AprioriMeasure.hypercube(2)):
+        n = int(np.log(ENUMERATION_BUDGET) / np.log(mu.size) + 1e-9)
+        assert mu.size**n <= ENUMERATION_BUDGET < mu.size ** (n + 1)
+        _check_budget(mu, n)
+        with pytest.raises(BudgetError):
+            _check_budget(mu, n + 1)
 
 
 def test_budget_checked_before_any_draw(monkeypatch):
