@@ -4,6 +4,10 @@ Exit codes: 0 success, 1 assertion/check failure, 2 configuration error,
 including a config whose work exceeds an engine's budget (``sk.BudgetError``,
 raised by the enumeration, Monte Carlo, cascade and PDE engines) and a PDE
 whose solve does not converge (``pde.PdeError``).
+Each command's handler returns its artifacts by file name, each a str or an
+iterable of str chunks (``pde``'s ``solution.csv`` streams one time row at a
+time), and every artifact is written as it is produced, so no file's whole
+text need be held in memory.
 Manifests contain the config hash, derived seeds and artifact list but no
 timestamps, so rerunning the same config and seed writes byte-identical
 output.
@@ -203,9 +207,9 @@ def _run_pde(config: dict, master: int, workers: int):
         raise ConfigError(f"invalid pde problem: {exc}") from exc
     sol = solve_parisi_pde(problem)
     rec = recursion_value(path.partition, path.chain, tc, EvalConfig())
-    summary = {"pde_origin": sol.at_origin(), "recursion": rec.value,
-               "difference": abs(sol.at_origin() - rec.value)}
-    return {"solution.csv": sol.to_csv(), "summary.json": json.dumps(summary)}, 0
+    origin = sol.at_origin()
+    summary = {"pde_origin": origin, "recursion": rec.value, "difference": abs(origin - rec.value)}
+    return {"solution.csv": sol.csv_rows(), "summary.json": json.dumps(summary)}, 0
 
 
 def _run_rpc(config: dict, master: int, workers: int):
@@ -350,7 +354,11 @@ def run_config(config: dict, out_dir: Path, seed_override: int | None, workers: 
     artifacts, status = handler(config, master, workers)
 
     for name, payload in artifacts.items():
-        (out_dir / name).write_text(payload)
+        if isinstance(payload, str):
+            (out_dir / name).write_text(payload)
+        else:
+            with (out_dir / name).open("w") as fh:
+                fh.writelines(payload)
     blob = json.dumps(config, sort_keys=True)
     manifest = {
         "config": config,

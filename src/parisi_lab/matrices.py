@@ -47,12 +47,6 @@ def eigh_jacobi(a):
     return np.linalg.eigh(as_sym(a))
 
 
-def eigmin(a) -> float:
-    """Smallest eigenvalue of a symmetric matrix."""
-    w, _ = eigh_jacobi(a)
-    return float(w[0])
-
-
 def frobenius_inner(a, b) -> float:
     """Trace inner product sum_{u,v} A[u,v] B[u,v] of two symmetric matrices."""
     ma, mb = as_sym(a), as_sym(b)
@@ -65,14 +59,20 @@ def frobenius_norm(a) -> float:
     return float(np.sqrt(np.sum(m * m)))
 
 
+def clip_psd(w, a, error=MatrixError, what="matrix is not PSD within tolerance"):
+    """The ascending eigenvalues ``w`` of ``a`` clipped at zero.  Below the PSD
+    floor -PSD_TOL (1 + ||a||_F) an eigenvalue raises ``error`` with the
+    message ``what`` and the eigenvalue; one above it is rounding."""
+    if w[0] < -PSD_TOL * (1.0 + frobenius_norm(a)):
+        raise error(f"{what} (eigmin={w[0]:.3e})")
+    return np.maximum(w, 0.0)
+
+
 def _psd_spectrum(a):
-    """Eigenvalues clipped at zero, and eigenvectors, of a PSD matrix.  An
-    eigenvalue below -PSD_TOL (1 + ||a||_F) raises; one above it is rounding."""
+    """Eigenvalues clipped at zero (``clip_psd``), and eigenvectors, of a PSD matrix."""
     m = as_sym(a)
     w, v = eigh_jacobi(m)
-    if w[0] < -PSD_TOL * (1.0 + frobenius_norm(m)):
-        raise MatrixError(f"matrix is not PSD within tolerance (eigmin={w[0]:.3e})")
-    return np.clip(w, 0.0, None), v
+    return clip_psd(w, m), v
 
 
 def sym_sqrt(a) -> np.ndarray:

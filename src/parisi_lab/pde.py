@@ -22,8 +22,8 @@ parameters, ``paths.DiscretePath``, segment by segment
 
 from __future__ import annotations
 
-import io
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,6 +91,10 @@ class PdeProblem:
 
 @dataclass(frozen=True)
 class PdeSolution:
+    """The finite-difference table f(t, y) on the time rows x y grid, with
+    its optimal control (``feedback``) and its CSV export, streamed row by
+    row (``csv_rows``) or joined into one string (``to_csv``)."""
+
     y: np.ndarray
     times: np.ndarray
     values: np.ndarray        # (len(times), len(y)), values[0] is t=0
@@ -118,17 +122,21 @@ class PdeSolution:
         _, _, qdot, xw = self.problem.segment_at(t)
         return -np.sqrt(max(xw * qdot, 0.0)) * self.gradient(t, y)
 
-    def to_csv(self) -> str:
-        """One "t,y,f" line per grid point, each number as its repr.  The
-        repr of each y and of each time is made once, not once per line."""
-        buf = io.StringIO()
-        buf.write("t,y,f\n")
+    def csv_rows(self):
+        """The CSV as a stream of chunks: the "t,y,f" header, then one chunk
+        per time row holding a "t,y,f" line per grid point, each number as
+        its repr.  The repr of each y and of each time is made once, and only
+        one time row is turned into Python floats at a time, so writing the
+        stream to a file holds no more than one row's text."""
+        yield "t,y,f\n"
         ys = [f",{yy!r}," for yy in self.y.tolist()]
-        for t, row in zip(self.times.tolist(), self.values.tolist()):
+        for t, row in zip(self.times.tolist(), self.values):
             tr = repr(t)
-            for yy, f in zip(ys, row):
-                buf.write(f"{tr}{yy}{f!r}\n")
-        return buf.getvalue()
+            yield tr + ("\n" + tr).join(map(operator.add, ys, map(repr, row.tolist()))) + "\n"
+
+    def to_csv(self) -> str:
+        """The whole CSV of ``csv_rows`` as one string."""
+        return "".join(self.csv_rows())
 
 
 def _second_diff_banded(m: int, h: float) -> np.ndarray:
@@ -181,10 +189,14 @@ def solve_parisi_pde(problem: PdeProblem) -> PdeSolution:
     h = problem.spacing
     d2 = _second_diff_banded(m, h)
     f = np.asarray(problem.terminal(y.reshape(-1, 1)), dtype=float).reshape(m)
-    all_t = [1.0]
-    all_f = [f.copy()]
-    worst_iters = 0
     seg_steps = problem.time_steps()
+    # The table is filled from its last row, t = 1, backward to t = 0.
+    row = sum(seg_steps)
+    times = np.empty(row + 1)
+    vals = np.empty((row + 1, m))
+    times[row] = 1.0
+    vals[row] = f
+    worst_iters = 0
     for seg in range(problem.path.partition.levels, -1, -1):
         t0, t1, qdot, xw = problem.segment(seg)
         steps = seg_steps[seg]
@@ -214,11 +226,10 @@ def solve_parisi_pde(problem: PdeProblem) -> PdeSolution:
                     )
             worst_iters = max(worst_iters, it)
             f = fk
-            all_t.append(all_t[-1] - dt)
-            all_f.append(f.copy())
-    times_arr = np.array(all_t[::-1])
-    vals = np.array(all_f[::-1])
-    return PdeSolution(y, times_arr, vals, worst_iters, problem)
+            row -= 1
+            times[row] = times[row + 1] - dt
+            vals[row] = f
+    return PdeSolution(y, times, vals, worst_iters, problem)
 
 
 def simulate_control_value(problem: PdeProblem, control, paths: int = 4096, seed: int = 0):

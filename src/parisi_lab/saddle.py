@@ -32,7 +32,7 @@ import numpy as np
 from scipy.optimize import linprog, minimize_scalar
 
 from parisi_lab.gaussian import PAIR_SCALE, REJECTED_VALUE, minimize_parisi_1d, multistart
-from parisi_lab.matrices import PSD_TOL, MatrixError, eigh_jacobi, frobenius_norm
+from parisi_lab.matrices import MatrixError, clip_psd, eigh_jacobi
 from parisi_lab.measures import AprioriMeasure, EvalConfig, TerminalCondition
 from parisi_lab.paths import MonotoneChain, UnitPartition, chain_from_blocks, cumulative_fractions
 from parisi_lab.recursion import FunctionalGradient, local_functional_gradient
@@ -138,11 +138,8 @@ def _admissible_self_overlap(u_given: np.ndarray, mu: AprioriMeasure) -> np.ndar
         w, v = eigh_jacobi(u_given)
     except MatrixError as exc:
         raise SelfOverlapError(f"self-overlap {u_given.tolist()} is not symmetric") from exc
-    if w[0] < -PSD_TOL * (1.0 + frobenius_norm(u_given)):
-        raise SelfOverlapError(
-            f"self-overlap {u_given.tolist()} is not positive semidefinite (eigmin={w[0]:.3e})"
-        )
-    u_mat = v @ np.diag(np.clip(w, 0.0, None)) @ v.T
+    w = clip_psd(w, u_given, SelfOverlapError, f"self-overlap {u_given.tolist()} is not positive semidefinite")
+    u_mat = v @ np.diag(w) @ v.T
     u_mat = 0.5 * (u_mat + u_mat.T)
     if mu.kind != "discrete":
         return u_mat
