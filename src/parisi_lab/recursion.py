@@ -9,8 +9,11 @@ with the outermost level a plain expectation, and returns X_0.  Two engines
 are provided:
 
 * quadrature: each level is an exact Gaussian convolution evaluated with
-  tensorized Gauss-Hermite nodes; the level functions live on cubic-spline
-  grids so the cost is linear in the number of levels (d = 1 and d = 2).
+  Gauss-Hermite nodes; the level functions live on cubic-spline grids so
+  the cost is linear in the number of levels (d = 1 and d = 2).  At d = 2 a
+  full-rank level runs as two rank-1 sub-steps along the eigen-directions of
+  its covariance, which together use the tensor node set of the level: a
+  level evaluates 2 * nodes spline grids instead of nodes**2.
 * monte_carlo: nested sampling over all levels at once with antithetic pairs
   and half-sample (Richardson) debiasing of the log-mean-exp bias; standard
   errors come from independent replicas (``seeds.replicate``).  Works for
@@ -98,7 +101,8 @@ def _gauss_hermite(nodes: int, rank: int):
 
 
 def _gh_nodes(cov: np.ndarray, nodes: int):
-    """Gauss-Hermite node vectors and weights for E f(z), z ~ N(0, cov).
+    """Gauss-Hermite node vectors and weights for E f(z), z ~ N(0, cov), and
+    the reduced square-root factor ``sqrt_factor(cov)`` they were built from.
 
     Rank-deficient covariances are reduced to their positive eigenspace, so a
     zero increment yields the single node 0 with weight 1.
@@ -106,10 +110,10 @@ def _gh_nodes(cov: np.ndarray, nodes: int):
     fac = sqrt_factor(cov)
     r = fac.shape[1]
     if r == 0:
-        return np.zeros((1, cov.shape[0])), np.ones(1)
+        return np.zeros((1, cov.shape[0])), np.ones(1), fac
     pts, wgt = _gauss_hermite(nodes, r)
     shifts = np.sqrt(2.0) * pts @ fac.T
-    return shifts, wgt
+    return shifts, wgt, fac
 
 
 def _log_avg_exp(weight: float, blocks) -> np.ndarray:
@@ -224,7 +228,7 @@ def propagate_segment(
     block, as every d = 1 level of the default grids does, is reduced
     exactly as in one shot.
     """
-    shifts, wgt = _gh_nodes(cov, cfg.nodes)
+    shifts, wgt, _ = _gh_nodes(cov, cfg.nodes)
     shape = tuple(a.size for a in axes)
     size = int(np.prod(shape))
     if hasattr(f_next, "on_shifted_grids"):
@@ -244,7 +248,26 @@ def propagate_segment(
 def _backward_pass(terminal, levels: list[Level], cfg: EvalConfig) -> tuple[list[GridFunction], float]:
     """The quadrature engine: X_1 .. X_n as grid functions (X_k at index
     k - 1) and X_0 at the origin.  Only the level functions are kept; each
-    level's node values are reduced block by block as they are evaluated."""
+    level's node values are reduced block by block as they are evaluated.
+
+    At d = 2 a full-rank level runs as two rank-1 ``propagate_segment``
+    sub-steps with the level's weight, one per column sqrt(lam_i) v_i of its
+    square-root factor: z ~ N(0, dQ) is z_1 + z_2 with independent
+    z_i ~ N(0, lam_i v_i v_i^T), so
+
+        (1/w) log E exp(w f(y + z)) = (1/w) log E exp(w L(y + z_1)),
+        L(y) = (1/w) log E exp(w f(y + z_2)).
+
+    The inner step integrates the column of the larger eigenvalue, lam_2,
+    and puts L on an intermediate grid that reaches sqrt(2) xmax
+    |sqrt(lam_1) v_1| beyond the level's own grid, as far as the outer
+    step's nodes go.  Together the two steps use exactly the level's tensor
+    Gauss-Hermite nodes and weights, so their one new approximation is the
+    spline of L, and a level costs 2 * nodes spline grids instead of
+    nodes**2.  By Cauchy-Schwarz, sqrt(2) xmax (sqrt(lam_1) |v_1i| +
+    sqrt(lam_2) |v_2i|) <= 2 xmax sqrt(dQ_ii), so every point the inner step
+    evaluates lies inside the grid of X_{k+1}.  A level of rank <= 1, and
+    every d = 1 level, is one call."""
     d = levels[0].cov.shape[0]
     if d > 2:
         raise ValueError("quadrature engine supports d <= 2; use monte_carlo")
@@ -257,16 +280,25 @@ def _backward_pass(terminal, levels: list[Level], cfg: EvalConfig) -> tuple[list
         acc = acc + 2.0 * np.sqrt(np.clip(np.diag(lv.cov), 0.0, None)) * xmax
         halfw.append(acc.copy())
 
+    def grid(half):
+        return [np.linspace(-wi, wi, per_axis) for wi in half]
+
     fs = []
-    f = None
+    f = terminal
     for k in range(len(levels) - 1, 0, -1):
-        axes = [np.linspace(-wi, wi, per_axis) for wi in halfw[k - 1]]
-        f = propagate_segment(terminal if f is None else f, levels[k].weight, levels[k].cov, axes, cfg)
+        w, cov = levels[k].weight, levels[k].cov
+        fac = sqrt_factor(cov) if d == 2 else None
+        if fac is not None and fac.shape[1] == 2:
+            outer, inner = fac[:, :1], fac[:, 1:]
+            reach = halfw[k - 1] + np.sqrt(2.0) * xmax * np.abs(outer[:, 0])
+            f = propagate_segment(f, w, inner @ inner.T, grid(reach), cfg)
+            cov = outer @ outer.T
+        f = propagate_segment(f, w, cov, grid(halfw[k - 1]), cfg)
         fs.append(f)
     fs.reverse()
     # Outermost level: evaluate at the origin only.
-    shifts, wgt = _gh_nodes(levels[0].cov, cfg.nodes)
-    vals = np.asarray(terminal(shifts)) if f is None else f(shifts)
+    shifts, wgt, _ = _gh_nodes(levels[0].cov, cfg.nodes)
+    vals = np.asarray(f(shifts))
     return fs, float(_log_avg_exp(levels[0].weight, [(vals, wgt)]))
 
 
@@ -330,7 +362,7 @@ def _forward_pass(tc: TerminalCondition, levels: list[Level], fs: list[GridFunct
     here = np.full((1,) * d, x0)  # X_k on the level-k grid
     mass = np.ones((1,) * d)      # pi_k on the level-k grid
     for k, lv in enumerate(levels):
-        shifts, wgt = _gh_nodes(lv.cov, cfg.nodes)
+        shifts, wgt, fac = _gh_nodes(lv.cov, cfg.nodes)
         last = k == n
         small = lv.weight < SMALL_WEIGHT
         sum_v = np.zeros(here.shape)   # sum_j p_j v_j, or wgt_j v_j below the threshold
@@ -356,7 +388,7 @@ def _forward_pass(tc: TerminalCondition, levels: list[Level], fs: list[GridFunct
                 d_tilt += np.tensordot(flat.ravel(), moment[0].reshape(-1, d, d), axes=1)
             else:
                 moved += _deposit(moving, shifted_grid_points(axes, block), fs[k].axes)
-        back = np.linalg.pinv(sqrt_factor(lv.cov))
+        back = np.linalg.pinv(fac)
         half = 0.5 * moves @ back.T @ back
         d_cov[k] = 0.5 * (half + half.T)
         if small:

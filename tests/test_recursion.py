@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.hermite import hermgauss
 
+from parisi_lab import recursion
 from parisi_lab.acceptance import _random_gaussian_instance
 from parisi_lab.gaussian import closed_form_recursion
 from parisi_lab.measures import AprioriMeasure, EvalConfig, TerminalCondition
@@ -19,6 +20,7 @@ from parisi_lab.recursion import (
     GridFunction,
     Level,
     RecursionResult,
+    _backward_pass,
     _gauss_hermite,
     _gh_nodes,
     _log_avg_exp,
@@ -314,7 +316,7 @@ def test_linear_terminal_is_affine_in_the_weights():
 def per_node_segment(f_next, weight, cov, axes, cfg):
     """propagate_segment's values with one f_next evaluation per node,
     reduced by the streaming reducer in the blocks propagate_segment uses."""
-    shifts, wgt = _gh_nodes(cov, cfg.nodes)
+    shifts, wgt, _ = _gh_nodes(cov, cfg.nodes)
     shape = tuple(a.size for a in axes)
     vals = np.empty((len(shifts),) + shape)
     if isinstance(f_next, GridFunction):
@@ -433,6 +435,69 @@ def test_d2_recursion_memory_stays_at_a_few_blocks():
     assert peak < 16 * 2**20
 
 
+@pytest.mark.parametrize(
+    "measure, beta, weight, bound",
+    # The Gaussian terminal is quadratic, and so is every level function,
+    # which the cubic splines reproduce: only rounding is left (measured
+    # 2.7e-15).  The hypercube pays for the spline of the intermediate level
+    # function: measured 7.2e-6 at 12 nodes on 61^2 grids.
+    [("gaussian", 0.6, 0.7, 1e-12), ("hypercube", 0.7, 0.4, 2e-5)],
+)
+def test_split_level_matches_one_full_rank_segment(measure, beta, weight, bound):
+    # At d = 2 the backward pass runs a full-rank level as two rank-1
+    # sub-steps.  X_1 on its grid must match one propagate_segment over the
+    # level's whole covariance, which C does not commute with.
+    tilt = np.array([[0.1, -0.05], [-0.05, 0.2]])
+    mu = {
+        "gaussian": AprioriMeasure.gaussian(np.array([[3.0, 0.4], [0.4, 4.0]]), np.array([0.3, -0.2])),
+        "hypercube": AprioriMeasure.hypercube(2),
+    }[measure]
+    tc = TerminalCondition(beta, tilt, mu)
+    cov = np.array([[0.5, 0.15], [0.15, 0.3]])
+    cfg = EvalConfig(nodes=12, grid_points_2d=61)
+    fs, _ = _backward_pass(tc, [Level(0.0, 0.5 * cov), Level(weight, cov)], cfg)
+    full = propagate_segment(tc, weight, cov, fs[0].axes, cfg)
+    assert np.abs(fs[0].values - full.values).max() <= bound
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_backward_pass_segment_calls_and_grids(d, monkeypatch):
+    # Two propagate_segment calls per full-rank d = 2 level, one per rank-1
+    # d = 2 level and one per d = 1 level; the outermost level makes none.
+    # Every point a call evaluates, and so every intermediate grid, lies
+    # inside the grid of the function it reads.
+    cfg = EvalConfig(nodes=8, grid_points=101, grid_points_2d=33)
+    if d == 1:
+        covs = [np.array([[v]]) for v in (0.2, 0.3, 0.5)]
+        expected = 2
+    else:
+        covs = [
+            np.array([[0.3, 0.1], [0.1, 0.2]]),
+            np.array([[0.5, 0.15], [0.15, 0.3]]),
+            np.outer([0.3, -0.5], [0.3, -0.5]),
+            np.array([[0.2, -0.1], [-0.1, 0.6]]),
+        ]
+        expected = 2 + 1 + 2
+    levels = [Level(w, c) for w, c in zip((0.0, 0.3, 0.6, 0.8), covs)]
+    tc = TerminalCondition(0.7, np.zeros((d, d)), AprioriMeasure.hypercube(d))
+    calls = []
+    original = recursion.propagate_segment
+
+    def counted(f_next, weight, cov, axes, cfg):
+        calls.append((f_next, cov, axes))
+        return original(f_next, weight, cov, axes, cfg)
+
+    monkeypatch.setattr(recursion, "propagate_segment", counted)
+    recursion_from_levels(tc, levels, cfg)
+    assert len(calls) == expected
+    for f_next, cov, axes in calls:
+        if isinstance(f_next, GridFunction):
+            reach = np.abs(_gh_nodes(cov, cfg.nodes)[0]).max(axis=0)
+            for a, inside, r in zip(axes, f_next.axes, reach):
+                assert a[-1] + r <= inside[-1] * (1.0 + 1e-12)
+                assert a[0] - r >= inside[0] * (1.0 + 1e-12)
+
+
 def test_gauss_hermite_table_cached_read_only():
     pts, wgt = _gauss_hermite(16, 2)
     assert _gauss_hermite(16, 2)[0] is pts
@@ -440,7 +505,7 @@ def test_gauss_hermite_table_cached_read_only():
     assert not pts.flags.writeable and not wgt.flags.writeable
     with pytest.raises(ValueError):
         pts[0, 0] = 1.0
-    shifts, weights = _gh_nodes(np.array([[0.5]]), 16)
+    shifts, weights, _ = _gh_nodes(np.array([[0.5]]), 16)
     assert not weights.flags.writeable
     assert weights.sum() == pytest.approx(1.0, abs=1e-14)
 
