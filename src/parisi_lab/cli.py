@@ -1,16 +1,16 @@
-"""Batch front door: JSON config in, CSV/JSON artifacts plus a manifest out.
+"""Batch front door: JSON config in, CSV/JSON/NPY artifacts plus a manifest out.
 
 Exit codes: 0 success, 1 assertion/check failure, 2 configuration error,
 including a config whose work exceeds an engine's budget (``sk.BudgetError``,
 raised by the enumeration, Monte Carlo, cascade and PDE engines) and a PDE
 whose solve does not converge (``pde.PdeError``).
-Each command's handler returns its artifacts by file name, each a str or an
-iterable of str chunks (``pde``'s ``solution.csv`` streams one time row at a
-time), and every artifact is written as it is produced, so no file's whole
-text need be held in memory.
+Each command's handler returns its artifacts by file name, each a str,
+written as text, or a numpy array, written by ``np.save`` as raw binary that
+reads back bit for bit: ``pde`` writes its f(t, y) table as ``solution.npy``
+and the table's t and y axes as ``grid.json``.
 Manifests contain the config hash, derived seeds and artifact list but no
-timestamps, so rerunning the same config and seed writes byte-identical
-output.
+timestamps, and an ``.npy`` header holds none either, so rerunning the same
+config and seed writes byte-identical output.
 """
 
 from __future__ import annotations
@@ -209,7 +209,8 @@ def _run_pde(config: dict, master: int, workers: int):
     rec = recursion_value(path.partition, path.chain, tc, EvalConfig())
     origin = sol.at_origin()
     summary = {"pde_origin": origin, "recursion": rec.value, "difference": abs(origin - rec.value)}
-    return {"solution.csv": sol.csv_rows(), "summary.json": json.dumps(summary)}, 0
+    grid = json.dumps({"t": sol.times.tolist(), "y": sol.y.tolist()})
+    return {"solution.npy": sol.values, "grid.json": grid, "summary.json": json.dumps(summary)}, 0
 
 
 def _run_rpc(config: dict, master: int, workers: int):
@@ -357,8 +358,7 @@ def run_config(config: dict, out_dir: Path, seed_override: int | None, workers: 
         if isinstance(payload, str):
             (out_dir / name).write_text(payload)
         else:
-            with (out_dir / name).open("w") as fh:
-                fh.writelines(payload)
+            np.save(out_dir / name, payload, allow_pickle=False)
     blob = json.dumps(config, sort_keys=True)
     manifest = {
         "config": config,

@@ -91,9 +91,9 @@ class PdeProblem:
 
 @dataclass(frozen=True)
 class PdeSolution:
-    """The finite-difference table f(t, y) on the time rows x y grid, with
-    its optimal control (``feedback``) and its CSV export, streamed row by
-    row (``csv_rows``) or joined into one string (``to_csv``)."""
+    """The finite-difference table f(t, y): ``values`` on the ``times`` rows
+    x ``y`` grid, with its optimal control (``feedback``).  The ``pde``
+    command writes the table as raw float64 and its axes as JSON."""
 
     y: np.ndarray
     times: np.ndarray
@@ -122,21 +122,17 @@ class PdeSolution:
         _, _, qdot, xw = self.problem.segment_at(t)
         return -np.sqrt(max(xw * qdot, 0.0)) * self.gradient(t, y)
 
-    def csv_rows(self):
-        """The CSV as a stream of chunks: the "t,y,f" header, then one chunk
-        per time row holding a "t,y,f" line per grid point, each number as
-        its repr.  The repr of each y and of each time is made once, and only
-        one time row is turned into Python floats at a time, so writing the
-        stream to a file holds no more than one row's text."""
-        yield "t,y,f\n"
+    # No caller in src/: perfbench/spans.py instruments PdeSolution.to_csv
+    # by name, and tests/test_perfbench_entry_points.py requires it.
+    def to_csv(self) -> str:
+        """The table as a "t,y,f" CSV, one line per grid point, each number
+        as its repr.  The repr of each y and of each time is made once."""
         ys = [f",{yy!r}," for yy in self.y.tolist()]
+        rows = []
         for t, row in zip(self.times.tolist(), self.values):
             tr = repr(t)
-            yield tr + ("\n" + tr).join(map(operator.add, ys, map(repr, row.tolist()))) + "\n"
-
-    def to_csv(self) -> str:
-        """The whole CSV of ``csv_rows`` as one string."""
-        return "".join(self.csv_rows())
+            rows.append(tr + ("\n" + tr).join(map(operator.add, ys, map(repr, row.tolist()))) + "\n")
+        return "t,y,f\n" + "".join(rows)
 
 
 def _second_diff_banded(m: int, h: float) -> np.ndarray:

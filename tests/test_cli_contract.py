@@ -75,8 +75,13 @@ def test_command_exits_zero_and_reruns_identically(label, tmp_path):
     written = _files(first)
     assert "manifest.json" in written and len(written) >= 2
     assert written == _files(second)
-    # Artifacts hold plain numbers, not numpy reprs such as np.float64(0.5).
-    assert not [name for name, payload in written.items() if b"np." in payload]
+    # Text artifacts (.csv, .json, .jsonl, .txt) hold plain numbers, not numpy
+    # reprs such as np.float64(0.5).  Raw float64 bytes may hold b"np." by
+    # chance, so each .npy artifact is checked to load as a plain array.
+    arrays = [name for name in written if name.endswith(".npy")]
+    assert not [name for name, payload in written.items() if name not in arrays and b"np." in payload]
+    for name in arrays:
+        np.load(first / name, allow_pickle=False)
     manifest = json.loads(written["manifest.json"])
     assert manifest["master_seed"] == 11
     assert manifest["artifacts"] == sorted(set(written) - {"manifest.json"})
@@ -103,21 +108,25 @@ def _pde_problem(spacing):
     return PdeProblem(path, tc, spacing=spacing)
 
 
-def test_solution_csv_is_the_line_by_line_table(tmp_path):
-    # solution.csv is written from a stream of chunks; read back as bytes it
-    # is the one-line-per-grid-point table, so encoding and newlines hold.
+def test_solution_npy_is_the_solved_table(tmp_path):
+    # solution.npy holds the solve's table as raw float64 and grid.json its
+    # axes, so every value reads back bit for bit.
     run_config(dict(TINY["pde"], seed=11), tmp_path, None, 1)
     sol = solve_parisi_pde(_pde_problem(TINY["pde"]["spacing"]))
-    lines = (f"{t!r},{y!r},{f!r}\n" for t, row in zip(sol.times.tolist(), sol.values.tolist())
-             for y, f in zip(sol.y.tolist(), row))
-    assert (tmp_path / "solution.csv").read_bytes() == ("t,y,f\n" + "".join(lines)).encode()
+    table = np.load(tmp_path / "solution.npy", allow_pickle=False)
+    assert table.dtype == np.float64 and table.shape == (len(sol.times), len(sol.y))
+    assert np.array_equal(table, sol.values)
+    grid = json.loads((tmp_path / "grid.json").read_text())
+    assert grid["t"] == sol.times.tolist() and grid["y"] == sol.y.tolist()
+    # A 128-byte .npy header, then 8 bytes per cell: no text in the file.
+    assert (tmp_path / "solution.npy").stat().st_size == 128 + 8 * sol.values.size
 
 
 def test_pde_command_memory_stays_near_one_table(tmp_path):
-    # Memory ratchet: the pde command at spacing 0.005 (a 4.5 MB table whose
-    # CSV is 28 MB) peaks at about 1.4 tables in tracemalloc.  Holding the
-    # CSV as one string, as a list of rows or as a list of row copies before
-    # stacking them, each breaks the bound of 2 tables.
+    # Memory ratchet: the pde command at spacing 0.005 (a 4.5 MB table,
+    # written as is to solution.npy) peaks at about 1.4 tables in
+    # tracemalloc, set by the solve's temporaries.  Writing the table through
+    # a copy, or as a text table held whole, breaks the bound of 2 tables.
     problem = _pde_problem(0.005)
     table_bytes = (1 + sum(problem.time_steps())) * problem.grid().size * 8  # sol.values.nbytes
     config = dict(TINY["pde"], spacing=0.005, seed=11)

@@ -131,10 +131,6 @@ def test_csv_export():
     lines = (f"{t!r},{y!r},{f!r}\n" for t, row in zip(sol.times.tolist(), sol.values.tolist())
              for y, f in zip(sol.y.tolist(), row))
     assert text == "t,y,f\n" + "".join(lines)
-    # The stream is the same text: the header, then one chunk per time row.
-    chunks = list(sol.csv_rows())
-    assert len(chunks) == 1 + len(sol.times)
-    assert "".join(chunks) == text
 
 
 def test_segment_reads_the_step_path():
