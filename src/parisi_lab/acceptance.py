@@ -48,9 +48,9 @@ class CheckResult:
 
 def _timed(fn):
     def wrapper(seed: int) -> CheckResult:
-        t0 = time.time()
+        t0 = time.perf_counter()
         res = fn(seed)
-        res.runtime = time.time() - t0
+        res.runtime = time.perf_counter() - t0
         return res
 
     return wrapper
@@ -89,7 +89,7 @@ def _random_gaussian_instance(rng: np.random.Generator, d: int, n: int):
             blocks = fracs.reshape(-1, 1, 1)
         else:
             blocks = [w @ w.T + 0.05 * np.eye(d) for w in rng.normal(size=(n + 1, d, d))]
-        chain, _ = chain_from_blocks(u, blocks)
+        chain, _ = chain_from_blocks(u)(blocks)
         x = UnitPartition.from_interior(np.sort(rng.uniform(0.05, 0.95, n)))
         try:
             gaussian.level_precisions(x, chain, tilt, c, beta)

@@ -88,7 +88,7 @@ def sqrt_factor(a):
 
     Columns corresponding to (numerically) zero eigenvalues are dropped, so a
     rank-r PSD matrix yields a (d, r) factor, (d, 0) for the zero matrix.
-    Used to sample Gaussian vectors with singular covariance.
+    The recursion's ``Level.fac`` and the cascade's leaf field use it.
     """
     w, v = _psd_spectrum(a)
     keep = w > PSD_TOL * (1.0 + w.max())

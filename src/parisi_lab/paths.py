@@ -9,10 +9,10 @@ distance between d = 1 inverse profiles is computed exactly on merged value
 grids; no quadrature is involved.
 
 The parameterization maps free reals to feasible order parameters:
-``cumulative_fractions`` gives increasing weights in (0, 1] and
-``chain_from_blocks`` a monotone chain that ends exactly at U.  Each returns
-its value together with the pullback that carries a gradient back to the
-free reals.
+``cumulative_fractions`` gives increasing weights in (0, 1] and the map
+``chain_from_blocks(U)``, built once per U, a monotone chain that ends
+exactly at U.  Each returns its value together with the pullback that
+carries a gradient back to the free reals.
 """
 
 from __future__ import annotations
@@ -140,40 +140,45 @@ def cumulative_fractions(logits: np.ndarray):
     return y, pullback
 
 
-def chain_from_blocks(u: np.ndarray, blocks):
-    """The chain 0 = Q[0] << Q[1] << ... << Q[n+1] = U with increments
+def chain_from_blocks(u: np.ndarray):
+    """The map from positive-definite blocks B_0..B_n to the chain
+    0 = Q[0] << Q[1] << ... << Q[n+1] = U with increments
 
-        Q[k+1] - Q[k] = U^{1/2} S^{-1/2} B_k S^{-1/2} U^{1/2},  S = B_0 + ... + B_n,
+        Q[k+1] - Q[k] = U^{1/2} S^{-1/2} B_k S^{-1/2} U^{1/2},  S = B_0 + ... + B_n:
 
-    for positive-definite blocks B_0..B_n: every increment is PSD and the
-    increments sum to U, where the chain ends exactly.  Returns (chain,
-    pullback), where pullback maps the gradient in the interior matrices
+    every increment is PSD and the increments sum to U, where the chain ends
+    exactly.  U^{1/2} is taken once, when the map is made.  The map returns
+    (chain, pullback); pullback maps the gradient in the interior matrices
     Q[1..n] to the gradients in the blocks."""
     d = u.shape[0]
     u_half = sym_sqrt(u)
-    s = sum(blocks)
-    w, v = eigh_jacobi(s)
-    root = np.sqrt(np.maximum(w, 1e-14))
-    s_inv_half = v @ np.diag(1.0 / root) @ v.T
-    mats = [np.zeros((d, d))]
-    for b in blocks:
-        inc = u_half @ s_inv_half @ b @ s_inv_half @ u_half
-        mats.append(mats[-1] + 0.5 * (inc + inc.T))
-    mats[-1] = u  # exact terminal, kills accumulated rounding
-    chain = MonotoneChain(mats, allow_equal=True)
 
-    def pullback(g_chain: np.ndarray) -> list:
-        # Q[k] = sum_{i<k} dQ_i, so dQ_i collects the gradients of Q[i+1..n].
-        g_inc = np.concatenate((np.cumsum(g_chain[::-1], axis=0)[::-1], np.zeros((1, d, d))))
-        g_inc = [u_half @ g @ u_half for g in g_inc]
-        # S^{-1/2} pulls back through the Daleckii-Krein divided differences
-        # of t^{-1/2}: (a^-1 - b^-1) / (a^2 - b^2) = -1 / (a b (a + b)).
-        g_root = sum(g @ s_inv_half @ b + b @ s_inv_half @ g for g, b in zip(g_inc, blocks))
-        divided = -1.0 / (root[:, None] * root[None, :] * (root[:, None] + root[None, :]))
-        g_s = v @ (divided * (v.T @ g_root @ v)) @ v.T
-        return [s_inv_half @ g @ s_inv_half + g_s for g in g_inc]
+    def to_chain(blocks):
+        s = sum(blocks)
+        w, v = eigh_jacobi(s)
+        root = np.sqrt(np.maximum(w, 1e-14))
+        s_inv_half = v @ np.diag(1.0 / root) @ v.T
+        mats = [np.zeros((d, d))]
+        for b in blocks:
+            inc = u_half @ s_inv_half @ b @ s_inv_half @ u_half
+            mats.append(mats[-1] + 0.5 * (inc + inc.T))
+        mats[-1] = u  # exact terminal, kills accumulated rounding
+        chain = MonotoneChain(mats, allow_equal=True)
 
-    return chain, pullback
+        def pullback(g_chain: np.ndarray) -> list:
+            # Q[k] = sum_{i<k} dQ_i, so dQ_i collects the gradients of Q[i+1..n].
+            g_inc = np.concatenate((np.cumsum(g_chain[::-1], axis=0)[::-1], np.zeros((1, d, d))))
+            g_inc = [u_half @ g @ u_half for g in g_inc]
+            # S^{-1/2} pulls back through the Daleckii-Krein divided differences
+            # of t^{-1/2}: (a^-1 - b^-1) / (a^2 - b^2) = -1 / (a b (a + b)).
+            g_root = sum(g @ s_inv_half @ b + b @ s_inv_half @ g for g, b in zip(g_inc, blocks))
+            divided = -1.0 / (root[:, None] * root[None, :] * (root[:, None] + root[None, :]))
+            g_s = v @ (divided * (v.T @ g_root @ v)) @ v.T
+            return [s_inv_half @ g @ s_inv_half + g_s for g in g_inc]
+
+        return chain, pullback
+
+    return to_chain
 
 
 def inverse_profile_distance(p1: DiscretePath, p2: DiscretePath) -> float:

@@ -13,7 +13,8 @@ are provided:
   the cost is linear in the number of levels (d = 1 and d = 2).  At d = 2 a
   full-rank level runs as two rank-1 sub-steps along the eigen-directions of
   its covariance, which together use the tensor node set of the level: a
-  level evaluates 2 * nodes spline grids instead of nodes**2.
+  level evaluates 2 * nodes spline grids instead of nodes**2.  Every pass
+  reads the factor each level computes once, ``Level.fac``.
 * monte_carlo: nested sampling over all levels at once with antithetic pairs
   and half-sample (Richardson) debiasing of the log-mean-exp bias; standard
   errors come from independent replicas (``seeds.replicate``).  Works for
@@ -35,7 +36,7 @@ import hashlib
 import itertools
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
@@ -55,6 +56,11 @@ class Level:
 
     weight: float
     cov: np.ndarray
+
+    @cached_property
+    def fac(self) -> np.ndarray:
+        """``sqrt_factor(cov)``, computed once per level and read by every pass."""
+        return sqrt_factor(self.cov)
 
 
 def levels_from_order_params(x: UnitPartition, chain: MonotoneChain) -> list[Level]:
@@ -100,20 +106,15 @@ def _gauss_hermite(nodes: int, rank: int):
     return pts, wgt
 
 
-def _gh_nodes(cov: np.ndarray, nodes: int):
-    """Gauss-Hermite node vectors and weights for E f(z), z ~ N(0, cov), and
-    the reduced square-root factor ``sqrt_factor(cov)`` they were built from.
-
-    Rank-deficient covariances are reduced to their positive eigenspace, so a
-    zero increment yields the single node 0 with weight 1.
-    """
-    fac = sqrt_factor(cov)
+def _gh_nodes(fac: np.ndarray, nodes: int):
+    """Gauss-Hermite node vectors and weights for E f(z), z ~ N(0, fac fac^T),
+    from a full-column-rank factor such as ``Level.fac``, which it does not
+    recompute.  A rank-0 factor yields the single node 0 with weight 1."""
     r = fac.shape[1]
     if r == 0:
-        return np.zeros((1, cov.shape[0])), np.ones(1), fac
+        return np.zeros((1, fac.shape[0])), np.ones(1)
     pts, wgt = _gauss_hermite(nodes, r)
-    shifts = np.sqrt(2.0) * pts @ fac.T
-    return shifts, wgt, fac
+    return np.sqrt(2.0) * pts @ fac.T, wgt
 
 
 def _log_avg_exp(weight: float, blocks) -> np.ndarray:
@@ -201,20 +202,15 @@ class GridFunction:
         return self._spline.ev(pts[:, 0], pts[:, 1])
 
 
-def propagate_segment(
-    f_next,
-    weight: float,
-    cov: np.ndarray,
-    axes: list[np.ndarray],
-    cfg: EvalConfig,
-) -> GridFunction:
+def propagate_segment(f_next, weight: float, fac: np.ndarray, axes: list[np.ndarray], nodes: int) -> GridFunction:
     """One backward Gaussian-convolution step on a grid:
 
-        f(y) = (1/w) log E exp(w * f_next(y + z)),  z ~ N(0, cov),
+        f(y) = (1/w) log E exp(w * f_next(y + z)),  z ~ N(0, fac fac^T),
 
     evaluated at every grid point of ``axes``.  This is the exact propagator
     for a single segment of the associated semi-linear PDE, for any
-    dimension the grid machinery supports.
+    dimension the grid machinery supports.  ``fac`` is ``Level.fac`` or some
+    of its columns; each column gets ``nodes`` Gauss-Hermite nodes.
 
     The quadrature nodes are evaluated in blocks: a block is as many whole
     nodes as fit in BLOCK_POINTS (2**16) grid points.  An ``f_next`` with an
@@ -228,7 +224,7 @@ def propagate_segment(
     block, as every d = 1 level of the default grids does, is reduced
     exactly as in one shot.
     """
-    shifts, wgt, _ = _gh_nodes(cov, cfg.nodes)
+    shifts, wgt = _gh_nodes(fac, nodes)
     shape = tuple(a.size for a in axes)
     size = int(np.prod(shape))
     if hasattr(f_next, "on_shifted_grids"):
@@ -251,9 +247,9 @@ def _backward_pass(terminal, levels: list[Level], cfg: EvalConfig) -> tuple[list
     level's node values are reduced block by block as they are evaluated.
 
     At d = 2 a full-rank level runs as two rank-1 ``propagate_segment``
-    sub-steps with the level's weight, one per column sqrt(lam_i) v_i of its
-    square-root factor: z ~ N(0, dQ) is z_1 + z_2 with independent
-    z_i ~ N(0, lam_i v_i v_i^T), so
+    sub-steps with the level's weight, each taking one column
+    sqrt(lam_i) v_i of ``Level.fac`` as its factor: z ~ N(0, dQ) is z_1 + z_2
+    with independent z_i ~ N(0, lam_i v_i v_i^T), so
 
         (1/w) log E exp(w f(y + z)) = (1/w) log E exp(w L(y + z_1)),
         L(y) = (1/w) log E exp(w f(y + z_2)).
@@ -286,18 +282,16 @@ def _backward_pass(terminal, levels: list[Level], cfg: EvalConfig) -> tuple[list
     fs = []
     f = terminal
     for k in range(len(levels) - 1, 0, -1):
-        w, cov = levels[k].weight, levels[k].cov
-        fac = sqrt_factor(cov) if d == 2 else None
-        if fac is not None and fac.shape[1] == 2:
-            outer, inner = fac[:, :1], fac[:, 1:]
-            reach = halfw[k - 1] + np.sqrt(2.0) * xmax * np.abs(outer[:, 0])
-            f = propagate_segment(f, w, inner @ inner.T, grid(reach), cfg)
-            cov = outer @ outer.T
-        f = propagate_segment(f, w, cov, grid(halfw[k - 1]), cfg)
+        w, fac = levels[k].weight, levels[k].fac
+        if fac.shape[1] == 2:
+            reach = halfw[k - 1] + np.sqrt(2.0) * xmax * np.abs(fac[:, 0])
+            f = propagate_segment(f, w, fac[:, 1:], grid(reach), cfg.nodes)
+            fac = fac[:, :1]
+        f = propagate_segment(f, w, fac, grid(halfw[k - 1]), cfg.nodes)
         fs.append(f)
     fs.reverse()
     # Outermost level: evaluate at the origin only.
-    shifts, wgt, _ = _gh_nodes(levels[0].cov, cfg.nodes)
+    shifts, wgt = _gh_nodes(levels[0].fac, cfg.nodes)
     vals = np.asarray(f(shifts))
     return fs, float(_log_avg_exp(levels[0].weight, [(vals, wgt)]))
 
@@ -362,7 +356,7 @@ def _forward_pass(tc: TerminalCondition, levels: list[Level], fs: list[GridFunct
     here = np.full((1,) * d, x0)  # X_k on the level-k grid
     mass = np.ones((1,) * d)      # pi_k on the level-k grid
     for k, lv in enumerate(levels):
-        shifts, wgt, fac = _gh_nodes(lv.cov, cfg.nodes)
+        shifts, wgt = _gh_nodes(lv.fac, cfg.nodes)
         last = k == n
         small = lv.weight < SMALL_WEIGHT
         sum_v = np.zeros(here.shape)   # sum_j p_j v_j, or wgt_j v_j below the threshold
@@ -388,7 +382,7 @@ def _forward_pass(tc: TerminalCondition, levels: list[Level], fs: list[GridFunct
                 d_tilt += np.tensordot(flat.ravel(), moment[0].reshape(-1, d, d), axes=1)
             else:
                 moved += _deposit(moving, shifted_grid_points(axes, block), fs[k].axes)
-        back = np.linalg.pinv(fac)
+        back = np.linalg.pinv(lv.fac)
         half = 0.5 * moves @ back.T @ back
         d_cov[k] = 0.5 * (half + half.T)
         if small:
@@ -415,8 +409,7 @@ def _mc_value(terminal, levels: list[Level], cfg: EvalConfig, rng: np.random.Gen
         )
     draws = []
     for lv in levels:
-        fac = sqrt_factor(lv.cov)
-        z = rng.standard_normal((half, fac.shape[1])) @ fac.T
+        z = rng.standard_normal((half, lv.fac.shape[1])) @ lv.fac.T
         # Interleave antithetic pairs so every prefix is itself antithetic.
         paired = np.empty((2 * half, z.shape[1]))
         paired[0::2] = z

@@ -3,13 +3,14 @@
 Inner problem: minimize the local functional over unit-interval weights,
 a Loewner-monotone chain ending at U, and the symmetric tilt matrix.  The
 order parameters go through the one parameterization of ``paths``: the
-weights are ``cumulative_fractions`` of n + 1 logits, and the chain is
-``chain_from_blocks`` of the positive-definite blocks G_k G_k^T + 1e-8 I,
-so monotonicity and the terminal constraint hold exactly for every parameter
-vector.  The inner solver is ``gaussian.multistart``, the shared
-restart-and-reject L-BFGS-B driver, on the analytic gradient: the
-recursion's first-order formula (``recursion.local_functional_gradient``)
-pulled back through the pullbacks of these two maps.  The result holds the
+weights are ``cumulative_fractions`` of n + 1 logits, and the chain is the
+map ``chain_from_blocks(U)``, built once per solve, of the positive-definite
+blocks G_k G_k^T + 1e-8 I, so monotonicity and the terminal constraint hold
+exactly for every parameter vector.  The inner solver is
+``gaussian.multistart``, the shared restart-and-reject L-BFGS-B driver, on
+the analytic gradient: the recursion's first-order formula
+(``recursion.local_functional_gradient``) pulled back through the
+pullbacks of these two maps.  The result holds the
 optimum as the partition and the chain of a ``paths.DiscretePath``.  Outer
 problem: maximize the inner value over a one-parameter family of admissible
 self-overlap matrices by bounded Brent search (``_bounded_max``), which
@@ -99,12 +100,12 @@ class SaddleResult:
         )
 
 
-def _unpack(theta: np.ndarray, d: int, n: int, u_mat: np.ndarray):
+def _unpack(theta: np.ndarray, d: int, n: int, to_chain):
     """Parameter vector -> (partition, chain, tilt, pullback), where
     ``pullback`` maps a ``FunctionalGradient`` at that point to the gradient
     in theta by the chain rule.  theta holds n + 1 weight logits, the lower
     triangles of the n + 1 block factors G_k and the lower triangle of the
-    tilt."""
+    tilt; ``to_chain`` is the solve's ``chain_from_blocks(U)``."""
     tri = np.tril_indices(d)
     ntri = tri[0].size
     x, pull_x = cumulative_fractions(theta[: n + 1])
@@ -112,7 +113,7 @@ def _unpack(theta: np.ndarray, d: int, n: int, u_mat: np.ndarray):
     facs = np.zeros((n + 1, d, d))
     facs[:, tri[0], tri[1]] = theta[n + 1 : -ntri].reshape(n + 1, ntri)
     # The floor 1e-8 I keeps every block positive definite.
-    chain, pull_blocks = chain_from_blocks(u_mat, [f @ f.T + 1e-8 * np.eye(d) for f in facs])
+    chain, pull_blocks = to_chain([f @ f.T + 1e-8 * np.eye(d) for f in facs])
     tilt = np.zeros((d, d))
     tilt[tri] = theta[-ntri:]
     tilt = 0.5 * (tilt + tilt.T)
@@ -168,9 +169,10 @@ def inner_minimize(u_matrix, problem: SaddleProblem) -> SaddleResult:
     n = problem.levels
     ntri = d * (d + 1) // 2
     size = (n + 1) + (n + 1) * ntri + ntri
+    to_chain = chain_from_blocks(u_mat)
 
     def evaluate(theta: np.ndarray):
-        part, chain, tilt, pullback = _unpack(theta, d, n, u_mat)
+        part, chain, tilt, pullback = _unpack(theta, d, n, to_chain)
         tc = TerminalCondition(problem.beta, tilt, problem.mu)
         result, grad = local_functional_gradient(part, chain, tc, problem.engine)
         return result.value, pullback(grad)
@@ -183,7 +185,7 @@ def inner_minimize(u_matrix, problem: SaddleProblem) -> SaddleResult:
     rng = np.random.default_rng(problem.seed)
     starts = [base] + [base + rng.normal(scale=0.4, size=size) for _ in range(problem.restarts - 1)]
     best, runs, calls, rejections = multistart(evaluate, starts, {"maxfun": problem.max_evals})
-    part, chain, tilt, _ = _unpack(best.x, d, n, u_mat)
+    part, chain, tilt, _ = _unpack(best.x, d, n, to_chain)
     return SaddleResult(
         value=float(best.fun),
         partition=part,

@@ -89,7 +89,7 @@ def _blocks_and_terminal(draw):
 @given(_blocks_and_terminal())
 def test_chain_from_blocks_property(case):
     blocks, u = case
-    chain, _ = chain_from_blocks(u, blocks)
+    chain, _ = chain_from_blocks(u)(blocks)
     assert chain.levels == len(blocks) - 1
     assert not chain.matrices[0].any()
     assert np.array_equal(chain.matrices[-1], u)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from parisi_lab.matrices import sqrt_factor
 from parisi_lab.measures import AprioriMeasure, EvalConfig, TerminalCondition
 from parisi_lab.paths import DiscretePath, MonotoneChain, UnitPartition
 from parisi_lab.pde import (
@@ -73,9 +74,9 @@ def test_hopf_cole_composition_equals_recursion():
     reach = [2.0 * np.sqrt(inc[0, 0]) * 7.2 for inc in incs]
     w1 = GRID_PAD + reach[0]
     w2 = w1 + reach[1]
-    f = propagate_segment(tc, weights[2], incs[2], [np.linspace(-w2, w2, cfg.grid_points)], cfg)
-    f = propagate_segment(f, weights[1], incs[1], [np.linspace(-w1, w1, cfg.grid_points)], cfg)
-    f = propagate_segment(f, weights[0], incs[0], [np.linspace(-1.0, 1.0, 33)], cfg)
+    f = propagate_segment(tc, weights[2], sqrt_factor(incs[2]), [np.linspace(-w2, w2, cfg.grid_points)], cfg.nodes)
+    f = propagate_segment(f, weights[1], sqrt_factor(incs[1]), [np.linspace(-w1, w1, cfg.grid_points)], cfg.nodes)
+    f = propagate_segment(f, weights[0], sqrt_factor(incs[0]), [np.linspace(-1.0, 1.0, 33)], cfg.nodes)
     assert f([0.0])[0] == pytest.approx(rec, abs=1e-9)
 
 

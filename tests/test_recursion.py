@@ -9,6 +9,7 @@ from numpy.polynomial.hermite import hermgauss
 from parisi_lab import recursion
 from parisi_lab.acceptance import _random_gaussian_instance
 from parisi_lab.gaussian import closed_form_recursion
+from parisi_lab.matrices import sqrt_factor
 from parisi_lab.measures import AprioriMeasure, EvalConfig, TerminalCondition
 from parisi_lab.paths import DiscretePath, MonotoneChain, UnitPartition, chain_from_blocks, inverse_profile_distance
 from parisi_lab.sk import BudgetError
@@ -237,10 +238,10 @@ def test_propagate_segment_identity_and_collapse():
     axes = [np.linspace(-6, 6, 801)]
     cfg = EvalConfig()
     tc = TerminalCondition(0.5, np.zeros((1, 1)), RADEMACHER)
-    ident = propagate_segment(tc, 0.5, np.zeros((1, 1)), axes, cfg)
+    ident = propagate_segment(tc, 0.5, sqrt_factor(np.zeros((1, 1))), axes, cfg.nodes)
     assert np.allclose(ident.values, tc(axes[0].reshape(-1, 1)), atol=1e-12)
     # weight one is the plain log-average linearization
-    full = propagate_segment(tc, 1.0, np.array([[0.3]]), axes, cfg)
+    full = propagate_segment(tc, 1.0, sqrt_factor(np.array([[0.3]])), axes, cfg.nodes)
     zs = np.sqrt(2 * 0.3) * hermgauss(cfg.nodes)[0]
     ws = hermgauss(cfg.nodes)[1] / np.sqrt(np.pi)
     direct = np.log(sum(w * np.exp(tc(np.array([[0.0 + z]]))[0]) for w, z in zip(ws, zs)))
@@ -316,7 +317,7 @@ def test_linear_terminal_is_affine_in_the_weights():
 def per_node_segment(f_next, weight, cov, axes, cfg):
     """propagate_segment's values with one f_next evaluation per node,
     reduced by the streaming reducer in the blocks propagate_segment uses."""
-    shifts, wgt, _ = _gh_nodes(cov, cfg.nodes)
+    shifts, wgt = _gh_nodes(sqrt_factor(cov), cfg.nodes)
     shape = tuple(a.size for a in axes)
     vals = np.empty((len(shifts),) + shape)
     if isinstance(f_next, GridFunction):
@@ -361,7 +362,7 @@ def _segment_cases():
 def test_batched_segment_is_bit_identical_to_per_node(case):
     f_next, weight, cov, axes = _segment_cases()[case]
     cfg = EvalConfig(nodes=32 if len(axes) == 1 else 8)
-    batched = propagate_segment(f_next, weight, cov, axes, cfg).values
+    batched = propagate_segment(f_next, weight, sqrt_factor(cov), axes, cfg.nodes).values
     assert np.array_equal(batched, per_node_segment(f_next, weight, cov, axes, cfg))
     if case.startswith("multi_block"):
         assert cfg.nodes * axes[0].size > BLOCK_POINTS
@@ -411,7 +412,7 @@ def test_segment_streams_its_value_blocks(measure):
     axes = [np.linspace(-3.0, 3.0, 161), np.linspace(-2.5, 2.5, 161)]
     tracemalloc.start()
     try:
-        propagate_segment(tc, 0.7, cov, axes, EvalConfig(nodes=16, grid_points_2d=161))
+        propagate_segment(tc, 0.7, sqrt_factor(cov), axes, 16)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -456,7 +457,7 @@ def test_split_level_matches_one_full_rank_segment(measure, beta, weight, bound)
     cov = np.array([[0.5, 0.15], [0.15, 0.3]])
     cfg = EvalConfig(nodes=12, grid_points_2d=61)
     fs, _ = _backward_pass(tc, [Level(0.0, 0.5 * cov), Level(weight, cov)], cfg)
-    full = propagate_segment(tc, weight, cov, fs[0].axes, cfg)
+    full = propagate_segment(tc, weight, sqrt_factor(cov), fs[0].axes, cfg.nodes)
     assert np.abs(fs[0].values - full.values).max() <= bound
 
 
@@ -483,19 +484,47 @@ def test_backward_pass_segment_calls_and_grids(d, monkeypatch):
     calls = []
     original = recursion.propagate_segment
 
-    def counted(f_next, weight, cov, axes, cfg):
-        calls.append((f_next, cov, axes))
-        return original(f_next, weight, cov, axes, cfg)
+    def counted(f_next, weight, fac, axes, nodes):
+        calls.append((f_next, fac, axes))
+        return original(f_next, weight, fac, axes, nodes)
 
     monkeypatch.setattr(recursion, "propagate_segment", counted)
     recursion_from_levels(tc, levels, cfg)
     assert len(calls) == expected
-    for f_next, cov, axes in calls:
+    for f_next, fac, axes in calls:
         if isinstance(f_next, GridFunction):
-            reach = np.abs(_gh_nodes(cov, cfg.nodes)[0]).max(axis=0)
+            reach = np.abs(_gh_nodes(fac, cfg.nodes)[0]).max(axis=0)
             for a, inside, r in zip(axes, f_next.axes, reach):
                 assert a[-1] + r <= inside[-1] * (1.0 + 1e-12)
                 assert a[0] - r >= inside[0] * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_gradient_factors_each_level_once(d, monkeypatch):
+    # The backward pass, the d = 2 split, the outermost level and the forward
+    # pass all read Level.fac: one sqrt_factor per level per gradient eval.
+    # At d = 2 both increments are full rank, so both interior levels split.
+    x = UnitPartition.from_interior([0.3, 0.7])
+    if d == 1:
+        chain = MonotoneChain([np.zeros((1, 1)), [[0.2]], [[0.5]], [[1.0]]])
+        cfg = EvalConfig(nodes=8, grid_points=101)
+    else:
+        u = np.array([[1.0, 0.3], [0.3, 0.8]])
+        chain = MonotoneChain([np.zeros((2, 2)), 0.2 * u, np.array([[0.6, 0.1], [0.1, 0.4]]), u])
+        cfg = EvalConfig(nodes=8, grid_points_2d=33)
+    tc = TerminalCondition(0.7, np.zeros((d, d)), AprioriMeasure.hypercube(d))
+    calls = []
+    original = recursion.sqrt_factor
+
+    def counted(a):
+        calls.append(a)
+        return original(a)
+
+    monkeypatch.setattr(recursion, "sqrt_factor", counted)
+    local_functional_gradient(x, chain, tc, cfg)
+    assert len(calls) == chain.levels + 1
+    if d == 2:
+        assert all(original(c).shape[1] == 2 for c in calls)
 
 
 def test_gauss_hermite_table_cached_read_only():
@@ -505,7 +534,7 @@ def test_gauss_hermite_table_cached_read_only():
     assert not pts.flags.writeable and not wgt.flags.writeable
     with pytest.raises(ValueError):
         pts[0, 0] = 1.0
-    shifts, weights, _ = _gh_nodes(np.array([[0.5]]), 16)
+    shifts, weights = _gh_nodes(sqrt_factor(np.array([[0.5]])), 16)
     assert not weights.flags.writeable
     assert weights.sum() == pytest.approx(1.0, abs=1e-14)
 
@@ -562,7 +591,7 @@ def recursion_functional(mu, beta, cfg):
 
 def random_point(rng, d, n, u, tilt_scale=0.1):
     x = UnitPartition.from_interior(np.sort(rng.uniform(0.05, 0.95, n)))
-    chain, _ = chain_from_blocks(u, [w @ w.T + 0.05 * np.eye(d) for w in rng.normal(size=(n + 1, d, d))])
+    chain, _ = chain_from_blocks(u)([w @ w.T + 0.05 * np.eye(d) for w in rng.normal(size=(n + 1, d, d))])
     tilt = rng.normal(scale=tilt_scale, size=(d, d))
     return x, chain, 0.5 * (tilt + tilt.T)
 

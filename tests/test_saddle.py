@@ -4,10 +4,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from parisi_lab import saddle
+from parisi_lab import paths, saddle
 from parisi_lab.gaussian import PAIR_SCALE, closed_form_value, minimize_parisi_1d, optimal_self_overlap
 from parisi_lab.measures import AprioriMeasure, EvalConfig, TerminalCondition
-from parisi_lab.paths import PathError
+from parisi_lab.paths import PathError, chain_from_blocks
 from parisi_lab.recursion import FunctionalGradient, local_functional_gradient
 from parisi_lab.saddle import (
     REJECTED_VALUE,
@@ -274,11 +274,27 @@ def test_unpack_pullback_is_the_chain_rule(d, n):
     coef = FunctionalGradient(rng.normal(size=n), sym(rng.normal(size=(n, d, d))), sym(rng.normal(size=(d, d))))
 
     def linear(th):
-        part, chain, tilt, _ = saddle._unpack(th, d, n, u)
+        part, chain, tilt, _ = saddle._unpack(th, d, n, chain_from_blocks(u))
         return (coef.x @ part.interior + np.sum(coef.chain * chain.matrices[1:-1])
                 + np.sum(coef.tilt * tilt))
 
-    pullback = saddle._unpack(theta, d, n, u)[3]
+    pullback = saddle._unpack(theta, d, n, chain_from_blocks(u))[3]
     h = 1e-6
     central = [(linear(theta + h * e) - linear(theta - h * e)) / (2 * h) for e in np.eye(theta.size)]
     assert np.allclose(pullback(coef), central, rtol=0.0, atol=1e-7)
+
+
+def test_solve_takes_the_terminal_square_root_once(monkeypatch):
+    # U is fixed for the whole solve, so chain_from_blocks(U) is built once
+    # and U^{1/2} is not recomputed per objective eval.
+    calls = []
+    original = paths.sym_sqrt
+
+    def counted(a):
+        calls.append(a)
+        return original(a)
+
+    monkeypatch.setattr(paths, "sym_sqrt", counted)
+    res = inner_minimize([[1.0]], quick_problem(0.5, levels=2, engine=EvalConfig(grid_points=201), max_evals=30))
+    assert res.evaluations > 1
+    assert len(calls) == 1
