@@ -406,7 +406,7 @@ def main(argv=None) -> int:
 
     out_dir = args.out or Path(os.environ.get("PARISI_LAB_OUT", "parisi_lab_out"))
     try:
-        return run_config(config, Path(out_dir), args.seed, max(args.workers, 1))
+        return run_config(config, Path(out_dir), args.seed, _count(vars(args), "workers", 1, 1))
     except (ConfigError, BudgetError, PdeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -11,10 +11,12 @@ are provided:
 * quadrature: each level is an exact Gaussian convolution evaluated with
   Gauss-Hermite nodes; the level functions live on cubic-spline grids so
   the cost is linear in the number of levels (d = 1 and d = 2).  At d = 2 a
-  full-rank level runs as two rank-1 sub-steps along the eigen-directions of
-  its covariance, which together use the tensor node set of the level: a
-  level evaluates 2 * nodes spline grids instead of nodes**2.  Every pass
-  reads the factor each level computes once, ``Level.fac``.
+  full-rank interior level runs as two rank-1 sub-steps along the
+  eigen-directions of its covariance, which together use the tensor node
+  set of the level: a level evaluates 2 * nodes spline grids instead of
+  nodes**2, in the backward pass and in the gradient's forward pass, which
+  walk the same steps.  Every pass reads the factor each level computes
+  once, ``Level.fac``.
 * monte_carlo: nested sampling over all levels at once with antithetic pairs
   and half-sample (Richardson) debiasing of the log-mean-exp bias; standard
   errors come from independent replicas (``seeds.replicate``).  Works for
@@ -27,7 +29,7 @@ combinations of step profiles appear as weights.
 ``local_functional_gradient`` adds the first derivatives of the local
 functional in the weights, the chain and the tilt: every one is an
 expectation under the level reweightings, taken by one forward pass over
-the grids the quadrature engine's backward pass built.
+the steps and grids of the quadrature engine's backward pass.
 """
 
 from __future__ import annotations
@@ -241,15 +243,22 @@ def propagate_segment(f_next, weight: float, fac: np.ndarray, axes: list[np.ndar
     return GridFunction(axes, _log_avg_exp(weight, blocks))
 
 
-def _backward_pass(terminal, levels: list[Level], cfg: EvalConfig) -> tuple[list[GridFunction], float]:
-    """The quadrature engine: X_1 .. X_n as grid functions (X_k at index
-    k - 1) and X_0 at the origin.  Only the level functions are kept; each
-    level's node values are reduced block by block as they are evaluated.
+def _backward_pass(terminal, levels: list[Level], cfg: EvalConfig) -> tuple[list[tuple], float]:
+    """The quadrature engine: its plan and X_0 at the origin.
 
-    At d = 2 a full-rank level runs as two rank-1 ``propagate_segment``
-    sub-steps with the level's weight, each taking one column
-    sqrt(lam_i) v_i of ``Level.fac`` as its factor: z ~ N(0, dQ) is z_1 + z_2
-    with independent z_i ~ N(0, lam_i v_i v_i^T), so
+    The plan has one entry per quadrature step, in forward order:
+    ``(k, fac, f)``, where a step of level k integrates the columns ``fac``
+    of ``Level.fac`` against ``f``, the function it reads: a
+    ``GridFunction`` built by this pass, or ``terminal`` at the last step.
+    The outermost level is one step from the origin and reads X_1 (the
+    terminal when there is one level); its value is X_0.  Only the grid
+    functions are kept; each step's node values are reduced block by block
+    as they are evaluated.
+
+    At d = 2 a full-rank interior level is two rank-1 ``propagate_segment``
+    steps with the level's weight, each taking one column sqrt(lam_i) v_i
+    of ``Level.fac`` as its factor: z ~ N(0, dQ) is z_1 + z_2 with
+    independent z_i ~ N(0, lam_i v_i v_i^T), so
 
         (1/w) log E exp(w f(y + z)) = (1/w) log E exp(w L(y + z_1)),
         L(y) = (1/w) log E exp(w f(y + z_2)).
@@ -263,7 +272,7 @@ def _backward_pass(terminal, levels: list[Level], cfg: EvalConfig) -> tuple[list
     nodes**2.  By Cauchy-Schwarz, sqrt(2) xmax (sqrt(lam_1) |v_1i| +
     sqrt(lam_2) |v_2i|) <= 2 xmax sqrt(dQ_ii), so every point the inner step
     evaluates lies inside the grid of X_{k+1}.  A level of rank <= 1, and
-    every d = 1 level, is one call."""
+    every d = 1 level, is one step."""
     d = levels[0].cov.shape[0]
     if d > 2:
         raise ValueError("quadrature engine supports d <= 2; use monte_carlo")
@@ -279,21 +288,22 @@ def _backward_pass(terminal, levels: list[Level], cfg: EvalConfig) -> tuple[list
     def grid(half):
         return [np.linspace(-wi, wi, per_axis) for wi in half]
 
-    fs = []
+    plan = []
     f = terminal
     for k in range(len(levels) - 1, 0, -1):
         w, fac = levels[k].weight, levels[k].fac
         if fac.shape[1] == 2:
             reach = halfw[k - 1] + np.sqrt(2.0) * xmax * np.abs(fac[:, 0])
+            plan.append((k, fac[:, 1:], f))
             f = propagate_segment(f, w, fac[:, 1:], grid(reach), cfg.nodes)
             fac = fac[:, :1]
+        plan.append((k, fac, f))
         f = propagate_segment(f, w, fac, grid(halfw[k - 1]), cfg.nodes)
-        fs.append(f)
-    fs.reverse()
-    # Outermost level: evaluate at the origin only.
+    plan.append((0, levels[0].fac, f))
+    plan.reverse()
     shifts, wgt = _gh_nodes(levels[0].fac, cfg.nodes)
     vals = np.asarray(f(shifts))
-    return fs, float(_log_avg_exp(levels[0].weight, [(vals, wgt)]))
+    return plan, float(_log_avg_exp(levels[0].weight, [(vals, wgt)]))
 
 
 def _deposit(mass: np.ndarray, pts: np.ndarray, axes: list[np.ndarray]) -> np.ndarray:
@@ -318,58 +328,74 @@ def _deposit(mass: np.ndarray, pts: np.ndarray, axes: list[np.ndarray]) -> np.nd
     return out.reshape(shape)
 
 
-def _forward_pass(tc: TerminalCondition, levels: list[Level], fs: list[GridFunction], x0: float, cfg: EvalConfig):
+def _forward_pass(tc: TerminalCondition, levels: list[Level], plan: list[tuple], x0: float, cfg: EvalConfig):
     """First derivatives of X_0 in each level's weight w_k and covariance
-    increment dQ_k and in the tilt, from one sweep over the grids of
-    ``_backward_pass``.
+    increment dQ_k and in the tilt, from one sweep over the plan of
+    ``_backward_pass``: the same steps and grids, so the gradient comes from
+    the discretization of the value it is returned with.
 
-    The sweep carries pi_k, the law of y_k under the level reweightings,
-    starting from the point mass at the origin.  Node j of level k moves
-    mass pi_k(y) p_j(y) to y + z_j, where p_j = wgt_j exp(w_k (X_{k+1}(y +
-    z_j) - X_k(y))) is the derivative of X_k(y) in X_{k+1}(y + z_j); the
-    moved mass is deposited on the grid of level k + 1.  Along the way
+    The sweep carries pi, the law of the point under the level reweightings,
+    starting from the point mass at the origin; ``here`` is the function the
+    previous step read (X_0 at the origin first).  Node j of a step of level
+    k with factor columns F moves mass pi(y) p_j(y) to y + z_j, z_j = sqrt(2)
+    F xi_j, where p_j = wgt_j exp(w_k (f(y + z_j) - here(y))) is the
+    derivative of here(y) in f(y + z_j); the moved mass is deposited on the
+    grid of f.  Each step adds
 
-        dX_0/dw_k  = E_pi[(E^{W_k} X_{k+1} - X_k) / w_k]   (1/2 Var below
-                     SMALL_WEIGHT, as in _log_avg_exp),
-        dX_0/ddQ_k = sym(A_k dQ_k^+ / 2),  A_k = E_pi[grad X_{k+1}(y + z_j) z_j^T],
-        dX_0/dtilt = E_pi[<s s^T>] at the terminal level,
+        E_pi[(E^{W} f - here) / w_k]  (1/2 Var below SMALL_WEIGHT, as in
+                                       _log_avg_exp)  to dX_0/dw_k,
+        E_pi[grad f(y + z_j) z_j^T]                   to A_k,
+        E_pi[<s s^T>] at the terminal                 to dX_0/dtilt,
 
-    with X_{k+1}, its gradient and, at the last level, <s s^T> from one
-    ``derivatives(axes, block)`` call per block of nodes, of the level's
-    ``GridFunction`` or of the ``TerminalCondition``.  The dQ_k formula is
-    the derivative of the quadrature sum itself: its nodes z_j = sqrt(2) L
-    xi_j move with the factor L L^T = dQ_k.  By Gaussian integration by parts
-    it equals the continuum 1/2 E_pi[Hess X_{k+1} + w_k grad X_{k+1}
-    grad X_{k+1}^T], but it needs no second derivative, whose node sum is
-    far less accurate where X_{k+1} bends sharply (large beta).  It is exact
-    at d = 1; at d = 2 it leaves out how the tensor node grid turns with the
-    eigenvectors of dQ_k, a quadrature artifact.  Directions outside the
-    range of dQ_k, where the nodes do not move, read 0.  Matrix derivatives
-    pair with a symmetric perturbation by the Frobenius product.
+    and then dX_0/ddQ_k = sym(A_k dQ_k^+ / 2), with dQ_k^+ from
+    ``pinv(Level.fac)`` once per level.  f, its gradient and, at the
+    terminal, <s s^T> come from one ``derivatives(axes, block)`` call per
+    block of nodes.
+
+    A level of one step gives the usual dX_0/dw_k = E_pi[(E^{W_k} X_{k+1} -
+    X_k) / w_k] and A_k = E_pi[grad X_{k+1}(y + z) z^T].  A split d = 2 level,
+    X_k = (1/w) log E exp(w L(y + z_1)) with L = (1/w) log E exp(w X_{k+1}(y
+    + z_2)), has dX_k/dw = (E^{W_1} L - X_k)/w + E^{W_1}[dL/dw], so its two
+    steps telescope: the outer step's (E^{W_1} L - X_k)/w under pi_k plus
+    the inner step's (E^{W_2} X_{k+1} - L)/w under the mass the outer step
+    carried.  Below SMALL_WEIGHT they telescope the same way, by the law of
+    total variance: Var(X_{k+1}) = Var_1(E_2 X_{k+1}) + E_1 Var_2(X_{k+1}),
+    with L -> E_2 X_{k+1} as w -> 0.  The quadrature nodes of the two steps
+    are z_1 + z_2 with z_i on column i, so A_k = E[grad L z_1^T] + E[grad
+    X_{k+1} z_2^T], with grad L the spline gradient of L.
+
+    The dQ_k formula is the derivative of the quadrature sum itself: its
+    nodes sqrt(2) F xi move with the factor, F F^T = dQ_k.  By Gaussian
+    integration by parts it equals the continuum 1/2 E_pi[Hess X_{k+1} + w_k
+    grad X_{k+1} grad X_{k+1}^T], but it needs no second derivative, whose
+    node sum is far less accurate where X_{k+1} bends sharply (large beta).
+    It is exact at d = 1; at d = 2 it leaves out how the node directions turn
+    with the eigenvectors of dQ_k, a quadrature artifact.  Directions
+    outside the range of dQ_k, where the nodes do not move, read 0.  Matrix
+    derivatives pair with a symmetric perturbation by the Frobenius product.
     """
     d = tc.dim
-    n = len(levels) - 1
-    d_weight = np.zeros(n + 1)
-    d_cov = np.zeros((n + 1, d, d))
+    d_weight = np.zeros(len(levels))
+    moves = np.zeros((len(levels), d, d))  # A_k
     d_tilt = np.zeros((d, d))
     axes = [np.zeros(1)] * d
-    here = np.full((1,) * d, x0)  # X_k on the level-k grid
-    mass = np.ones((1,) * d)      # pi_k on the level-k grid
-    for k, lv in enumerate(levels):
-        shifts, wgt = _gh_nodes(lv.fac, cfg.nodes)
-        last = k == n
-        small = lv.weight < SMALL_WEIGHT
+    here = np.full((1,) * d, x0)  # the function the previous step read, on its grid
+    mass = np.ones((1,) * d)      # pi on that grid
+    expand = (slice(None),) + (None,) * d
+    for k, fac, f in plan:
+        shifts, wgt = _gh_nodes(fac, cfg.nodes)
+        weight = levels[k].weight
+        last = f is tc
+        small = weight < SMALL_WEIGHT
         sum_v = np.zeros(here.shape)   # sum_j p_j v_j, or wgt_j v_j below the threshold
         sum_sq = np.zeros(here.shape)  # sum_j wgt_j v_j^2 below the threshold
-        moves = np.zeros((d, d))  # A_k
-        moved = None if last else np.zeros(fs[k].values.shape)
-        expand = (slice(None),) + (None,) * d
+        moved = None if last else np.zeros(f.values.shape)
         step = max(1, BLOCK_POINTS // here.size)
         for start in range(0, shifts.shape[0], step):
             block = shifts[start : start + step]
-            vals, grad, *moment = (tc if last else fs[k]).derivatives(axes, block)
+            vals, grad, *moment = f.derivatives(axes, block)
             node_w = wgt[start : start + step][expand]
-            p = node_w * np.exp(lv.weight * (vals - here[None]))
+            p = node_w * np.exp(weight * (vals - here[None]))
             if small:
                 sum_v += (node_w * vals).sum(axis=0)
                 sum_sq += (node_w * vals * vals).sum(axis=0)
@@ -377,22 +403,22 @@ def _forward_pass(tc: TerminalCondition, levels: list[Level], fs: list[GridFunct
                 sum_v += (p * vals).sum(axis=0)
             moving = mass[None] * p
             flat = moving.reshape(len(block), -1)
-            moves += np.einsum("bm,bmi,bj->ij", flat, grad.reshape(flat.shape + (d,)), block)
+            moves[k] += np.einsum("bm,bmi,bj->ij", flat, grad.reshape(flat.shape + (d,)), block)
             if last:
                 d_tilt += np.tensordot(flat.ravel(), moment[0].reshape(-1, d, d), axes=1)
             else:
-                moved += _deposit(moving, shifted_grid_points(axes, block), fs[k].axes)
-        back = np.linalg.pinv(lv.fac)
-        half = 0.5 * moves @ back.T @ back
-        d_cov[k] = 0.5 * (half + half.T)
+                moved += _deposit(moving, shifted_grid_points(axes, block), f.axes)
         if small:
             per_point = 0.5 * np.maximum(sum_sq - sum_v * sum_v, 0.0)
         else:
-            per_point = (sum_v - here) / lv.weight
-        d_weight[k] = float(np.sum(mass * per_point))
+            per_point = (sum_v - here) / weight
+        d_weight[k] += float(np.sum(mass * per_point))
         if not last:
-            mass, here, axes = moved, fs[k].values, fs[k].axes
-    return d_weight, d_cov, d_tilt
+            mass, here, axes = moved, f.values, f.axes
+    for k, lv in enumerate(levels):
+        back = np.linalg.pinv(lv.fac)
+        moves[k] = 0.5 * moves[k] @ back.T @ back
+    return d_weight, 0.5 * (moves + moves.transpose(0, 2, 1)), d_tilt
 
 
 def _mc_value(terminal, levels: list[Level], cfg: EvalConfig, rng: np.random.Generator) -> float:
@@ -522,8 +548,8 @@ def local_functional_gradient(
     if cfg.engine != "quadrature":
         raise ValueError("the functional gradient needs the quadrature engine")
     levels = levels_from_order_params(x, chain)
-    fs, x0 = _backward_pass(tc, levels, cfg)
-    d_weight, d_cov, d_tilt = _forward_pass(tc, levels, fs, x0, cfg)
+    plan, x0 = _backward_pass(tc, levels, cfg)
+    d_weight, d_cov, d_tilt = _forward_pass(tc, levels, plan, x0, cfg)
     result = functional_from_recursion(x, chain, tc, RecursionResult(x0, 0.0, "quadrature"))
     mats = chain.matrices
     n = chain.levels

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from parisi_lab import acceptance
 from parisi_lab.cli import main, run_config
 from parisi_lab.measures import AprioriMeasure, TerminalCondition
 from parisi_lab.paths import DiscretePath, MonotoneChain, UnitPartition, path_to_json
@@ -306,6 +307,19 @@ def test_unreadable_config_exits_two(tmp_path, capsys):
     path.write_text("{not json")
     assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith("config error: ")
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_exits_two_before_any_check(workers, monkeypatch, tmp_path, capsys):
+    def fail(master):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(acceptance, "ALL_CHECKS", [fail])
+    out = tmp_path / "out"
+    assert main(["--workers", workers, "--out", str(out), "verify-all"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: workers must be at least 1, got {workers}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("experiment", ["average", "concentration", "superadditivity"])

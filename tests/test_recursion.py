@@ -456,9 +456,10 @@ def test_split_level_matches_one_full_rank_segment(measure, beta, weight, bound)
     tc = TerminalCondition(beta, tilt, mu)
     cov = np.array([[0.5, 0.15], [0.15, 0.3]])
     cfg = EvalConfig(nodes=12, grid_points_2d=61)
-    fs, _ = _backward_pass(tc, [Level(0.0, 0.5 * cov), Level(weight, cov)], cfg)
-    full = propagate_segment(tc, weight, sqrt_factor(cov), fs[0].axes, cfg.nodes)
-    assert np.abs(fs[0].values - full.values).max() <= bound
+    plan, _ = _backward_pass(tc, [Level(0.0, 0.5 * cov), Level(weight, cov)], cfg)
+    x1 = plan[0][2]  # the function the outermost step reads
+    full = propagate_segment(tc, weight, sqrt_factor(cov), x1.axes, cfg.nodes)
+    assert np.abs(x1.values - full.values).max() <= bound
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -525,6 +526,51 @@ def test_gradient_factors_each_level_once(d, monkeypatch):
     assert len(calls) == chain.levels + 1
     if d == 2:
         assert all(original(c).shape[1] == 2 for c in calls)
+
+
+def test_forward_pass_walks_the_backward_pass_steps(monkeypatch):
+    # One d = 2 gradient eval over a full-rank outermost level, a rank-1
+    # level and a full-rank last level.  The forward pass reads nodes**2
+    # shifts only at the outermost level: a rank-1 level reads nodes, and a
+    # full-rank interior level reads nodes for the intermediate function and
+    # nodes for the terminal.  It builds no grid function of its own.
+    x = UnitPartition.from_interior([0.3, 0.7])
+    u = np.array([[1.0, 0.3], [0.3, 0.8]])
+    rank1 = np.outer([0.3, -0.5], [0.3, -0.5])
+    chain = MonotoneChain([np.zeros((2, 2)), 0.2 * u, 0.2 * u + rank1, u], allow_equal=True)
+    cfg = EvalConfig(nodes=8, grid_points_2d=33)
+    tc = TerminalCondition(0.7, np.zeros((2, 2)), AprioriMeasure.hypercube(2))
+    reads, builds, segments = [], [], []
+
+    def counting(cls):
+        original = cls.derivatives
+
+        def derivatives(self, axes, block):
+            if not reads or reads[-1][0] is not self:
+                reads.append([self, 0])
+            reads[-1][1] += len(block)
+            return original(self, axes, block)
+
+        monkeypatch.setattr(cls, "derivatives", derivatives)
+
+    counting(GridFunction)
+    counting(TerminalCondition)
+    original_init, original_segment = GridFunction.__init__, recursion.propagate_segment
+
+    def init(self, *args):
+        builds.append(self)
+        original_init(self, *args)
+
+    def segment(*args):
+        segments.append(args)
+        return original_segment(*args)
+
+    monkeypatch.setattr(GridFunction, "__init__", init)
+    monkeypatch.setattr(recursion, "propagate_segment", segment)
+    local_functional_gradient(x, chain, tc, cfg)
+    assert [count for _, count in reads] == [cfg.nodes**2, cfg.nodes, cfg.nodes, cfg.nodes]
+    assert reads[-1][0] is tc
+    assert len(builds) == len(segments) == 3
 
 
 def test_gauss_hermite_table_cached_read_only():
@@ -628,20 +674,24 @@ def test_gradient_matches_central_differences_gaussian_d1():
 
 
 # At d = 2 (12 nodes per axis, 81 x 81 grids) the measured differences are
-# up to 7e-4 on these points: the spline second derivatives and the bilinear
-# deposit are coarser than at d = 1.
+# up to 1.9e-3 on these points: the spline second derivatives and the
+# bilinear deposits, two per split level, are coarser than at d = 1.
 @pytest.mark.parametrize(
-    "mu, u",
+    "mu, u, n",
     [
-        (AprioriMeasure.hypercube(2), np.array([[1.0, 0.2], [0.2, 1.0]])),
+        (AprioriMeasure.hypercube(2), np.array([[1.0, 0.2], [0.2, 1.0]]), 1),
         (AprioriMeasure.gaussian(np.array([[3.0, 0.4], [0.4, 4.0]]), np.array([0.1, -0.2])),
-         np.array([[0.5, 0.1], [0.1, 0.6]])),
+         np.array([[0.5, 0.1], [0.1, 0.6]]), 1),
+        (AprioriMeasure.hypercube(2), np.array([[1.0, 0.2], [0.2, 1.0]]), 2),
     ],
-    ids=["hypercube", "gaussian"],
+    ids=["hypercube", "gaussian", "hypercube-small-weight"],
 )
-def test_gradient_matches_central_differences_d2(mu, u):
+def test_gradient_matches_central_differences_d2(mu, u, n):
     rng = np.random.default_rng(11)
-    x, chain, tilt = random_point(rng, 2, 1, u)
+    x, chain, tilt = random_point(rng, 2, n, u)
+    if n == 2:
+        # The first weight sits below SMALL_WEIGHT, and its level splits.
+        x = UnitPartition(np.concatenate(([0.0, 5e-7], x.values[2:])))
     assert gradient_case(mu, 0.8, x, chain, tilt, D2) <= 2e-3
 
 
