@@ -185,7 +185,12 @@ def _run_eval(config: dict, master: int, workers: int):
         raise ConfigError(f"invalid eval config: {exc}") from exc
     if cfg.engine == "quadrature":
         _quadrature_dim(mu)
-    rec = recursion_value(path.partition, path.chain, tc, cfg)
+    try:
+        rec = recursion_value(path.partition, path.chain, tc, cfg)
+    except MeasureError as exc:
+        # _terminal_from checked the tilt as given; the quadrature engine
+        # folds a weight-1 top level into it, where a Gaussian may diverge.
+        raise ConfigError(f"invalid terminal condition after folding the weight-1 levels: {exc}") from exc
     loc = functional_from_recursion(path.partition, path.chain, tc, rec)
     lines = [
         evaluation_record("recursion_value", {"path": path_to_json(path)}, rec, cfg.seed),

@@ -1,7 +1,7 @@
 """Order parameters: one container and one parameterization.
 
-The container is ``DiscretePath``, a partition 0 = x_0 < ... < x_{n+1} = 1
-paired with a Loewner-monotone chain 0 = Q[0] << ... << Q[n+1] = U.  It is
+The container is ``DiscretePath``, a partition 0 = x_0 < ... < x_n <= x_{n+1}
+= 1 paired with a Loewner-monotone chain 0 = Q[0] << ... << Q[n+1] = U.  It is
 the right-continuous step path rho(t) = Q[k] on [x_k, x_{k+1}) with a final
 jump to the terminal matrix U at t = 1.  The recursion, the closed forms and
 the saddle solver read its two parts; the PDE reads the path whole.  The
@@ -31,7 +31,9 @@ class PathError(ValueError):
 
 @dataclass(frozen=True)
 class UnitPartition:
-    """Strictly increasing grid 0 = x_0 < x_1 < ... < x_{n+1} = 1."""
+    """Grid 0 = x_0 < x_1 < ... < x_n <= x_{n+1} = 1, strictly increasing
+    except at the top: x_n = 1 is a top level of weight 1, the closure that
+    the saddle pins."""
 
     values: np.ndarray
 
@@ -41,8 +43,9 @@ class UnitPartition:
             raise PathError("partition needs at least the two endpoints")
         if v[0] != 0.0 or v[-1] != 1.0:
             raise PathError("partition must start at 0 and end at 1")
-        if np.any(np.diff(v) <= 0.0):
-            raise PathError("partition values must be strictly increasing")
+        gaps = np.diff(v)
+        if np.any(gaps[:-1] <= 0.0) or gaps[-1] < 0.0:
+            raise PathError("partition values must be strictly increasing, except x_n = 1 at the top")
         object.__setattr__(self, "values", v)
 
     @classmethod

@@ -57,6 +57,8 @@ class PdeProblem:
             raise ValueError("finite-difference problems are one-dimensional")
         if not self.spacing > 0.0:
             raise ValueError(f"spacing must be positive, got {self.spacing!r}")
+        if self.path.partition.values[-2] == 1.0:
+            raise ValueError("the top segment [x_n, 1] is empty (x_n = 1); the solver needs x_n < 1")
 
     def segment(self, seg: int) -> tuple[float, float, float, float]:
         """(t0, t1, qdot, x) on segment ``seg`` = [x_seg, x_{seg+1}): its end

@@ -17,6 +17,11 @@ are provided:
   nodes**2, in the backward pass and in the gradient's forward pass, which
   walk the same steps.  Every pass reads the factor each level computes
   once, ``Level.fac``.
+  A trailing run of weight-1 levels under a ``TerminalCondition`` needs no
+  grid at all: for every measure, log E exp g_tilt(y + z) = g_{tilt +
+  beta^2 dQ}(y) with z ~ N(0, dQ), so the engine folds the run into the
+  terminal's tilt (``_fold``), exactly.  The saddle's pinned top level x_n = 1
+  is such a run, and a replica-symmetric evaluation is then one node sum.
 * monte_carlo: nested sampling over all levels at once with antithetic pairs
   and half-sample (Richardson) debiasing of the log-mean-exp bias; standard
   errors come from independent replicas (``seeds.replicate``).  Works for
@@ -243,17 +248,47 @@ def propagate_segment(f_next, weight: float, fac: np.ndarray, axes: list[np.ndar
     return GridFunction(axes, _log_avg_exp(weight, blocks))
 
 
+def _fold_start(terminal, levels: list[Level]) -> int:
+    """The first level of the trailing run of weight-1 levels that the
+    quadrature engine folds into ``terminal``: len(levels) when nothing
+    folds, which is always the case unless ``terminal`` is a
+    ``TerminalCondition``."""
+    top = len(levels)
+    if isinstance(terminal, TerminalCondition):
+        while top > 0 and levels[top - 1].weight == 1.0:
+            top -= 1
+    return top
+
+
+def _fold(terminal, levels: list[Level]):
+    """(terminal, top): the terminal of the quadrature engine and the number
+    of levels it still integrates.  Levels top.. have weight 1 and fold into
+    ``TerminalCondition(beta, tilt + beta^2 sum dQ_k, mu)``, since
+    E exp(sqrt(2) beta <z, s>) = exp(beta^2 <dQ s, s>) for z ~ N(0, dQ) turns
+    log E exp g_tilt(y + z) into g_{tilt + beta^2 dQ}(y).  For a Gaussian mu
+    both sides are finite exactly when C - 2 (tilt + beta^2 dQ) is positive
+    definite; the folded terminal raises ``MeasureError`` on its first
+    evaluation otherwise, where the level's integral diverges."""
+    top = _fold_start(terminal, levels)
+    if top == len(levels):
+        return terminal, top
+    tilt = terminal.tilt + terminal.beta**2 * sum(lv.cov for lv in levels[top:])
+    return TerminalCondition(terminal.beta, tilt, terminal.mu), top
+
+
 def _backward_pass(terminal, levels: list[Level], cfg: EvalConfig) -> tuple[list[tuple], float]:
     """The quadrature engine: its plan and X_0 at the origin.
 
-    The plan has one entry per quadrature step, in forward order:
-    ``(k, fac, f)``, where a step of level k integrates the columns ``fac``
-    of ``Level.fac`` against ``f``, the function it reads: a
-    ``GridFunction`` built by this pass, or ``terminal`` at the last step.
-    The outermost level is one step from the origin and reads X_1 (the
-    terminal when there is one level); its value is X_0.  Only the grid
-    functions are kept; each step's node values are reduced block by block
-    as they are evaluated.
+    The levels from ``_fold`` on are folded into the terminal first.  The
+    plan has one entry per quadrature step of the other levels, in forward
+    order: ``(k, fac, f)``, where a step of level k integrates the columns
+    ``fac`` of ``Level.fac`` against ``f``, the function it reads: a
+    ``GridFunction`` built by this pass, or the (folded) terminal at the last
+    step.  The outermost level is one step from the origin and reads X_1
+    (the terminal when one level is left); its value is X_0.  When every
+    level folds, that step has a rank-0 factor: its one node is the origin.
+    Only the grid functions are kept; each step's node values are reduced
+    block by block as they are evaluated.
 
     At d = 2 a full-rank interior level is two rank-1 ``propagate_segment``
     steps with the level's weight, each taking one column sqrt(lam_i) v_i
@@ -276,6 +311,7 @@ def _backward_pass(terminal, levels: list[Level], cfg: EvalConfig) -> tuple[list
     d = levels[0].cov.shape[0]
     if d > 2:
         raise ValueError("quadrature engine supports d <= 2; use monte_carlo")
+    terminal, top = _fold(terminal, levels)
     per_axis = cfg.grid_points if d == 1 else cfg.grid_points_2d
     # Grid for level k covers every point reachable by nodes of levels < k.
     halfw = []
@@ -290,7 +326,7 @@ def _backward_pass(terminal, levels: list[Level], cfg: EvalConfig) -> tuple[list
 
     plan = []
     f = terminal
-    for k in range(len(levels) - 1, 0, -1):
+    for k in range(top - 1, 0, -1):
         w, fac = levels[k].weight, levels[k].fac
         if fac.shape[1] == 2:
             reach = halfw[k - 1] + np.sqrt(2.0) * xmax * np.abs(fac[:, 0])
@@ -299,9 +335,10 @@ def _backward_pass(terminal, levels: list[Level], cfg: EvalConfig) -> tuple[list
             fac = fac[:, :1]
         plan.append((k, fac, f))
         f = propagate_segment(f, w, fac, grid(halfw[k - 1]), cfg.nodes)
-    plan.append((0, levels[0].fac, f))
+    outer = levels[0].fac if top else np.zeros((d, 0))
+    plan.append((0, outer, f))
     plan.reverse()
-    shifts, wgt = _gh_nodes(levels[0].fac, cfg.nodes)
+    shifts, wgt = _gh_nodes(outer, cfg.nodes)
     vals = np.asarray(f(shifts))
     return plan, float(_log_avg_exp(levels[0].weight, [(vals, wgt)]))
 
@@ -373,6 +410,11 @@ def _forward_pass(tc: TerminalCondition, levels: list[Level], plan: list[tuple],
     with the eigenvectors of dQ_k, a quadrature artifact.  Directions
     outside the range of dQ_k, where the nodes do not move, read 0.  Matrix
     derivatives pair with a symmetric perturbation by the Frobenius product.
+
+    A level folded into the terminal (``_fold``) has no step.  Its dQ_k
+    moves the folded tilt by beta^2 dQ_k, so dX_0/ddQ_k = beta^2 dX_0/dtilt,
+    exactly.  Its weight is pinned at 1, where the fold has no derivative in
+    it: dX_0/dw_k is NaN there.
     """
     d = tc.dim
     d_weight = np.zeros(len(levels))
@@ -385,7 +427,7 @@ def _forward_pass(tc: TerminalCondition, levels: list[Level], plan: list[tuple],
     for k, fac, f in plan:
         shifts, wgt = _gh_nodes(fac, cfg.nodes)
         weight = levels[k].weight
-        last = f is tc
+        last = isinstance(f, TerminalCondition)
         small = weight < SMALL_WEIGHT
         sum_v = np.zeros(here.shape)   # sum_j p_j v_j, or wgt_j v_j below the threshold
         sum_sq = np.zeros(here.shape)  # sum_j wgt_j v_j^2 below the threshold
@@ -403,7 +445,7 @@ def _forward_pass(tc: TerminalCondition, levels: list[Level], plan: list[tuple],
                 sum_v += (p * vals).sum(axis=0)
             moving = mass[None] * p
             flat = moving.reshape(len(block), -1)
-            moves[k] += np.einsum("bm,bmi,bj->ij", flat, grad.reshape(flat.shape + (d,)), block)
+            moves[k] += np.einsum("bm,bmi->bi", flat, grad.reshape(flat.shape + (d,))).T @ block
             if last:
                 d_tilt += np.tensordot(flat.ravel(), moment[0].reshape(-1, d, d), axes=1)
             else:
@@ -415,10 +457,14 @@ def _forward_pass(tc: TerminalCondition, levels: list[Level], plan: list[tuple],
         d_weight[k] += float(np.sum(mass * per_point))
         if not last:
             mass, here, axes = moved, f.values, f.axes
-    for k, lv in enumerate(levels):
+    top = _fold_start(tc, levels)
+    for k, lv in enumerate(levels[:top]):
         back = np.linalg.pinv(lv.fac)
         moves[k] = 0.5 * moves[k] @ back.T @ back
-    return d_weight, 0.5 * (moves + moves.transpose(0, 2, 1)), d_tilt
+    d_cov = 0.5 * (moves + moves.transpose(0, 2, 1))
+    d_cov[top:] = tc.beta**2 * d_tilt
+    d_weight[top:] = np.nan
+    return d_weight, d_cov, d_tilt
 
 
 def _mc_value(terminal, levels: list[Level], cfg: EvalConfig, rng: np.random.Generator) -> float:
@@ -520,7 +566,9 @@ class FunctionalGradient:
     points x_1..x_n (shape (n,)), the interior chain matrices Q_1..Q_n
     (shape (n, d, d)) and the tilt (d, d).  Matrix derivatives are symmetric
     and pair with a symmetric perturbation by the Frobenius product:
-    df = sum_k <chain[k], dQ_{k+1}> + <tilt, dtilt>."""
+    df = sum_k <chain[k], dQ_{k+1}> + <tilt, dtilt>.  A top point x_n = 1
+    is pinned: its level folds into the terminal, and its entry of ``x`` is
+    NaN, not a derivative, so that a reader of it fails loudly."""
 
     x: np.ndarray
     chain: np.ndarray

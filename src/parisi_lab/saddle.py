@@ -3,10 +3,14 @@
 Inner problem: minimize the local functional over unit-interval weights,
 a Loewner-monotone chain ending at U, and the symmetric tilt matrix.  The
 order parameters go through the one parameterization of ``paths``: the
-weights are ``cumulative_fractions`` of n + 1 logits, and the chain is the
-map ``chain_from_blocks(U)``, built once per solve, of the positive-definite
+weights x_1 < ... < x_n are ``cumulative_fractions`` of n - 1 free logits and
+one pinned at zero, so the top weight x_n is exactly 1, as in
+``gaussian.minimize_parisi_1d``; the chain is the map
+``chain_from_blocks(U)``, built once per solve, of the positive-definite
 blocks G_k G_k^T + 1e-8 I, so monotonicity and the terminal constraint hold
-exactly for every parameter vector.  The inner solver is
+exactly for every parameter vector.  The pinned top level is the closure
+x_n = 1 of the variational problem, and the quadrature engine folds it into
+the terminal's tilt, exactly and at no grid cost.  The inner solver is
 ``gaussian.multistart``, the shared restart-and-reject L-BFGS-B driver, on
 the analytic gradient: the recursion's first-order formula
 (``recursion.local_functional_gradient``) pulled back through the
@@ -53,6 +57,9 @@ class SelfOverlapError(ValueError):
 class SaddleProblem:
     beta: float
     mu: AprioriMeasure
+    # n interior chain matrices (n + 1 blocks) under n - 1 free weights and
+    # the pinned x_n = 1: 1 is replica symmetric, 2 is one-step RSB, and 0
+    # is the path x = 0 on [0, 1).
     levels: int = 2
     engine: EvalConfig = field(default_factory=EvalConfig)
     restarts: int = 5
@@ -103,15 +110,21 @@ class SaddleResult:
 def _unpack(theta: np.ndarray, d: int, n: int, to_chain):
     """Parameter vector -> (partition, chain, tilt, pullback), where
     ``pullback`` maps a ``FunctionalGradient`` at that point to the gradient
-    in theta by the chain rule.  theta holds n + 1 weight logits, the lower
-    triangles of the n + 1 block factors G_k and the lower triangle of the
-    tilt; ``to_chain`` is the solve's ``chain_from_blocks(U)``."""
+    in theta by the chain rule.  theta holds the n - 1 free weight logits
+    (none at n = 0), the lower triangles of the n + 1 block factors G_k and the
+    lower triangle of the tilt; ``to_chain`` is the solve's
+    ``chain_from_blocks(U)``.  The weights are x = (x_1, ..., x_{n-1}, 1),
+    the ``cumulative_fractions`` of the free logits and one pinned at zero;
+    at n = 0 there are none, and the partition is (0, 1).  The pullback
+    drops the gradient's pinned entry x_n, which the recursion does not
+    compute (NaN), and the pinned logit."""
     tri = np.tril_indices(d)
     ntri = tri[0].size
-    x, pull_x = cumulative_fractions(theta[: n + 1])
-    partition = UnitPartition(np.append(0.0, x))
+    nw = max(n - 1, 0)
+    x, pull_x = cumulative_fractions(np.append(theta[:nw], 0.0))
+    partition = UnitPartition(np.concatenate(([0.0], x[:n], [1.0])))
     facs = np.zeros((n + 1, d, d))
-    facs[:, tri[0], tri[1]] = theta[n + 1 : -ntri].reshape(n + 1, ntri)
+    facs[:, tri[0], tri[1]] = theta[nw:-ntri].reshape(n + 1, ntri)
     # The floor 1e-8 I keeps every block positive definite.
     chain, pull_blocks = to_chain([f @ f.T + 1e-8 * np.eye(d) for f in facs])
     tilt = np.zeros((d, d))
@@ -120,7 +133,7 @@ def _unpack(theta: np.ndarray, d: int, n: int, to_chain):
 
     def pullback(grad: FunctionalGradient) -> np.ndarray:
         g_facs = [(2.0 * g @ f)[tri] for g, f in zip(pull_blocks(grad.chain), facs)]
-        return np.concatenate([pull_x(grad.x)] + g_facs + [grad.tilt[tri]])
+        return np.concatenate([pull_x(grad.x[:-1])[:-1]] + g_facs + [grad.tilt[tri]])
 
     return partition, chain, tilt, pullback
 
@@ -168,7 +181,8 @@ def inner_minimize(u_matrix, problem: SaddleProblem) -> SaddleResult:
     d = problem.dim
     n = problem.levels
     ntri = d * (d + 1) // 2
-    size = (n + 1) + (n + 1) * ntri + ntri
+    nw = max(n - 1, 0)  # free weight logits
+    size = nw + (n + 1) * ntri + ntri
     to_chain = chain_from_blocks(u_mat)
 
     def evaluate(theta: np.ndarray):
@@ -177,10 +191,12 @@ def inner_minimize(u_matrix, problem: SaddleProblem) -> SaddleResult:
         result, grad = local_functional_gradient(part, chain, tc, problem.engine)
         return result.value, pullback(grad)
 
-    # Feasible symmetric start: uniform gaps, identity factors (equal
-    # increments), zero tilt.
+    # Symmetric start: uniform gaps, identity factors (equal increments),
+    # zero tilt.  For a Gaussian mu it is infeasible where C - 2 beta^2
+    # (U - Q_n), the precision of the folded top level, is not positive
+    # definite; multistart then rejects it.
     base = np.zeros(size)
-    base[n + 1 : -ntri] = np.tile(np.eye(d)[np.tril_indices(d)], n + 1)
+    base[nw:-ntri] = np.tile(np.eye(d)[np.tril_indices(d)], n + 1)
 
     rng = np.random.default_rng(problem.seed)
     starts = [base] + [base + rng.normal(scale=0.4, size=size) for _ in range(problem.restarts - 1)]

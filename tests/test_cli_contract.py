@@ -291,6 +291,14 @@ def test_pde_command_memory_stays_near_one_table(tmp_path):
         ({"command": "saddle", "seed": 1, "u": [[0.5, 0.9], [0.1, 0.5]], "levels": 1, "restarts": 1,
           "max_evals": 2, "measure": {"kind": "hypercube", "d": 2}},
          "self-overlap [[0.5, 0.9], [0.1, 0.5]] is not symmetric"),
+        # The tilt as given is fine (C = 0.5), but the weight-1 top level
+        # folds into tilt + beta^2 (U - Q_2) = 0.3, where C - 0.6 < 0.
+        ({"command": "eval", "seed": 1, "beta": 1.0, "measure": {"kind": "gaussian", "precision": [[0.5]],
+          "shift": [0.0]}, "path": dict(PATH, x=[0.0, 0.25, 1.0, 1.0])},
+         "invalid terminal condition after folding the weight-1 levels: tilted Gaussian integral diverges"),
+        # The top segment [x_2, 1] of this path is empty.
+        ({"command": "pde", "seed": 1, "measure": RADEMACHER, "path": dict(PATH, x=[0.0, 0.25, 1.0, 1.0])},
+         "invalid pde problem: the top segment [x_n, 1] is empty (x_n = 1)"),
     ],
 )
 def test_bad_config_exits_two(config, message, tmp_path, capsys):

@@ -34,6 +34,15 @@ def test_partition_validation():
     assert np.array_equal(p.interior, [0.3, 0.7])
 
 
+def test_partition_admits_equality_at_the_top_only():
+    # x_n = 1 is the pinned top level of weight 1.
+    assert UnitPartition([0.0, 0.4, 1.0, 1.0]).levels == 2
+    assert UnitPartition([0.0, 1.0, 1.0]).levels == 1
+    for values in ([0.0, 0.4, 0.4, 1.0], [0.0, 0.0, 1.0], [0.0, 1.0, 1.0, 1.0]):
+        with pytest.raises(PathError, match="strictly increasing, except x_n = 1 at the top"):
+            UnitPartition(values)
+
+
 def test_chain_validation():
     with pytest.raises(PathError):
         MonotoneChain([[[0.1]], [[1.0]]])  # must start at zero

@@ -169,3 +169,11 @@ def test_nonconvergence_raises_pde_error(beta, verdict):
     tc = TerminalCondition(beta, np.zeros((1, 1)), RADEMACHER)
     with pytest.raises(PdeError, match=f"fixed point {verdict} on segment 1"):
         solve_parisi_pde(PdeProblem(path, tc, spacing=0.05))
+
+
+def test_empty_top_segment_is_refused_before_any_solve():
+    # x_2 = 1: the top segment [x_2, 1] has no length, and its slope would
+    # divide by zero.  The recursion folds that level; the solver refuses it.
+    path = DiscretePath(UnitPartition([0.0, 0.25, 1.0, 1.0]), sk_path().chain)
+    with pytest.raises(ValueError, match=r"the top segment \[x_n, 1\] is empty \(x_n = 1\)"):
+        PdeProblem(path, Const())

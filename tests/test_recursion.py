@@ -105,12 +105,57 @@ def test_level_collapse_exact():
 
 
 def test_all_weights_one_collapses_nesting():
+    # Nesting is tested through a terminal that is no TerminalCondition,
+    # which the quadrature engine does not fold.
     tc = TerminalCondition(0.7, np.zeros((1, 1)), RADEMACHER)
     cfg = EvalConfig()
     levels = [Level(1.0, np.array([[v]])) for v in (0.2, 0.3, 0.5)]
-    nested = recursion_from_levels(tc, levels, cfg).value
-    single = recursion_from_levels(tc, [Level(1.0, np.array([[1.0]]))], cfg).value
+    unfolded = Raised(tc, lambda y: 0.0 * y)
+    nested = recursion_from_levels(unfolded, levels, cfg).value
+    single = recursion_from_levels(unfolded, [Level(1.0, np.array([[1.0]]))], cfg).value
     assert nested == pytest.approx(single, abs=1e-8)
+    # A TerminalCondition folds every level: g_{beta^2 U}(0) = log 2 + beta^2.
+    exact = np.log(2.0) + 0.7**2
+    assert recursion_from_levels(tc, levels, cfg).value == pytest.approx(exact, abs=1e-14)
+    assert recursion_from_levels(tc, [Level(1.0, np.array([[1.0]]))], cfg).value == pytest.approx(exact, abs=1e-14)
+    assert nested == pytest.approx(exact, abs=1e-8)
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.0])
+@pytest.mark.parametrize("xs, qs", [([], [0.5]), ([0.4], [0.3, 0.6])])
+def test_folded_top_level_matches_the_unfolded_quadrature(beta, xs, qs):
+    # The quadrature engine folds the weight-1 top level into the terminal's
+    # tilt; through a terminal it does not fold, it integrates that level on
+    # a grid.  The two differ by the quadrature error of the unfolded level
+    # (measured up to 2.2e-10 on these instances at the default grid).
+    x, chain, tc = scalar_setup(xs + [1.0], qs, beta=beta)
+    levels = levels_from_order_params(x, chain)
+    folded = recursion_from_levels(tc, levels, EvalConfig()).value
+    unfolded = recursion_from_levels(Raised(tc, lambda y: 0.0 * y), levels, EvalConfig()).value
+    assert abs(folded - unfolded) <= 3e-10
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("n", [1, 2])
+def test_folded_d2_gaussian_matches_closed_form(seed, n):
+    # Check 2's instances with the top weight pinned at 1, against the
+    # closed form at check 2's tolerance, on a coarse engine.
+    x, chain, tilt, c, h, beta = _random_gaussian_instance(np.random.default_rng(seed), 2, n)
+    x = UnitPartition(np.append(x.values[:-2], [1.0, 1.0]))
+    tc = TerminalCondition(beta, tilt, AprioriMeasure.gaussian(c, h))
+    rec = recursion_value(x, chain, tc, EvalConfig(nodes=12, grid_points_2d=61))
+    assert rec.value == pytest.approx(closed_form_recursion(x, chain, tilt, c, h, beta), abs=1e-6)
+
+
+def test_folded_quadrature_matches_unfolded_monte_carlo_d2():
+    # Monte Carlo never folds, so it checks the fold's identity independently.
+    u = np.array([[1.0, 0.2], [0.2, 1.0]])
+    x = UnitPartition([0.0, 0.5, 1.0, 1.0])
+    chain = MonotoneChain([np.zeros((2, 2)), 0.3 * u, 0.6 * u, u])
+    tc = TerminalCondition(0.7, np.array([[0.1, -0.05], [-0.05, 0.2]]), AprioriMeasure.hypercube(2))
+    quad = recursion_value(x, chain, tc, EvalConfig(nodes=12, grid_points_2d=81)).value
+    mc = recursion_value(x, chain, tc, EvalConfig(engine="monte_carlo", samples=32, replicas=16, seed=3))
+    assert abs(mc.value - quad) <= 3.0 * mc.std_error
 
 
 def test_quadrature_vs_monte_carlo():
@@ -601,6 +646,9 @@ def central_gradient(value, x, chain, tilt, h=1e-5):
     n, d = chain.levels, chain.dim
     grad_x = []
     for k in range(1, n + 1):
+        if xv[k] == xv[k + 1]:
+            grad_x.append(np.nan)  # the pinned top point x_n = 1 cannot move
+            continue
         step = min(h, 0.25 * min(xv[k] - xv[k - 1], xv[k + 1] - xv[k]))
         up, dn = xv.copy(), xv.copy()
         up[k] += step
@@ -643,7 +691,7 @@ def random_point(rng, d, n, u, tilt_scale=0.1):
 
 
 def max_gradient_error(grad, ref):
-    return max(np.abs(grad.x - ref.x).max(), np.abs(grad.chain - ref.chain).max(),
+    return max(np.abs(grad.x - ref.x).max(initial=0.0), np.abs(grad.chain - ref.chain).max(),
                np.abs(grad.tilt - ref.tilt).max())
 
 
@@ -693,6 +741,31 @@ def test_gradient_matches_central_differences_d2(mu, u, n):
         # The first weight sits below SMALL_WEIGHT, and its level splits.
         x = UnitPartition(np.concatenate(([0.0, 5e-7], x.values[2:])))
     assert gradient_case(mu, 0.8, x, chain, tilt, D2) <= 2e-3
+
+
+@pytest.mark.parametrize(
+    "mu, u, n, betas, cfg, bound",
+    [
+        (RADEMACHER, np.array([[1.0]]), 1, (0.5, 1.5), D1, 2e-4),
+        (RADEMACHER, np.array([[1.0]]), 2, (0.5, 1.5), D1, 2e-4),
+        # The d = 2 bound and beta of test_gradient_matches_central_differences_d2.
+        (AprioriMeasure.hypercube(2), np.array([[1.0, 0.2], [0.2, 1.0]]), 2, (0.8,), D2, 2e-3),
+    ],
+    ids=["rademacher-rs", "rademacher", "hypercube"],
+)
+def test_gradient_at_pinned_points_matches_central_differences(mu, u, n, betas, cfg, bound):
+    # x_n = 1 is pinned and its level folds into the tilt: dX_0/ddQ_n is
+    # beta^2 dX_0/dtilt, and the pinned x_n has no derivative (NaN).
+    rng = np.random.default_rng(31 + n)
+    x, chain, tilt = random_point(rng, u.shape[0], n, u)
+    x = UnitPartition(np.append(x.values[:-2], [1.0, 1.0]))
+    for beta in betas:
+        tc = TerminalCondition(beta, tilt, mu)
+        _, grad = local_functional_gradient(x, chain, tc, cfg)
+        ref = central_gradient(recursion_functional(mu, beta, cfg), x, chain, tc.tilt)
+        assert np.isnan(grad.x[-1]) and np.isnan(ref.x[-1])
+        free = [FunctionalGradient(g.x[:-1], g.chain, g.tilt) for g in (grad, ref)]
+        assert max_gradient_error(*free) <= bound
 
 
 @pytest.mark.parametrize("d, n", [(1, 1), (1, 3), (2, 2)])

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from parisi_lab import paths, saddle
+from parisi_lab import paths, recursion, saddle
 from parisi_lab.gaussian import PAIR_SCALE, closed_form_value, minimize_parisi_1d, optimal_self_overlap
 from parisi_lab.measures import AprioriMeasure, EvalConfig, TerminalCondition
 from parisi_lab.paths import PathError, chain_from_blocks
@@ -44,6 +44,39 @@ def test_sk_inner_matches_rs_value():
     # High temperature: the optimum collapses to the replica-symmetric value.
     res = inner_minimize([[1.0]], quick_problem(0.5, levels=2, restarts=2, max_evals=1200))
     assert res.value == pytest.approx(np.log(2) + 0.125, abs=2e-4)
+
+
+def test_pinned_top_reaches_the_rs_value():
+    # x_2 = 1 is pinned, so the optimizer reaches the closure exactly: with
+    # x_2 free it stopped at x_2 = 0.99993, 5.4e-6 above the RS value.
+    res = inner_minimize([[1.0]], quick_problem(0.5, levels=2, restarts=2, max_evals=1200))
+    assert res.partition.values[-2] == 1.0
+    assert res.value == pytest.approx(np.log(2) + 0.125, abs=1e-6)
+
+
+def test_levels_zero_keeps_the_x_zero_path():
+    # No free weight: the partition is (0, 1), and for Rademacher the tilt
+    # cancels, so the value is E log 2 cosh(sqrt(2) beta z), z ~ N(0, 1).
+    res = inner_minimize([[1.0]], quick_problem(0.5, levels=0))
+    assert np.array_equal(res.partition.values, [0.0, 1.0])
+    assert res.value == pytest.approx(0.9026619077741077, abs=1e-12)
+
+
+@pytest.mark.parametrize("levels, per_eval", [(1, 0), (2, 1)])
+def test_pinned_top_level_needs_no_grid(levels, per_eval, monkeypatch):
+    # The pinned top level folds into the terminal: an RS eval is one node
+    # sum at the origin, and a levels = 2 eval builds one grid at d = 1.
+    calls = []
+    original = recursion.propagate_segment
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(recursion, "propagate_segment", counted)
+    res = inner_minimize([[1.0]], quick_problem(0.5, levels=levels, restarts=1, max_evals=100))
+    assert res.evaluations > 1 and not res.rejections
+    assert len(calls) == per_eval * res.evaluations
 
 
 def test_inner_deterministic():
@@ -175,10 +208,12 @@ def test_objective_counts_infeasible_rejections(monkeypatch):
     "mu, expected",
     [
         (AprioriMeasure.hypercube(2), {}),
-        # The third start's tilt leaves the set where C - 2 tilt is positive
-        # definite: that restart is rejected at its start, where the zero
-        # gradient stops it.
-        (AprioriMeasure.gaussian(np.array([[1.0, 0.3], [0.3, 1.2]])), {"MeasureError": 1}),
+        # The pinned top level folds into the tilt, tilt + beta^2 (U - Q_1),
+        # and the first two starts leave the set where C - 2 (tilt + beta^2
+        # (U - Q_1)) is positive definite, where the Gaussian integral
+        # diverges: at the symmetric start it is C - U.  Each such restart is
+        # rejected at its start, where the zero gradient stops it.
+        (AprioriMeasure.gaussian(np.array([[1.0, 0.3], [0.3, 1.2]])), {"MeasureError": 2}),
     ],
 )
 def test_d2_rejections_are_infeasibility_errors(mu, expected):
@@ -197,8 +232,9 @@ def test_d2_rejections_are_infeasibility_errors(mu, expected):
     assert len(res.restart_evaluations) == len(res.nit) == len(res.converged) == 3
     assert res.rejections == expected == json.loads(res.to_json())["rejections"]
     assert res.value < REJECTED_VALUE
-    if expected:
-        assert res.restart_evaluations[2] == 1 and not res.converged[2]
+    stopped = [k for k, calls in enumerate(res.restart_evaluations) if calls == 1]
+    assert len(stopped) == sum(expected.values())
+    assert not any(res.converged[k] for k in stopped)
 
 
 def test_objective_propagates_programming_errors(monkeypatch):
@@ -262,16 +298,20 @@ def test_result_reports_solver_state():
     assert res.converged[0] and 0 < res.nit[0] < res.restart_evaluations[0] <= 200
 
 
-@pytest.mark.parametrize("d, n", [(1, 1), (1, 3), (2, 2)])
+@pytest.mark.parametrize("d, n", [(1, 0), (1, 1), (1, 3), (2, 2)])
 def test_unpack_pullback_is_the_chain_rule(d, n):
     # For a linear functional of (x, Q, tilt) the pullback must equal central
-    # differences of that functional through _unpack.
+    # differences of that functional through _unpack.  theta holds n - 1
+    # weight logits (none at n = 0): x_n = 1 is pinned, and the pullback
+    # never reads the gradient's NaN in x_n.
     rng = np.random.default_rng(5)
     u = np.array([[1.0]]) if d == 1 else np.array([[0.7, 0.2], [0.2, 0.5]])
     ntri = d * (d + 1) // 2
-    theta = rng.normal(scale=0.7, size=(n + 1) * (1 + ntri) + ntri)
+    theta = rng.normal(scale=0.7, size=max(n - 1, 0) + (n + 1) * ntri + ntri)
     sym = lambda a: a + np.swapaxes(a, -1, -2)
     coef = FunctionalGradient(rng.normal(size=n), sym(rng.normal(size=(n, d, d))), sym(rng.normal(size=(d, d))))
+    part = saddle._unpack(theta, d, n, chain_from_blocks(u))[0]
+    assert part.levels == n and (n == 0 or part.interior[-1] == 1.0)
 
     def linear(th):
         part, chain, tilt, _ = saddle._unpack(th, d, n, chain_from_blocks(u))
@@ -282,6 +322,9 @@ def test_unpack_pullback_is_the_chain_rule(d, n):
     h = 1e-6
     central = [(linear(theta + h * e) - linear(theta - h * e)) / (2 * h) for e in np.eye(theta.size)]
     assert np.allclose(pullback(coef), central, rtol=0.0, atol=1e-7)
+    if n:
+        coef.x[-1] = np.nan
+        assert np.allclose(pullback(coef), central, rtol=0.0, atol=1e-7)
 
 
 def test_solve_takes_the_terminal_square_root_once(monkeypatch):
