@@ -392,26 +392,37 @@ SCALAR_OPTIONS = {"maxiter": 4000, "ftol": 1e-15, "gtol": 1e-14}
 def multistart(evaluate, starts, options: dict):
     """L-BFGS-B with ``options`` on ``evaluate(theta) -> (value, gradient)``
     from each start in turn.  A point where ``evaluate`` raises an INFEASIBLE
-    error is rejected with REJECTED_VALUE and a zero gradient.  Returns
-    (best, runs, calls, rejections): the lowest scipy result, the earliest on
-    ties; every scipy result in start order; the objective calls of each run;
-    and the rejected points counted by error type name."""
+    error is rejected with REJECTED_VALUE and a zero gradient.  A run that
+    stops on a rejected point reports, in its ``x`` and ``fun``, its lowest
+    feasible evaluation instead, if it made one: every feasible value is an
+    upper bound on the infimum.  Returns (best, runs, calls, rejections): the
+    lowest scipy result, the earliest on ties; every scipy result in start
+    order; the objective calls of each run; and the rejected points counted
+    by error type name."""
     calls: list[int] = []
     rejections: dict[str, int] = {}
+    feasible: list[tuple] = []  # per run: (lowest feasible value, its theta)
 
     def objective(theta):
         calls[-1] += 1
         try:
-            return evaluate(theta)
+            value, grad = evaluate(theta)
         except INFEASIBLE as exc:
             kind = type(exc).__name__
             rejections[kind] = rejections.get(kind, 0) + 1
             return REJECTED_VALUE, np.zeros_like(theta)
+        if value < feasible[-1][0]:
+            feasible[-1] = (value, theta.copy())
+        return value, grad
 
     runs = []
     for s0 in starts:
         calls.append(0)
-        runs.append(minimize(objective, s0, jac=True, method="L-BFGS-B", options=options))
+        feasible.append((REJECTED_VALUE, None))
+        res = minimize(objective, s0, jac=True, method="L-BFGS-B", options=options)
+        if res.fun >= REJECTED_VALUE and feasible[-1][1] is not None:
+            res.fun, res.x = feasible[-1]
+        runs.append(res)
     best = min(runs, key=lambda res: res.fun)
     return best, runs, calls, dict(sorted(rejections.items()))
 

@@ -15,7 +15,11 @@ are provided:
   eigen-directions of its covariance, which together use the tensor node
   set of the level: a level evaluates 2 * nodes spline grids instead of
   nodes**2, in the backward pass and in the gradient's forward pass, which
-  walk the same steps.  Every pass reads the factor each level computes
+  walk the same steps.  At d = 1, X_1 lives on the outermost level's own
+  Gauss-Hermite nodes instead of a grid: the outermost step reads it there
+  with no spline, so the two outer levels are the exact tensor node sum and
+  cost nodes**2 reads of X_2 (at d = 2 the nested reads of X_2 cost more
+  than its spline grids).  Every pass reads the factor each level computes
   once, ``Level.fac``.
   A trailing run of weight-1 levels under a ``TerminalCondition`` needs no
   grid at all: for every measure, log E exp g_tilt(y + z) = g_{tilt +
@@ -165,17 +169,24 @@ def _log_avg_exp(weight: float, blocks) -> np.ndarray:
 
 
 class GridFunction:
-    """Function of y on a tensor grid with cubic-spline evaluation (d <= 2)."""
+    """Function of y on a tensor grid (d <= 2) with cubic-spline evaluation.
+
+    The spline is built on first use.  A function that is only read at its
+    own grid points through ``values``, such as X_1 on the outermost level's
+    nodes at d = 1, never builds one; that grid may then be a single point,
+    the one node of a rank-0 level, where no spline exists."""
 
     def __init__(self, axes: list[np.ndarray], values: np.ndarray):
+        if len(axes) > 2:
+            raise ValueError("grid functions support d <= 2")
         self.axes = axes
         self.values = values
-        if len(axes) == 1:
-            self._spline = CubicSpline(axes[0], values)
-        elif len(axes) == 2:
-            self._spline = RectBivariateSpline(axes[0], axes[1], values, kx=3, ky=3)
-        else:
-            raise ValueError("grid functions support d <= 2")
+
+    @cached_property
+    def _spline(self):
+        if self.dim == 1:
+            return CubicSpline(self.axes[0], self.values)
+        return RectBivariateSpline(self.axes[0], self.axes[1], self.values, kx=3, ky=3)
 
     @property
     def dim(self) -> int:
@@ -307,7 +318,15 @@ def _backward_pass(terminal, levels: list[Level], cfg: EvalConfig) -> tuple[list
     nodes**2.  By Cauchy-Schwarz, sqrt(2) xmax (sqrt(lam_1) |v_1i| +
     sqrt(lam_2) |v_2i|) <= 2 xmax sqrt(dQ_ii), so every point the inner step
     evaluates lies inside the grid of X_{k+1}.  A level of rank <= 1, and
-    every d = 1 level, is one step."""
+    every d = 1 level, is one step.
+
+    At d = 1 (``_reads_nodes``) the step that makes X_1 puts it on the
+    outermost level's Gauss-Hermite nodes, not on a ``grid_points`` grid,
+    and the outermost step reads those values directly.  The two outer
+    levels are then the exact two-level tensor node sum, with no spline of
+    X_1: nodes**2 reads of X_2 instead of grid_points * nodes, and no spline
+    build.  Deeper levels keep their grids.  A rank-0 outermost level has the
+    one node 0, a one-point "grid" that never needs a spline."""
     d = levels[0].cov.shape[0]
     if d > 2:
         raise ValueError("quadrature engine supports d <= 2; use monte_carlo")
@@ -324,6 +343,9 @@ def _backward_pass(terminal, levels: list[Level], cfg: EvalConfig) -> tuple[list
     def grid(half):
         return [np.linspace(-wi, wi, per_axis) for wi in half]
 
+    outer = levels[0].fac if top else np.zeros((d, 0))
+    shifts, wgt = _gh_nodes(outer, cfg.nodes)
+    nodal = _reads_nodes(d, top)
     plan = []
     f = terminal
     for k in range(top - 1, 0, -1):
@@ -334,13 +356,20 @@ def _backward_pass(terminal, levels: list[Level], cfg: EvalConfig) -> tuple[list
             f = propagate_segment(f, w, fac[:, 1:], grid(reach), cfg.nodes)
             fac = fac[:, :1]
         plan.append((k, fac, f))
-        f = propagate_segment(f, w, fac, grid(halfw[k - 1]), cfg.nodes)
-    outer = levels[0].fac if top else np.zeros((d, 0))
+        axes = [shifts[:, 0]] if nodal and k == 1 else grid(halfw[k - 1])
+        f = propagate_segment(f, w, fac, axes, cfg.nodes)
     plan.append((0, outer, f))
     plan.reverse()
-    shifts, wgt = _gh_nodes(outer, cfg.nodes)
-    vals = np.asarray(f(shifts))
+    # _log_avg_exp consumes its block, and the forward pass reads X_1's values.
+    vals = f.values.copy() if nodal else np.asarray(f(shifts))
     return plan, float(_log_avg_exp(levels[0].weight, [(vals, wgt)]))
+
+
+def _reads_nodes(d: int, top: int) -> bool:
+    """Whether X_1 lives on the outermost level's nodes, where the outermost
+    step reads it with no spline: at d = 1, whenever ``_fold`` leaves a level
+    after the outermost one to integrate (``top`` levels are left)."""
+    return d == 1 and top > 1
 
 
 def _deposit(mass: np.ndarray, pts: np.ndarray, axes: list[np.ndarray]) -> np.ndarray:
@@ -411,12 +440,29 @@ def _forward_pass(tc: TerminalCondition, levels: list[Level], plan: list[tuple],
     outside the range of dQ_k, where the nodes do not move, read 0.  Matrix
     derivatives pair with a symmetric perturbation by the Frobenius product.
 
+    At d = 1 with X_1 on the outermost level's nodes y_i (``_reads_nodes``),
+    the outermost step reads X_1(y_i) from the backward pass and its mass
+    pi_i = p_i stays on the nodes, which are no uniform grid for
+    ``_deposit``; there is no spline gradient of X_1.  Its A_0 = E_pi[grad
+    X_1(y) y^T] is added by the level-1 step instead, from the gradient of
+    the function f that step reads: X_1(y) = (1/w) log sum_j wgt_j exp(w
+    f(y + z_j)) gives grad X_1(y_i) = sum_j p_ij grad f(y_i + z_j), where
+    p_ij = wgt_j exp(w (f(y_i + z_j) - X_1(y_i))) sums to 1 over j, so
+
+        A_0 = sum_i pi_i grad X_1(y_i) y_i^T = sum_ij moving_ij grad f(y_i + z_j) y_i^T,
+
+    with moving_ij = pi_i p_ij the mass that step moves.  This is the
+    derivative of the node sum, exactly; below SMALL_WEIGHT, where X_1 is
+    the variance expansion, p_ij matches its gradient weights to O(w^2).
+
     A level folded into the terminal (``_fold``) has no step.  Its dQ_k
     moves the folded tilt by beta^2 dQ_k, so dX_0/ddQ_k = beta^2 dX_0/dtilt,
     exactly.  Its weight is pinned at 1, where the fold has no derivative in
     it: dX_0/dw_k is NaN there.
     """
     d = tc.dim
+    top = _fold_start(tc, levels)
+    nodal = _reads_nodes(d, top)
     d_weight = np.zeros(len(levels))
     moves = np.zeros((len(levels), d, d))  # A_k
     d_tilt = np.zeros((d, d))
@@ -429,13 +475,17 @@ def _forward_pass(tc: TerminalCondition, levels: list[Level], plan: list[tuple],
         weight = levels[k].weight
         last = isinstance(f, TerminalCondition)
         small = weight < SMALL_WEIGHT
+        on_nodes = nodal and k == 0  # X_1 is read at its own grid points
         sum_v = np.zeros(here.shape)   # sum_j p_j v_j, or wgt_j v_j below the threshold
         sum_sq = np.zeros(here.shape)  # sum_j wgt_j v_j^2 below the threshold
         moved = None if last else np.zeros(f.values.shape)
         step = max(1, BLOCK_POINTS // here.size)
         for start in range(0, shifts.shape[0], step):
             block = shifts[start : start + step]
-            vals, grad, *moment = f.derivatives(axes, block)
+            if on_nodes:
+                vals = f.values[start : start + step, None]
+            else:
+                vals, grad, *moment = f.derivatives(axes, block)
             node_w = wgt[start : start + step][expand]
             p = node_w * np.exp(weight * (vals - here[None]))
             if small:
@@ -445,7 +495,14 @@ def _forward_pass(tc: TerminalCondition, levels: list[Level], plan: list[tuple],
                 sum_v += (p * vals).sum(axis=0)
             moving = mass[None] * p
             flat = moving.reshape(len(block), -1)
-            moves[k] += np.einsum("bm,bmi->bi", flat, grad.reshape(flat.shape + (d,))).T @ block
+            if on_nodes:
+                moved[start : start + step] = flat[:, 0]
+                continue
+            grad = grad.reshape(flat.shape + (d,))
+            moves[k] += np.einsum("bm,bmi->bi", flat, grad).T @ block
+            if nodal and k == 1:
+                # A_0 = E_pi[grad X_1(y) y^T], with grad X_1(y_m) = sum_b p_bm grad f(y_m + z_b).
+                moves[0] += np.einsum("bm,bmi->mi", flat, grad).T @ axes[0][:, None]
             if last:
                 d_tilt += np.tensordot(flat.ravel(), moment[0].reshape(-1, d, d), axes=1)
             else:
@@ -457,7 +514,6 @@ def _forward_pass(tc: TerminalCondition, levels: list[Level], plan: list[tuple],
         d_weight[k] += float(np.sum(mass * per_point))
         if not last:
             mass, here, axes = moved, f.values, f.axes
-    top = _fold_start(tc, levels)
     for k, lv in enumerate(levels[:top]):
         back = np.linalg.pinv(lv.fac)
         moves[k] = 0.5 * moves[k] @ back.T @ back

@@ -191,12 +191,18 @@ def inner_minimize(u_matrix, problem: SaddleProblem) -> SaddleResult:
         result, grad = local_functional_gradient(part, chain, tc, problem.engine)
         return result.value, pullback(grad)
 
-    # Symmetric start: uniform gaps, identity factors (equal increments),
-    # zero tilt.  For a Gaussian mu it is infeasible where C - 2 beta^2
-    # (U - Q_n), the precision of the folded top level, is not positive
-    # definite; multistart then rejects it.
+    # Symmetric start: uniform gaps, identity factors (equal increments
+    # U / (n + 1)) and the tilt -beta^2 U / (n + 1), so that the tilt of the
+    # folded top level, tilt + beta^2 (U - Q_n), is 0 and the start is
+    # feasible for every measure.  theta holds the lower triangle of a tilt
+    # that _unpack symmetrizes, which halves the off-diagonal entries.  At
+    # n = 0 nothing folds, and the tilt starts at 0.
+    tri = np.tril_indices(d)
     base = np.zeros(size)
-    base[nw:-ntri] = np.tile(np.eye(d)[np.tril_indices(d)], n + 1)
+    base[nw:-ntri] = np.tile(np.eye(d)[tri], n + 1)
+    if n:
+        tilt0 = -problem.beta**2 * u_mat / (n + 1)
+        base[-ntri:] = (2.0 * tilt0 - np.diag(np.diag(tilt0)))[tri]
 
     rng = np.random.default_rng(problem.seed)
     starts = [base] + [base + rng.normal(scale=0.4, size=size) for _ in range(problem.restarts - 1)]

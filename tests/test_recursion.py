@@ -545,6 +545,41 @@ def test_backward_pass_segment_calls_and_grids(d, monkeypatch):
                 assert a[0] - r >= inside[0] * (1.0 + 1e-12)
 
 
+@pytest.mark.parametrize("outer", [0.3, 0.0])
+def test_d1_two_level_eval_reads_x1_at_the_outer_nodes(outer, monkeypatch):
+    # With the top point pinned, a d = 1 eval integrates one level onto the
+    # outermost level's nodes, not onto a grid, and the value and the
+    # forward pass read X_1 there: no spline is built.  A rank-0 outermost
+    # level (Q_1 = 0) has one node, the origin, and X_0 = X_1(0).
+    x = UnitPartition(np.array([0.0, 0.4, 1.0, 1.0]))
+    chain = MonotoneChain([np.zeros((1, 1)), [[outer]], [[0.7]], [[1.0]]], allow_equal=True)
+    tc = TerminalCondition(1.2, np.array([[0.1]]), RADEMACHER)
+    cfg = EvalConfig(nodes=16, grid_points=801)
+    calls, splines = [], []
+    original_segment, original_spline = recursion.propagate_segment, recursion.CubicSpline
+
+    def segment(*args):
+        calls.append(args)
+        return original_segment(*args)
+
+    def spline(*args, **kwargs):
+        splines.append(args)
+        return original_spline(*args, **kwargs)
+
+    monkeypatch.setattr(recursion, "propagate_segment", segment)
+    monkeypatch.setattr(recursion, "CubicSpline", spline)
+    result, grad = local_functional_gradient(x, chain, tc, cfg)
+    assert len(calls) == 1 and not splines
+    (axis,) = calls[0][3]
+    assert axis.size == (cfg.nodes if outer else 1)
+    assert np.all(np.isfinite(grad.chain)) and np.isfinite(grad.x[0])
+    if not outer:
+        levels = levels_from_order_params(x, chain)
+        inner = recursion_from_levels(tc, levels[1:], cfg).value
+        assert result.value == pytest.approx(functional_from_recursion(
+            x, chain, tc, RecursionResult(inner, 0.0, "quadrature")).value, abs=1e-14)
+
+
 @pytest.mark.parametrize("d", [1, 2])
 def test_gradient_factors_each_level_once(d, monkeypatch):
     # The backward pass, the d = 2 split, the outermost level and the forward
@@ -766,6 +801,33 @@ def test_gradient_at_pinned_points_matches_central_differences(mu, u, n, betas, 
         assert np.isnan(grad.x[-1]) and np.isnan(ref.x[-1])
         free = [FunctionalGradient(g.x[:-1], g.chain, g.tilt) for g in (grad, ref)]
         assert max_gradient_error(*free) <= bound
+
+
+@pytest.mark.parametrize(
+    "mu, u, beta, x1",
+    [
+        (RADEMACHER, 1.0, 1.0, None),
+        (RADEMACHER, 1.0, 1.5, None),
+        (AprioriMeasure.discrete([[-1.0], [0.5], [2.0]], [0.3, 0.5, 0.2]), 1.2, 1.0, None),
+        (AprioriMeasure.gaussian(np.array([[3.0]]), np.array([0.2])), 0.6, 1.0, None),
+        (RADEMACHER, 1.0, 1.0, 5e-7),
+    ],
+    ids=["rademacher-1", "rademacher-1.5", "three-point", "gaussian", "small-weight"],
+)
+def test_two_level_d1_gradient_is_exact(mu, u, beta, x1):
+    # At d = 1 with the top point pinned, X_1 lives on the outermost level's
+    # nodes and the folded terminal is exact: the value is a finite node sum
+    # and the forward pass returns its derivative, so central differences
+    # agree up to their own truncation and rounding (1e-5 with X_1 on a
+    # spline grid).
+    rng = np.random.default_rng(41)
+    x, chain, tilt = random_point(rng, 1, 2, np.array([[u]]))
+    x = UnitPartition(np.array([0.0, x.values[1] if x1 is None else x1, 1.0, 1.0]))
+    tc = TerminalCondition(beta, tilt, mu)
+    _, grad = local_functional_gradient(x, chain, tc, D1)
+    ref = central_gradient(recursion_functional(mu, beta, D1), x, chain, tc.tilt)
+    free = [FunctionalGradient(g.x[:-1], g.chain, g.tilt) for g in (grad, ref)]
+    assert max_gradient_error(*free) <= 1e-8
 
 
 @pytest.mark.parametrize("d, n", [(1, 1), (1, 3), (2, 2)])

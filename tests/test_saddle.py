@@ -65,7 +65,8 @@ def test_levels_zero_keeps_the_x_zero_path():
 @pytest.mark.parametrize("levels, per_eval", [(1, 0), (2, 1)])
 def test_pinned_top_level_needs_no_grid(levels, per_eval, monkeypatch):
     # The pinned top level folds into the terminal: an RS eval is one node
-    # sum at the origin, and a levels = 2 eval builds one grid at d = 1.
+    # sum at the origin, and a levels = 2 eval at d = 1 makes one
+    # propagate_segment call, onto the outermost level's nodes.
     calls = []
     original = recursion.propagate_segment
 
@@ -208,12 +209,12 @@ def test_objective_counts_infeasible_rejections(monkeypatch):
     "mu, expected",
     [
         (AprioriMeasure.hypercube(2), {}),
-        # The pinned top level folds into the tilt, tilt + beta^2 (U - Q_1),
-        # and the first two starts leave the set where C - 2 (tilt + beta^2
-        # (U - Q_1)) is positive definite, where the Gaussian integral
-        # diverges: at the symmetric start it is C - U.  Each such restart is
-        # rejected at its start, where the zero gradient stops it.
-        (AprioriMeasure.gaussian(np.array([[1.0, 0.3], [0.3, 1.2]])), {"MeasureError": 2}),
+        # The pinned top level folds into the tilt, tilt + beta^2 (U - Q_1).
+        # The symmetric start makes that folded tilt 0, which is feasible;
+        # the second start leaves the set where C - 2 (tilt + beta^2 (U -
+        # Q_1)) is positive definite, where the Gaussian integral diverges.
+        # It is rejected at its start, where the zero gradient stops it.
+        (AprioriMeasure.gaussian(np.array([[1.0, 0.3], [0.3, 1.2]])), {"MeasureError": 1}),
     ],
 )
 def test_d2_rejections_are_infeasibility_errors(mu, expected):
@@ -235,6 +236,17 @@ def test_d2_rejections_are_infeasibility_errors(mu, expected):
     stopped = [k for k, calls in enumerate(res.restart_evaluations) if calls == 1]
     assert len(stopped) == sum(expected.values())
     assert not any(res.converged[k] for k in stopped)
+
+
+def test_symmetric_start_is_feasible_under_the_folded_top_level():
+    # The start tilt -beta^2 U / (n + 1) makes the folded tilt 0.  With the
+    # zero tilt this start had C - U, which is not positive definite here,
+    # and the single restart ended at REJECTED_VALUE.
+    mu = AprioriMeasure.gaussian(np.array([[1.0, 0.3], [0.3, 1.2]]))
+    prob = SaddleProblem(beta=1.0, mu=mu, levels=1, restarts=1)
+    res = inner_minimize(np.array([[1.0, 0.2], [0.2, 1.0]]), prob)
+    assert not res.rejections and res.converged == [True]
+    assert res.value == pytest.approx(0.87403, abs=1e-5)
 
 
 def test_objective_propagates_programming_errors(monkeypatch):
