@@ -62,11 +62,15 @@ class CascadeSpec:
 def top_poisson_atoms(x_k: float, shape, rng: np.random.Generator) -> np.ndarray:
     """Largest atoms of the Poisson process with intensity x_k t^{-x_k-1} dt,
     in strictly decreasing order along the last axis; every row along that
-    axis is an independent process."""
+    axis is an independent process.  The standard exponentials are
+    ``rng.standard_exponential`` draws, the stream of ``rng.exponential``;
+    their cumulative sums and the power are taken in place, in the one
+    array drawn."""
     if not 0.0 < x_k < 1.0:
         raise ValueError("the cascade exponent must lie in (0, 1)")
-    gamma = np.cumsum(rng.exponential(size=shape), axis=-1)
-    return gamma ** (-1.0 / x_k)
+    gamma = rng.standard_exponential(size=shape)
+    np.cumsum(gamma, axis=-1, out=gamma)
+    return np.power(gamma, -1.0 / x_k, out=gamma)
 
 
 @dataclass(frozen=True)
@@ -89,7 +93,9 @@ def build_cascade(spec: CascadeSpec, seed) -> CascadeTree:
     m = spec.branching
     leaf = np.ones(1)
     for k, xk in enumerate(spec.weights):
-        leaf = (leaf[:, None] * top_poisson_atoms(xk, (m**k, m), rng)).reshape(-1)
+        atoms = top_poisson_atoms(xk, (m**k, m), rng)
+        atoms *= leaf[:, None]
+        leaf = atoms.reshape(-1)
     return CascadeTree(spec, leaf, leaf / leaf.sum())
 
 
@@ -97,10 +103,11 @@ def _same_prefix(tree: CascadeTree) -> np.ndarray:
     """Pair measure of the leaf pairs that share their depth-k ancestor,
     k = 0..n (1 at the root): the sum of the squared normalized subtree
     masses of the depth-k nodes.  Exact weighted double sums, grouping pairs
-    by common ancestor depth, in O(leaves)."""
+    by common ancestor depth, in O(leaves).  The depth-n nodes are the
+    leaves, whose masses are the normalized weights themselves."""
     m = tree.spec.branching
     w = tree.normalized
-    masses = (w.reshape(m**k, -1).sum(axis=1) for k in range(1, tree.spec.levels + 1))
+    masses = [w.reshape(m**k, -1).sum(axis=1) for k in range(1, tree.spec.levels)] + [w]
     return np.array([1.0] + [float(np.sum(mm**2)) for mm in masses])
 
 

@@ -27,7 +27,7 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from parisi_lab.paths import DiscretePath
 # propagate_segment is not called here.  It stays in this namespace because
@@ -174,6 +174,11 @@ def solve_parisi_pde(problem: PdeProblem) -> PdeSolution:
     to inf and NaN without a warning, and its residual is no longer finite.
     Raises BudgetError, before any allocation, when the table of time rows x
     grid points would exceed CELL_BUDGET.
+
+    Each segment's implicit matrix is constant, so it is LU-factored once by
+    LAPACK ``dgttrf`` and every iteration on the segment solves with
+    ``dgttrs``: the same elimination, in the same order, as a tridiagonal
+    ``solve_banded`` call per iteration.  A singular factor raises PdeError.
     """
     # The grid size is tested alone first: time_steps cannot count the steps
     # of a spacing so small that the grid size is already infinite.
@@ -200,17 +205,17 @@ def solve_parisi_pde(problem: PdeProblem) -> PdeSolution:
         steps = seg_steps[seg]
         dt = (t1 - t0) / steps
         a = qdot * dt / 4.0
-        lhs = np.zeros((3, m))
-        lhs[0, 1:] = -a * d2[0, 1:]
-        lhs[1] = 1.0 - a * d2[1]
-        lhs[2, :-1] = -a * d2[2, :-1]
+        # (dl, d, du, du2, ipiv, info) of I - a d2.
+        *lu, info = dgttrf(-a * d2[2, :-1], 1.0 - a * d2[1], -a * d2[0, 1:])
+        if info != 0:
+            raise PdeError(f"implicit matrix on segment {seg} is singular (dgttrf info {info})")
         for _ in range(steps):
             expl = f + a * _apply_banded(d2, f) + a * xw * _grad(f, h) ** 2
             fk = f.copy()
             it = 0
             while True:
                 rhs = expl + a * xw * _grad(fk, h) ** 2
-                fn = solve_banded((1, 1), lhs, rhs, check_finite=False)
+                fn, _ = dgttrs(*lu, rhs, overwrite_b=True)
                 delta = np.max(np.abs(fn - fk))
                 fk = fn
                 it += 1

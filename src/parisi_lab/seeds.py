@@ -5,8 +5,9 @@ can run in any order or in parallel without seed collisions and any artifact
 can be regenerated from its manifest.
 
 ``replicate`` is the package's one mean-and-standard-error estimator over
-independent seeded replicas: nested Monte Carlo, Ruelle cascades and the
-finite-N disorder averages all run through it.
+independent seeded replicas: nested Monte Carlo and Ruelle cascades run
+through it.  The finite-N disorder averages, which evaluate a whole replica
+set at once, use its two halves, ``spawn`` and ``estimate``, directly.
 """
 
 from __future__ import annotations
@@ -21,10 +22,21 @@ def derive_seed(master: int, label: str) -> int:
     return int.from_bytes(digest[:8], "big") >> 1
 
 
-def replicate(sample, replicas: int, seed):
-    """(mean, standard error, values) of ``sample(child)`` over the
-    ``replicas`` children spawned by the seed sequence of ``seed``.  The
-    results (scalars or arrays of one shape) are stacked along a new last
-    axis; mean and ``std(ddof=1) / sqrt(replicas)`` reduce along it."""
-    values = np.stack([sample(child) for child in np.random.SeedSequence(seed).spawn(replicas)], axis=-1)
+def spawn(seed, replicas: int) -> list:
+    """The ``replicas`` child seed sequences of the seed sequence of ``seed``,
+    one per independent replica."""
+    return np.random.SeedSequence(seed).spawn(replicas)
+
+
+def estimate(values: np.ndarray):
+    """(mean, standard error, values) of replica values stacked along the
+    last axis: mean and ``std(ddof=1) / sqrt(replicas)`` reduce along it."""
+    replicas = values.shape[-1]
     return values.mean(axis=-1), values.std(axis=-1, ddof=1) / np.sqrt(replicas), values
+
+
+def replicate(sample, replicas: int, seed):
+    """``estimate`` of ``sample(child)`` over the ``spawn`` children of
+    ``seed``.  The results (scalars or arrays of one shape) are stacked along
+    a new last axis."""
+    return estimate(np.stack([sample(child) for child in spawn(seed, replicas)], axis=-1))

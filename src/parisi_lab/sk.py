@@ -15,6 +15,18 @@ lexicographic order of the configurations; log weights and self-overlaps
 add over the halves the same way.  Each inverse temperature then takes one
 log-sum-exp of the one table.
 
+A replica set is enumerated as a stack: ``Disorder.matrix`` may hold R
+realizations (R, N, N), the half tables (configurations, log weights and
+self-overlaps) are built once for the stack, and one batched einsum and one
+batched matrix product give every sample's energies in an (R, S^N) table.
+Disorder averages cut their replicas into stacks of
+max(1, CHUNK_ENTRIES // S^N) samples, so a stack's tables hold at most
+CHUNK_ENTRIES entries (1 MiB) each, or S^N once S^N alone reaches it,
+whatever the number of replicas.  Elementwise work runs on the whole stack,
+but each sample's log-sum-exp ends in its own 1-D sum over its states: a 2-D
+sum along the rows rounds differently, and a sample's free energy must not
+depend on the stack it is enumerated in.
+
 Disorder entries are rounded to the dyadic grid 2^-26.  For supports with
 +-1 coordinates (Ising, hypercubes) every partial sum of the energies and
 self-overlaps is then exact, far below the 53-bit mantissa limit, so the
@@ -22,9 +34,10 @@ values do not depend on the split, the summation order or BLAS; other
 supports agree to rounding.  The rounding itself is ~1.5e-8 per entry,
 negligible against every statistical tolerance used here.
 
-``ENUMERATION_BUDGET`` bounds S^N and so memory: a few float64 tables of S^N
-entries, 128 MiB each at the budget.  Under a ball the squared distances are
-summed one self-overlap entry at a time, so no S^N x d x d table is built.
+``ENUMERATION_BUDGET`` bounds S^N and so memory: a few float64 tables of
+max(S^N, CHUNK_ENTRIES) entries, 128 MiB each at the budget.  Under a ball
+the squared distances are summed one self-overlap entry at a time, so no
+S^N x d x d table is built.
 """
 
 from __future__ import annotations
@@ -38,7 +51,7 @@ from scipy.special import betaincinv
 
 from parisi_lab.matrices import frobenius_norm
 from parisi_lab.measures import AprioriMeasure
-from parisi_lab.seeds import replicate
+from parisi_lab.seeds import estimate, spawn
 
 _QUANTUM = 2.0**26
 
@@ -49,17 +62,22 @@ class BudgetError(RuntimeError):
 
 ENUMERATION_BUDGET = 2**24
 
+# Largest number of table entries, replicas x states, that one stacked
+# enumeration of a disorder average holds.
+CHUNK_ENTRIES = 2**17
+
 
 @dataclass(frozen=True)
 class Disorder:
-    """One realization of the N x N interaction matrix; ``sample`` draws it
-    reproducibly from a seed."""
+    """One realization of the N x N interaction matrix, or a stack (R, N, N)
+    of independent realizations; ``sample`` draws one reproducibly from a
+    seed."""
 
     matrix: np.ndarray
 
     @property
     def n_sites(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrix.shape[-1]
 
     @classmethod
     def sample(cls, n_sites: int, seed: int) -> "Disorder":
@@ -119,29 +137,63 @@ def _check_budget(mu: AprioriMeasure, n_sites: int) -> None:
         raise BudgetError(f"{mu.size}^{n_sites} states exceed the enumeration budget of {ENUMERATION_BUDGET}")
 
 
-def _split_sum(disorder: Disorder, mu: AprioriMeasure, constraint: OverlapConstraint):
-    """N X(s) and log prod_i w(s_i) of the configurations s that the
-    constraint admits, in lexicographic order, by the split sum of the
-    module docstring."""
-    n = disorder.n_sites
-    _check_budget(mu, n)
-    g, eye, m = disorder.matrix, np.eye(mu.dim), (n + 1) // 2
+def _halves(mu: AprioriMeasure, n_sites: int):
+    """Per half of the split, a the first ceil(N/2) sites and b the rest:
+    its S^k configurations as rows of k d coordinates, their log weights and
+    their unnormalized self-overlaps s^T s, shape (S^k, d, d)."""
     halves = []
-    for lo, k in ((0, m), (m, n - m)):
+    for k in ((n_sites + 1) // 2, n_sites // 2):
         digits = np.indices((mu.size,) * k).reshape(k, mu.size**k).T
         s = mu.points[digits]  # (S^k, k, d)
         flat = s.reshape(mu.size**k, k * mu.dim)
-        energy = np.einsum("bi,ij,bj->b", flat, np.kron(g[lo : lo + k, lo : lo + k], eye), flat)
-        halves.append((flat, energy, np.log(mu.weights)[digits].sum(axis=1), np.einsum("bnd,bne->bde", s, s)))
-    (a, e_a, w_a, r_a), (b, e_b, w_b, r_b) = halves
-    nx = (e_a[:, None] + e_b[None, :] + a @ np.kron(g[:m, m:] + g[m:, :m].T, eye) @ b.T).ravel()
+        halves.append((flat, np.log(mu.weights)[digits].sum(axis=1), np.einsum("bnd,bne->bde", s, s)))
+    return halves
+
+
+def _split_sum(disorder: Disorder, mu: AprioriMeasure, constraint: OverlapConstraint):
+    """N X(s) and log prod_i w(s_i) of the configurations s that the
+    constraint admits, in lexicographic order, by the split sum of the
+    module docstring.  For a stack of R disorders the energies have shape
+    (R, K), one row per disorder, and the K log weights are shared."""
+    n = disorder.n_sites
+    _check_budget(mu, n)
+    g, eye, m = disorder.matrix, np.eye(mu.dim), (n + 1) // 2
+    (a, w_a, r_a), (b, w_b, r_b) = _halves(mu, n)
+    e_a = np.einsum("bi,...ij,bj->...b", a, np.kron(g[..., :m, :m], eye), a)
+    e_b = np.einsum("bi,...ij,bj->...b", b, np.kron(g[..., m:, m:], eye), b)
+    nx = a @ np.kron(g[..., :m, m:] + g[..., m:, :m].swapaxes(-1, -2), eye) @ b.T
+    # Adds (e_a + e_b) + cross in place: IEEE addition commutes exactly.
+    nx += e_a[..., :, None] + e_b[..., None, :]
+    nx = nx.reshape(g.shape[:-2] + (-1,))
     logw = (w_a[:, None] + w_b[None, :]).ravel()
     if constraint.center is not None:
         mask = constraint.admits(lambda i, j: (r_a[:, None, i, j] + r_b[None, :, i, j]) / n).ravel()
         if not np.any(mask):
             raise ValueError("empty constraint set: enlarge the overlap ball")
-        nx, logw = nx[mask], logw[mask]
+        nx, logw = nx[..., mask], logw[mask]
     return nx, logw
+
+
+def _free_energies(disorder: Disorder, beta, constraint: OverlapConstraint, mu: AprioriMeasure) -> np.ndarray:
+    """The exact local free energy of each disorder of a stack (R, N, N),
+    shape (betas, R): the energy table is built once and the log-sum-exp is
+    taken separately for each beta and each disorder."""
+    n = disorder.n_sites
+    nx, logw = _split_sum(disorder, mu, constraint)
+    betas = np.asarray(beta, dtype=float).ravel()
+    values = np.empty((betas.size, len(nx)))
+    expo = np.empty_like(nx)
+    for k, b in enumerate(betas):
+        np.multiply(nx, b, out=expo)
+        expo /= np.sqrt(n)
+        expo += logw
+        top = expo.max(axis=1)
+        expo -= top[:, None]
+        np.exp(expo, out=expo)
+        # One 1-D sum per disorder, as for a stack of one.
+        for r, row in enumerate(expo):
+            values[k, r] = (top[r] + np.log(np.sum(row))) / n
+    return values
 
 
 def exact_local_free_energy(
@@ -156,21 +208,25 @@ def exact_local_free_energy(
     ``beta`` is a scalar or a 1-D array.  The energy table is built once and
     the log-sum-exp is taken separately for each beta, so an array gives
     exactly the values of one scalar call per entry.  A scalar beta returns
-    a float, an array an array.
+    a float, an array an array.  The one disorder is enumerated as a stack
+    of one, so it gets exactly the value a disorder average gives it.
     """
-    n = disorder.n_sites
-    nx, logw = _split_sum(disorder, mu, constraint)
-    betas = np.asarray(beta, dtype=float)
-    values = np.empty(betas.size)
-    expo = np.empty_like(nx)
-    for k, b in enumerate(betas.ravel()):
-        np.multiply(nx, b, out=expo)
-        expo /= np.sqrt(n)
-        expo += logw
-        top = expo.max()
-        expo -= top
-        values[k] = (top + np.log(np.sum(np.exp(expo, out=expo)))) / n
-    return float(values[0]) if betas.ndim == 0 else values
+    values = _free_energies(Disorder(disorder.matrix[None]), beta, constraint, mu)[:, 0]
+    return float(values[0]) if np.ndim(beta) == 0 else values
+
+
+def _sampled_free_energies(n_sites: int, seeds, beta, constraint: OverlapConstraint, mu: AprioriMeasure):
+    """Exact local free energies of ``Disorder.sample(n_sites, seed)`` for
+    each seed, shape (replicas,) for a scalar beta and (betas, replicas) for
+    an array.  The samples are drawn and enumerated in stacks of
+    max(1, CHUNK_ENTRIES // S^N); the budget is checked before any draw."""
+    _check_budget(mu, n_sites)
+    per_stack = max(1, CHUNK_ENTRIES // mu.size**n_sites)
+    values = np.empty((np.size(beta), len(seeds)))
+    for lo in range(0, len(seeds), per_stack):
+        stack = np.stack([Disorder.sample(n_sites, s).matrix for s in seeds[lo : lo + per_stack]])
+        values[:, lo : lo + per_stack] = _free_energies(Disorder(stack), beta, constraint, mu)
+    return values[0] if np.ndim(beta) == 0 else values
 
 
 def disorder_average(
@@ -187,13 +243,13 @@ def disorder_average(
     ``beta`` is a scalar or a 1-D array; each disorder sample's energy table
     serves every beta.  For a scalar the mean and standard error are floats
     and the values have shape (replicas,); for an array they are arrays over
-    beta and the values have shape (len(beta), replicas).  The budget is
-    checked before any disorder is drawn.
+    beta and the values have shape (len(beta), replicas).  The replicas are
+    the ``seeds.spawn`` children of ``seed``, enumerated in stacks of
+    max(1, CHUNK_ENTRIES // S^N) samples; each value equals
+    ``exact_local_free_energy`` of its sample.  The budget is checked before
+    any disorder is drawn.
     """
-    _check_budget(mu, n_sites)
-    mean, se, vals = replicate(
-        lambda s: exact_local_free_energy(Disorder.sample(n_sites, s), beta, constraint, mu), replicas, seed
-    )
+    mean, se, vals = estimate(_sampled_free_energies(n_sites, spawn(seed, replicas), beta, constraint, mu))
     if np.ndim(beta) == 0:
         return float(mean), float(se), vals
     return mean, se, vals
@@ -243,13 +299,14 @@ def concentration_experiment(
     t_max = min(12, scale sqrt(log(2 / floor))), where floor is the upper
     confidence limit at zero exceedances.  Beyond t_max the bound lies below
     every limit the replicas can give, so no disorder sample could pass there.
+    At beta = 0 every sample equals the mean, and no disorder is drawn.
     """
-    mu = AprioriMeasure.rademacher()
-    mean, _, vals = disorder_average(n_sites, beta, OverlapConstraint(), mu, replicas, seed)
     if beta == 0.0:
         ts = np.linspace(0.5, 4.0, 8)
         zeros = np.zeros_like(ts)
         return TailTable(ts, zeros, zeros, 2.0 * np.exp(-(ts**2)))
+    mu = AprioriMeasure.rademacher()
+    mean, _, vals = disorder_average(n_sites, beta, OverlapConstraint(), mu, replicas, seed)
     dev = n_sites * np.abs(vals - mean)
     r = mu.support_radius()
     scale = np.sqrt(4.0 * beta**2 * r**4 * n_sites)
@@ -275,18 +332,18 @@ def superadditivity_experiment(
 
     Superadditivity predicts a nonnegative margin up to the O(radius)
     correction of the overlap localization; the measured value is returned,
-    nothing about the correction constant is assumed.  The budget of the
-    largest system is checked before any disorder is drawn.
+    nothing about the correction constant is assumed.  Each of the three
+    sizes is enumerated as stacked replica sets, as in ``disorder_average``.
+    The budget of the largest system is checked before any disorder is
+    drawn.
     """
     mu = mu or AprioriMeasure.rademacher()
     _check_budget(mu, n_small + m_small)
-
-    def margin(s):
-        kids = s.spawn(3)
-        pn = exact_local_free_energy(Disorder.sample(n_small, kids[0]), beta, constraint, mu)
-        pm = exact_local_free_energy(Disorder.sample(m_small, kids[1]), beta, constraint, mu)
-        pnm = exact_local_free_energy(Disorder.sample(n_small + m_small, kids[2]), beta, constraint, mu)
-        return (n_small + m_small) * pnm - n_small * pn - m_small * pm
-
-    mean, se, _ = replicate(margin, replicas, seed)
+    # Replica r draws its three systems from the three children of child r.
+    kids = [child.spawn(3) for child in spawn(seed, replicas)]
+    pn, pm, pnm = (
+        _sampled_free_energies(size, [k[i] for k in kids], beta, constraint, mu)
+        for i, size in enumerate((n_small, m_small, n_small + m_small))
+    )
+    mean, se, _ = estimate((n_small + m_small) * pnm - n_small * pn - m_small * pm)
     return float(mean), float(se)

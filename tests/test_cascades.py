@@ -4,6 +4,7 @@ from scipy.stats import kstest
 
 from parisi_lab.cascades import (
     LEAF_BUDGET,
+    _same_prefix,
     CascadeSpec,
     build_cascade,
     cascade_representation,
@@ -80,6 +81,32 @@ def test_build_cascade_draws_atoms_level_by_level():
         leaf = (leaf[:, None] * gamma ** (-1.0 / x_k)).reshape(-1)
     assert np.array_equal(tree.leaf_weights, leaf)
     assert np.array_equal(tree.normalized, leaf / leaf.sum())
+
+
+def _reference_cascade(spec, seed):
+    """Leaf weights and same-prefix measures by the formulas the in-place
+    code replaced: ``rng.exponential`` draws, a new product array per level
+    and a reshape-sum at every depth, leaves included."""
+    rng = np.random.default_rng(seed)
+    m = spec.branching
+    leaf = np.ones(1)
+    for k, x_k in enumerate(spec.weights):
+        gamma = np.cumsum(rng.exponential(size=(m**k, m)), axis=-1)
+        leaf = (leaf[:, None] * gamma ** (-1.0 / x_k)).reshape(-1)
+    w = leaf / leaf.sum()
+    masses = (w.reshape(m**k, -1).sum(axis=1) for k in range(1, spec.levels + 1))
+    return leaf, np.array([1.0] + [float(np.sum(mm**2)) for mm in masses])
+
+
+@pytest.mark.parametrize("seed", [0, 5, 91])
+@pytest.mark.parametrize("weights", [[0.4], [0.3, 0.6], [0.2, 0.5, 0.8]], ids=["1-level", "2-level", "3-level"])
+def test_cascade_and_same_prefix_equal_the_reference_formulas(weights, seed):
+    spec = CascadeSpec(weights, branching=8)
+    tree = build_cascade(spec, seed)
+    leaf, same = _reference_cascade(spec, seed)
+    assert np.array_equal(tree.leaf_weights, leaf)
+    assert np.array_equal(tree.normalized, leaf / leaf.sum())
+    assert np.array_equal(_same_prefix(tree), same)
 
 
 def test_normalization_scale_invariant():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from parisi_lab.matrices import sqrt_factor
 from parisi_lab.measures import AprioriMeasure, EvalConfig, TerminalCondition
@@ -8,6 +9,9 @@ from parisi_lab.pde import (
     CELL_BUDGET,
     PdeError,
     PdeProblem,
+    _apply_banded,
+    _grad,
+    _second_diff_banded,
     simulate_control_value,
     solve_parisi_pde,
 )
@@ -61,6 +65,48 @@ def test_sk_terminal_matches_recursion_and_refines():
     e2 = abs(solve_parisi_pde(PdeProblem(path, tc, spacing=0.005)).at_origin() - rec)
     assert e1 <= 1e-3
     assert e2 <= e1 / 3.0
+
+
+def _solve_banded_sweep(problem):
+    """Reference table of the backward Crank-Nicolson sweep with one
+    ``solve_banded`` call, which factors the matrix again, per fixed-point
+    iteration."""
+    y = problem.grid()
+    m, h = y.size, problem.spacing
+    d2 = _second_diff_banded(m, h)
+    f = np.asarray(problem.terminal(y.reshape(-1, 1)), dtype=float).reshape(m)
+    rows = [f]
+    for seg in range(problem.path.partition.levels, -1, -1):
+        t0, t1, qdot, xw = problem.segment(seg)
+        steps = problem.time_steps()[seg]
+        dt = (t1 - t0) / steps
+        a = qdot * dt / 4.0
+        lhs = np.zeros((3, m))
+        lhs[0, 1:] = -a * d2[0, 1:]
+        lhs[1] = 1.0 - a * d2[1]
+        lhs[2, :-1] = -a * d2[2, :-1]
+        for _ in range(steps):
+            expl = f + a * _apply_banded(d2, f) + a * xw * _grad(f, h) ** 2
+            fk = f
+            for _ in range(50):
+                fn = solve_banded((1, 1), lhs, expl + a * xw * _grad(fk, h) ** 2, check_finite=False)
+                delta = np.max(np.abs(fn - fk))
+                fk = fn
+                if delta <= 1e-10:
+                    break
+            else:
+                raise AssertionError("reference sweep did not converge")
+            f = fk
+            rows.append(f)
+    return np.array(rows[::-1])
+
+
+@pytest.mark.parametrize("spacing", [0.05, 0.01])
+def test_prefactored_sweep_equals_solve_banded_sweep(spacing):
+    # Check 4's path and terminal.
+    tc = TerminalCondition(0.5, np.zeros((1, 1)), RADEMACHER)
+    problem = PdeProblem(sk_path(), tc, spacing=spacing)
+    assert np.array_equal(solve_parisi_pde(problem).values, _solve_banded_sweep(problem))
 
 
 def test_hopf_cole_composition_equals_recursion():

@@ -1,16 +1,21 @@
 import itertools
+import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from parisi_lab import sk
 from parisi_lab.measures import AprioriMeasure, MeasureError
+from parisi_lab.seeds import replicate, spawn
 from parisi_lab.sk import (
     BudgetError,
     Disorder,
     OverlapConstraint,
+    CHUNK_ENTRIES,
     ENUMERATION_BUDGET,
     _check_budget,
     _split_sum,
@@ -264,6 +269,18 @@ def test_concentration_beta_zero_and_table():
     assert table.all_below_bound()
 
 
+def test_concentration_at_beta_zero_draws_no_disorder(monkeypatch):
+    table = concentration_experiment(6, 0.0, 50, 1)
+
+    def fail(*args):
+        raise AssertionError("disorder drawn at beta = 0")
+
+    monkeypatch.setattr(Disorder, "sample", fail)
+    again = concentration_experiment(6, 0.0, 50, 1)
+    for field in ("thresholds", "empirical", "upper_conf", "bound"):
+        assert np.array_equal(getattr(again, field), getattr(table, field))
+
+
 def test_tail_table_csv_holds_plain_numbers():
     table = concentration_experiment(8, 1.0, 50, 3)
     header, *rows = table.to_csv().splitlines()
@@ -293,3 +310,101 @@ def test_superadditivity_constrained_d2_eps_grid():
         assert abs(m1 - m2) <= 0.5 + 3 * np.hypot(s1, s2)
 
 
+
+
+# ---------------------------------------------------------------------------
+# Stacked enumeration of replica sets
+
+
+def _stack_size(mu, n):
+    return max(1, CHUNK_ENTRIES // mu.size**n)
+
+
+STACK_CASES = [
+    (ISING, OverlapConstraint(), 4, 0.8),
+    (ISING, OverlapConstraint(), 8, 0.8),
+    (ISING, OverlapConstraint(), 9, 1.1),
+    (_weighted_square(), OverlapConstraint(), 4, 0.6),
+    (_weighted_square(), OverlapConstraint.ball(np.eye(2), 0.8), 5, 0.6),
+    (ISING, OverlapConstraint(), 8, np.array([0.0, 0.5, 1.3])),
+]
+STACK_IDS = ["ising-4", "ising-8", "ising-9", "weighted-square", "overlap-ball", "beta-vector"]
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1], ids=["chunk-1", "chunk", "chunk+1"])
+@pytest.mark.parametrize("mu, constraint, n, beta", STACK_CASES, ids=STACK_IDS)
+def test_stacked_average_equals_per_sample_calls(monkeypatch, mu, constraint, n, beta, offset):
+    # A stack of three samples puts the replica counts on both sides of a
+    # stack boundary; each value must not depend on its stack.
+    monkeypatch.setattr(sk, "CHUNK_ENTRIES", 3 * mu.size**n)
+    replicas = 3 + offset
+    mean, se, vals = disorder_average(n, beta, constraint, mu, replicas, 21)
+    per_sample = [exact_local_free_energy(Disorder.sample(n, c), beta, constraint, mu) for c in spawn(21, replicas)]
+    assert np.array_equal(vals, np.stack(per_sample, axis=-1))
+    ref_mean, ref_se, _ = replicate(
+        lambda c: exact_local_free_energy(Disorder.sample(n, c), beta, constraint, mu), replicas, 21
+    )
+    assert np.array_equal(mean, ref_mean) and np.array_equal(se, ref_se)
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1], ids=["chunk-1", "chunk", "chunk+1"])
+def test_stacked_average_equals_per_sample_calls_at_the_module_chunk(offset):
+    # N = 14 Ising: CHUNK_ENTRIES // 2^14 = 8 samples per stack.
+    replicas = _stack_size(ISING, 14) + offset
+    _, _, vals = disorder_average(14, 0.9, OverlapConstraint(), ISING, replicas, 4)
+    per_sample = [exact_local_free_energy(Disorder.sample(14, c), 0.9, OverlapConstraint(), ISING) for c in spawn(4, replicas)]
+    assert np.array_equal(vals, per_sample)
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1], ids=["chunk-1", "chunk", "chunk+1"])
+@pytest.mark.parametrize(
+    "mu, constraint, n, m",
+    [(ISING, OverlapConstraint(), 3, 4), (AprioriMeasure.hypercube(2), OverlapConstraint.ball(np.eye(2), 0.8), 3, 3)],
+    ids=["ising", "overlap-ball"],
+)
+def test_stacked_superadditivity_equals_per_sample_margins(monkeypatch, mu, constraint, n, m, offset):
+    monkeypatch.setattr(sk, "CHUNK_ENTRIES", 3 * mu.size ** (n + m))
+    replicas = 3 + offset
+
+    def margin(s):
+        kids = s.spawn(3)
+        pn = exact_local_free_energy(Disorder.sample(n, kids[0]), 0.7, constraint, mu)
+        pm = exact_local_free_energy(Disorder.sample(m, kids[1]), 0.7, constraint, mu)
+        pnm = exact_local_free_energy(Disorder.sample(n + m, kids[2]), 0.7, constraint, mu)
+        return (n + m) * pnm - n * pn - m * pm
+
+    ref_mean, ref_se, _ = replicate(margin, replicas, 17)
+    assert superadditivity_experiment(n, m, 0.7, replicas, 17, mu=mu, constraint=constraint) == (
+        float(ref_mean),
+        float(ref_se),
+    )
+
+
+def test_half_tables_built_once_per_stack(monkeypatch):
+    builds = []
+    halves = sk._halves
+
+    def counted(mu, n_sites):
+        builds.append(n_sites)
+        return halves(mu, n_sites)
+
+    monkeypatch.setattr(sk, "_halves", counted)
+    for replicas in (2, 8, 17):
+        builds.clear()
+        disorder_average(14, np.array([0.5, 1.0]), OverlapConstraint(), ISING, replicas, 2)
+        assert builds == [14] * math.ceil(replicas / _stack_size(ISING, 14))
+
+
+def test_disorder_average_memory_does_not_grow_with_replicas():
+    # Memory ratchet: at N = 16 a stack holds 2 samples, and the peak, set by
+    # a stack's energy table, its summands and the log weights, measured 5.1
+    # tables of S^N entries at 8 and at 64 replicas.  Enumerating all 64
+    # samples as one stack would need about 160.
+    table_bytes = 2**16 * 8
+    tracemalloc.start()
+    try:
+        disorder_average(16, np.array([0.5, 1.0]), OverlapConstraint(), ISING, 64, 9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6.0 * table_bytes, f"peak {peak / table_bytes:.2f} tables of {table_bytes} bytes"
