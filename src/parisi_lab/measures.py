@@ -332,9 +332,9 @@ class EvalConfig:
     """Engine configuration for recursion evaluations.
 
     engine "quadrature": deterministic Gauss-Hermite node sets propagated on
-    cubic-spline grids (d <= 2).  engine "monte_carlo": nested sampling with
-    antithetic pairs and half-sample debiasing (any d), std errors over
-    independent replicas.
+    uniform grids read through not-a-knot cubic B-splines (d <= 2).  engine
+    "monte_carlo": nested sampling with antithetic pairs and half-sample
+    debiasing (any d), std errors over independent replicas.
     """
 
     engine: str = "quadrature"

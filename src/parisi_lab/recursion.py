@@ -9,18 +9,19 @@ with the outermost level a plain expectation, and returns X_0.  Two engines
 are provided:
 
 * quadrature: each level is an exact Gaussian convolution evaluated with
-  Gauss-Hermite nodes; the level functions live on cubic-spline grids so
-  the cost is linear in the number of levels (d = 1 and d = 2).  At d = 2 a
-  full-rank interior level runs as two rank-1 sub-steps along the
-  eigen-directions of its covariance, which together use the tensor node
-  set of the level: a level evaluates 2 * nodes spline grids instead of
-  nodes**2, in the backward pass and in the gradient's forward pass, which
-  walk the same steps.  At d = 1, X_1 lives on the outermost level's own
-  Gauss-Hermite nodes instead of a grid: the outermost step reads it there
-  with no spline, so the two outer levels are the exact tensor node sum and
-  cost nodes**2 reads of X_2 (at d = 2 the nested reads of X_2 cost more
-  than its spline grids).  Every pass reads the factor each level computes
-  once, ``Level.fac``.
+  Gauss-Hermite nodes; the level functions live on uniform grids, read
+  through one engine at d = 1 and d = 2, the not-a-knot cubic spline held
+  as B-spline coefficients (``GridFunction``), so the cost is linear in the
+  number of levels.  At d = 2 a full-rank interior level runs as two
+  rank-1 sub-steps along the eigen-directions of its covariance, which
+  together use the tensor node set of the level: a level reads 2 * nodes
+  shifted grids instead of nodes**2, in the backward pass and in the
+  gradient's forward pass, which walk the same steps.  At d = 1, X_1 lives
+  on the outermost level's own Gauss-Hermite nodes instead of a grid: the
+  outermost step reads it there with no spline, so the two outer levels are
+  the exact tensor node sum and cost nodes**2 reads of X_2 (at d = 2 the
+  nested reads of X_2 cost more than its grids).  Every pass reads the
+  factor each level computes once, ``Level.fac``.
   A trailing run of weight-1 levels under a ``TerminalCondition`` needs no
   grid at all: for every measure, log E exp g_tilt(y + z) = g_{tilt +
   beta^2 dQ}(y) with z ~ N(0, dQ), so the engine folds the run into the
@@ -38,20 +39,24 @@ combinations of step profiles appear as weights.
 ``local_functional_gradient`` adds the first derivatives of the local
 functional in the weights, the chain and the tilt: every one is an
 expectation under the level reweightings, taken by one forward pass over
-the steps and grids of the quadrature engine's backward pass.
+the steps and grids of the quadrature engine's backward pass.  That pass
+carries its mass back through the exact transpose of each spline read
+(``GridFunction.adjoint``), so the gradient is the derivative of the
+computed value but for the grids' dependence on the chain and, at d = 2,
+the turn of the quadrature nodes with the eigenvectors of each increment.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
-from scipy.interpolate import CubicSpline, RectBivariateSpline
+from scipy.linalg.lapack import dgbtrf, dgbtrs
+from scipy.sparse import csr_array
 
 from parisi_lab.matrices import frobenius_inner, frobenius_norm, sqrt_factor
 from parisi_lab.measures import EvalConfig, TerminalCondition, shifted_grid_points
@@ -168,56 +173,147 @@ def _log_avg_exp(weight: float, blocks) -> np.ndarray:
     return top + np.log(total) / weight
 
 
-class GridFunction:
-    """Function of y on a tensor grid (d <= 2) with cubic-spline evaluation.
+@lru_cache(maxsize=None)
+def _interpolation_lu(m: int):
+    """LAPACK ``dgbtrf`` factors (lu, piv) of the (m + 2)-square band matrix
+    that maps the cubic B-spline coefficients c_-1..c_m of a uniform m-point
+    grid to its m values (rows 1..m: (c_i-1 + 4 c_i + c_i+1) / 6) and to the
+    jumps of the third derivative at the second and the last-but-one grid
+    point (rows 0 and m + 1).  With both jumps zero the spline is the
+    not-a-knot interpolant, scipy's default cubic interpolating spline in
+    one variable and, axis by axis, fitpack's bicubic interpolating spline
+    (the tests compare the engine with both).  Factored once per grid size."""
+    band = np.zeros((13, m + 2))  # kl = ku = 4: row 8 + i - j holds entry (i, j)
+    band[7, 2:], band[8, 1:-1], band[9, :-2] = 1.0 / 6.0, 2.0 / 3.0, 1.0 / 6.0
+    j = np.arange(5)
+    band[8 - j, j] = band[12 - j, m - 3 + j] = [1.0, -4.0, 6.0, -4.0, 1.0]
+    lu, piv, info = dgbtrf(band, 4, 4)
+    if info != 0:
+        raise ValueError(f"a not-a-knot spline needs at least 4 grid points, got {m}")
+    return lu, piv
 
-    The spline is built on first use.  A function that is only read at its
-    own grid points through ``values``, such as X_1 on the outermost level's
-    nodes at d = 1, never builds one; that grid may then be a single point,
-    the one node of a rank-0 level, where no spline exists."""
+
+def _interpolate(a: np.ndarray, axis: int, trans: int) -> np.ndarray:
+    """Grid values to B-spline coefficients along ``axis`` (m -> m + 2), or
+    with ``trans`` the transpose of that map (m + 2 -> m): one ``dgbtrs``
+    solve, every other index a right-hand side."""
+    b = np.moveaxis(a, axis, 0)
+    if not trans:
+        b = np.pad(b, [(1, 1)] + [(0, 0)] * (b.ndim - 1))
+    lu, piv = _interpolation_lu(len(b) - 2)
+    x = dgbtrs(lu, 4, 4, b.reshape(len(b), -1), piv, trans=trans)[0].reshape(b.shape)
+    return np.moveaxis(x[1:-1] if trans else x, 0, axis)
+
+
+# The uniform cubic B-spline on one interval: row p holds the coefficients
+# of u**p, u in [0, 1], in the weights of the interval's four coefficients;
+# the second array is the same for the derivative in u.
+_BSPLINE = np.array([[1.0, 4.0, 1.0, 0.0], [-3.0, 0.0, 3.0, 0.0], [3.0, -6.0, 3.0, 0.0], [-1.0, 3.0, -3.0, 1.0]]) / 6.0
+_BSPLINE_SLOPE = _BSPLINE[1:] * np.array([[1.0], [2.0], [3.0]])
+
+
+def _taps(grids: list[np.ndarray], axes: list[np.ndarray], shifts: np.ndarray, derivative: bool = False) -> list[list]:
+    """Per axis k, the sparse maps from the B-spline coefficients along axis
+    k of a function on ``grids`` to the points axes[k] + s_k: one row per
+    (shift, point), with the four weights of the values and, with
+    ``derivative``, of the y_k-derivative.  A point past the grid takes the
+    weights of the end interval.  Every axis but the last maps each shift's
+    own copy of the coefficients (block-diagonal), as ``_contract`` reads
+    the axes last first."""
+    taps = []
+    for k, (grid, a) in enumerate(zip(grids, axes)):
+        m, h = grid.size, (grid[-1] - grid[0]) / (grid.size - 1)
+        t = (a[None, :] + shifts[:, k : k + 1] - grid[0]) / h
+        i = np.clip(np.floor(t), 0, m - 2)
+        u = t - i
+        powers = np.stack([np.ones_like(u), u, u * u, u * u * u], axis=-1)
+        copies = len(shifts) if k < len(grids) - 1 else 1
+        cols = i.astype(np.intp)[..., None] + np.arange(4) + (m + 2) * np.arange(copies)[:, None, None]
+        ptr, shape = np.arange(0, cols.size + 1, 4), (cols.size // 4, (m + 2) * copies)
+        weights = [powers @ _BSPLINE] + ([powers[..., :3] @ _BSPLINE_SLOPE / h] if derivative else [])
+        taps.append([csr_array((w.ravel(), cols.ravel(), ptr), shape=shape) for w in weights])
+    return taps
+
+
+def _contract(a: np.ndarray, taps, axis: int, size: int) -> np.ndarray:
+    """The sparse ``taps`` applied along axis 1 + ``axis`` of ``a``, whose
+    axis 0 runs over the shifts or has length 1; that axis gets ``size``
+    entries per shift."""
+    moved = np.moveaxis(a, axis + 1, 1)
+    out = taps @ moved.reshape(moved.shape[0] * moved.shape[1], -1)
+    return np.moveaxis(out.reshape((-1, size) + moved.shape[2:]), 1, axis + 1)
+
+
+class GridFunction:
+    """Function of y on a uniform tensor grid, read through a cubic spline.
+
+    The spline is the not-a-knot interpolant of ``values``, held as its
+    uniform cubic B-spline ``coefficients`` (m + 2 per axis of m points) and
+    built on first use.  Every read, of values or gradients, at any d, is
+    one separable contraction per axis with four B-spline taps per point
+    (``_taps``), and a point past the grid reads the cubic of the end
+    interval.  ``adjoint`` applies the exact transpose of
+    ``on_shifted_grids``.  A function that is only read at its own grid
+    points through ``values``, such as X_1 on the outermost level's nodes at
+    d = 1, never builds coefficients; that grid need not be uniform, and may
+    be a single point, the one node of a rank-0 level."""
 
     def __init__(self, axes: list[np.ndarray], values: np.ndarray):
-        if len(axes) > 2:
-            raise ValueError("grid functions support d <= 2")
         self.axes = axes
         self.values = values
 
     @cached_property
-    def _spline(self):
-        if self.dim == 1:
-            return CubicSpline(self.axes[0], self.values)
-        return RectBivariateSpline(self.axes[0], self.axes[1], self.values, kx=3, ky=3)
+    def coefficients(self) -> np.ndarray:
+        c = self.values
+        for k in range(self.dim):
+            c = _interpolate(c, k, trans=0)
+        return c
 
     @property
     def dim(self) -> int:
         return len(self.axes)
 
+    def _read(self, axes: list[np.ndarray], taps: list[list], slope: int = -1) -> np.ndarray:
+        """``coefficients`` contracted along every axis k, the last axis
+        first, with the value taps taps[k][0], or on axis ``slope`` with its
+        derivative taps taps[k][1]."""
+        out = self.coefficients[None]
+        for k in reversed(range(self.dim)):
+            out = _contract(out, taps[k][int(k == slope)], k, axes[k].size)
+        return out
+
     def on_shifted_grids(self, axes: list[np.ndarray], shifts: np.ndarray) -> np.ndarray:
         """Values on the tensor grids {axes + s} for each row s of shifts,
-        shape (len(shifts),) + grid shape.  At d = 1 this is one spline call
-        on all grids at once; at d = 2 each grid keeps its own tensor-grid
-        spline call, because evaluating the points one by one would switch to
-        a different scipy routine whose values differ in the last bits."""
-        if self.dim == 1:
-            return self._spline(axes[0][None, :] + shifts[:, 0:1])
-        return np.stack([self._spline(axes[0] + s[0], axes[1] + s[1]) for s in shifts])
+        shape (len(shifts),) + grid shape."""
+        return self._read(axes, _taps(self.axes, axes, shifts))
 
     def derivatives(self, axes: list[np.ndarray], shifts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``on_shifted_grids`` and the spline gradient on the same grids,
-        shape (len(shifts),) + grid shape + (d,)."""
-        if self.dim == 1:
-            grad = self._spline(axes[0][None, :] + shifts[:, 0:1], 1)[..., None]
-        else:
-            grids = [(axes[0] + s[0], axes[1] + s[1]) for s in shifts]
-            parts = [np.stack([self._spline(*g, dx=dx, dy=1 - dx) for g in grids]) for dx in (1, 0)]
-            grad = np.stack(parts, axis=-1)
-        return self.on_shifted_grids(axes, shifts), grad
+        shape (len(shifts),) + grid shape + (d,), from the same taps."""
+        taps = _taps(self.axes, axes, shifts, derivative=True)
+        grad = [self._read(axes, taps, k) for k in range(self.dim)]
+        return self._read(axes, taps), np.stack(grad, axis=-1)
+
+    def adjoint(self, axes: list[np.ndarray], shifts: np.ndarray, mass: np.ndarray) -> np.ndarray:
+        """The transpose of ``on_shifted_grids(axes, shifts)`` applied to
+        ``mass``, an array of its output shape: the array a of the shape of
+        ``values`` with <a, values> = <mass, on_shifted_grids(axes, shifts)>
+        whatever ``values`` are.  The taps scatter the mass onto the
+        coefficients, first axis first, and the transposed band solves take
+        it to the grid."""
+        out = mass
+        for k, (taps,) in enumerate(_taps(self.axes, axes, shifts)):
+            out = _contract(out, taps.T, k, self.axes[k].size + 2)
+        out = out[0]
+        for k in range(self.dim):
+            out = _interpolate(out, k, trans=1)
+        return out
 
     def __call__(self, pts) -> np.ndarray:
+        """Values at the rows of ``pts``, read as the shifts of a one-point
+        grid at the origin."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        if self.dim == 1:
-            return self._spline(pts[:, 0])
-        return self._spline.ev(pts[:, 0], pts[:, 1])
+        return self.on_shifted_grids([np.zeros(1)] * self.dim, pts).reshape(len(pts))
 
 
 def propagate_segment(f_next, weight: float, fac: np.ndarray, axes: list[np.ndarray], nodes: int) -> GridFunction:
@@ -314,8 +410,8 @@ def _backward_pass(terminal, levels: list[Level], cfg: EvalConfig) -> tuple[list
     |sqrt(lam_1) v_1| beyond the level's own grid, as far as the outer
     step's nodes go.  Together the two steps use exactly the level's tensor
     Gauss-Hermite nodes and weights, so their one new approximation is the
-    spline of L, and a level costs 2 * nodes spline grids instead of
-    nodes**2.  By Cauchy-Schwarz, sqrt(2) xmax (sqrt(lam_1) |v_1i| +
+    ``GridFunction`` spline of L, and a level reads 2 * nodes shifted grids
+    instead of nodes**2.  By Cauchy-Schwarz, sqrt(2) xmax (sqrt(lam_1) |v_1i| +
     sqrt(lam_2) |v_2i|) <= 2 xmax sqrt(dQ_ii), so every point the inner step
     evaluates lies inside the grid of X_{k+1}.  A level of rank <= 1, and
     every d = 1 level, is one step.
@@ -372,28 +468,6 @@ def _reads_nodes(d: int, top: int) -> bool:
     return d == 1 and top > 1
 
 
-def _deposit(mass: np.ndarray, pts: np.ndarray, axes: list[np.ndarray]) -> np.ndarray:
-    """Spread point masses onto the uniform tensor grid ``axes`` with linear
-    (d = 1) or bilinear (d = 2) weights.  ``pts`` holds the points, shape
-    mass.shape + (d,).  Total mass and the first moments are kept exactly;
-    points outside the grid go to its edge."""
-    cells = []
-    for axis, a in enumerate(axes):
-        t = np.clip((pts[..., axis] - a[0]) / (a[1] - a[0]), 0.0, a.size - 1.0).ravel()
-        i = np.minimum(t.astype(np.intp), a.size - 2)
-        cells.append((i, t - i))
-    shape = tuple(a.size for a in axes)
-    out = np.zeros(int(np.prod(shape)))
-    for corner in itertools.product((0, 1), repeat=len(axes)):
-        wgt = mass.ravel()
-        flat = 0
-        for (i, frac), upper, a in zip(cells, corner, axes):
-            wgt = wgt * (frac if upper else 1.0 - frac)
-            flat = flat * a.size + i + upper
-        out += np.bincount(flat, wgt, minlength=out.size)
-    return out.reshape(shape)
-
-
 def _forward_pass(tc: TerminalCondition, levels: list[Level], plan: list[tuple], x0: float, cfg: EvalConfig):
     """First derivatives of X_0 in each level's weight w_k and covariance
     increment dQ_k and in the tilt, from one sweep over the plan of
@@ -405,8 +479,11 @@ def _forward_pass(tc: TerminalCondition, levels: list[Level], plan: list[tuple],
     previous step read (X_0 at the origin first).  Node j of a step of level
     k with factor columns F moves mass pi(y) p_j(y) to y + z_j, z_j = sqrt(2)
     F xi_j, where p_j = wgt_j exp(w_k (f(y + z_j) - here(y))) is the
-    derivative of here(y) in f(y + z_j); the moved mass is deposited on the
-    grid of f.  Each step adds
+    derivative of here(y) in f(y + z_j).  The moved mass goes to the grid of
+    f through ``f.adjoint``, the exact transpose of the spline read
+    ``f.derivatives`` makes, so every weight the value gives a grid value of
+    f comes back as that grid point's mass; the spline's weights change
+    sign, so this mass can be negative at a grid point.  Each step adds
 
         E_pi[(E^{W} f - here) / w_k]  (1/2 Var below SMALL_WEIGHT, as in
                                        _log_avg_exp)  to dX_0/dw_k,
@@ -442,8 +519,8 @@ def _forward_pass(tc: TerminalCondition, levels: list[Level], plan: list[tuple],
 
     At d = 1 with X_1 on the outermost level's nodes y_i (``_reads_nodes``),
     the outermost step reads X_1(y_i) from the backward pass and its mass
-    pi_i = p_i stays on the nodes, which are no uniform grid for
-    ``_deposit``; there is no spline gradient of X_1.  Its A_0 = E_pi[grad
+    pi_i = p_i stays on the nodes, which are no uniform grid for a spline;
+    there is no spline gradient of X_1.  Its A_0 = E_pi[grad
     X_1(y) y^T] is added by the level-1 step instead, from the gradient of
     the function f that step reads: X_1(y) = (1/w) log sum_j wgt_j exp(w
     f(y + z_j)) gives grad X_1(y_i) = sum_j p_ij grad f(y_i + z_j), where
@@ -506,7 +583,7 @@ def _forward_pass(tc: TerminalCondition, levels: list[Level], plan: list[tuple],
             if last:
                 d_tilt += np.tensordot(flat.ravel(), moment[0].reshape(-1, d, d), axes=1)
             else:
-                moved += _deposit(moving, shifted_grid_points(axes, block), f.axes)
+                moved += f.adjoint(axes, block, moving)
         if small:
             per_point = 0.5 * np.maximum(sum_sq - sum_v * sum_v, 0.0)
         else:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.hermite import hermgauss
+from scipy.interpolate import CubicSpline, RectBivariateSpline
 
 from parisi_lab import recursion
 from parisi_lab.acceptance import _random_gaussian_instance
@@ -367,7 +368,7 @@ def per_node_segment(f_next, weight, cov, axes, cfg):
     vals = np.empty((len(shifts),) + shape)
     if isinstance(f_next, GridFunction):
         for i, s in enumerate(shifts):
-            vals[i] = f_next._spline(*[a + si for a, si in zip(axes, s)])
+            vals[i] = f_next.on_shifted_grids(axes, s[None])[0]
     else:
         mesh = np.meshgrid(*axes, indexing="ij")
         base = np.stack([m.ravel() for m in mesh], axis=1)
@@ -411,6 +412,63 @@ def test_batched_segment_is_bit_identical_to_per_node(case):
     assert np.array_equal(batched, per_node_segment(f_next, weight, cov, axes, cfg))
     if case.startswith("multi_block"):
         assert cfg.nodes * axes[0].size > BLOCK_POINTS
+
+
+def spline_case(d, points):
+    """A smooth function on uniform grids of ``points`` per axis, with
+    query axes that stay a little inside them."""
+    grids = [np.linspace(-4.0, 4.0, points), np.linspace(-3.0, 3.5, points)][:d]
+    mesh = np.meshgrid(*grids, indexing="ij")
+    values = np.log(2.0 * np.cosh(1.3 * mesh[0] + 0.4 * mesh[-1])) + 0.1 * np.sin(3.0 * mesh[-1])
+    axes = [np.linspace(-3.8, 3.8, 157), np.linspace(-2.8, 3.3, 131)][:d]
+    return GridFunction(grids, values), axes
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_grid_function_matches_scipy_splines(d):
+    # Inside the grid the engine is the not-a-knot interpolant scipy builds:
+    # CubicSpline at d = 1 and RectBivariateSpline (kx = ky = 3, s = 0) at
+    # d = 2, values and gradients.  Past the edge every axis reads the cubic
+    # of its end interval, as a CubicSpline along each axis in turn does
+    # (RectBivariateSpline clamps there instead).  Measured: values 3.6e-15
+    # and 8.0e-15, gradients 6.2e-13 and 2.1e-13, and past the edge 1.1e-11
+    # (20 cells out at d = 1) and 5.6e-13.
+    f, axes = spline_case(d, 1601 if d == 1 else 161)
+    grids, values = f.axes, f.values
+    inside = np.random.default_rng(60 + d).uniform(-0.15, 0.15, size=(6, d))
+    value, grad = f.derivatives(axes, inside)
+    if d == 1:
+        spline = CubicSpline(grids[0], values)
+        refs = [spline(axes[0][None, :] + inside, nu) for nu in (0, 1)]
+    else:
+        spline = RectBivariateSpline(*grids, values, kx=3, ky=3)
+        refs = [np.stack([spline(axes[0] + s[0], axes[1] + s[1], dx=dx, dy=dy) for s in inside])
+                for dx, dy in ((0, 0), (1, 0), (0, 1))]
+    assert np.abs(value - refs[0]).max() <= 1e-11
+    assert np.abs(grad - np.stack(refs[1:], axis=-1)).max() <= 5e-12
+    past = np.array([[0.3] * d, [-0.3] * d])
+    expected = []
+    for s in past:
+        along = values
+        for k in range(d):
+            along = CubicSpline(grids[k], along, axis=k)(axes[k] + s[k])
+        expected.append(along)
+    assert np.abs(f.on_shifted_grids(axes, past) - np.array(expected)).max() <= 5e-11
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_adjoint_is_the_transpose_of_the_read(d):
+    # <mass, E v> = <E^T mass, v> for E = on_shifted_grids and E^T = adjoint,
+    # with shifts that put points past either edge of the grid.  Measured
+    # 3.3e-16 (d = 1) and 5.6e-16 (d = 2) relative.
+    rng = np.random.default_rng(70 + d)
+    f, axes = spline_case(d, 161)
+    f = GridFunction(f.axes, rng.normal(size=f.values.shape))
+    shifts = np.concatenate([rng.normal(scale=0.1, size=(3, d)), np.full((1, d), 0.3), np.full((1, d), -0.3)])
+    mass = rng.normal(size=(len(shifts),) + tuple(a.size for a in axes))
+    back = f.adjoint(axes, shifts, mass)
+    assert back.shape == f.values.shape
+    assert np.vdot(back, f.values) == pytest.approx(np.vdot(mass, f.on_shifted_grids(axes, shifts)), rel=1e-13)
 
 
 def one_shot_log_avg_exp(weight, vals, wgt):
@@ -556,18 +614,18 @@ def test_d1_two_level_eval_reads_x1_at_the_outer_nodes(outer, monkeypatch):
     tc = TerminalCondition(1.2, np.array([[0.1]]), RADEMACHER)
     cfg = EvalConfig(nodes=16, grid_points=801)
     calls, splines = [], []
-    original_segment, original_spline = recursion.propagate_segment, recursion.CubicSpline
+    original_segment, original_solve = recursion.propagate_segment, recursion._interpolate
 
     def segment(*args):
         calls.append(args)
         return original_segment(*args)
 
-    def spline(*args, **kwargs):
+    def solve(*args, **kwargs):
         splines.append(args)
-        return original_spline(*args, **kwargs)
+        return original_solve(*args, **kwargs)
 
     monkeypatch.setattr(recursion, "propagate_segment", segment)
-    monkeypatch.setattr(recursion, "CubicSpline", spline)
+    monkeypatch.setattr(recursion, "_interpolate", solve)
     result, grad = local_functional_gradient(x, chain, tc, cfg)
     assert len(calls) == 1 and not splines
     (axis,) = calls[0][3]
@@ -757,8 +815,9 @@ def test_gradient_matches_central_differences_gaussian_d1():
 
 
 # At d = 2 (12 nodes per axis, 81 x 81 grids) the measured differences are
-# up to 1.9e-3 on these points: the spline second derivatives and the
-# bilinear deposits, two per split level, are coarser than at d = 1.
+# up to 4.9e-5 on these points; this bound is looser than needed, and
+# test_gradient_is_the_derivative_of_the_computed_value holds the same points
+# to bounds set from that measurement.
 @pytest.mark.parametrize(
     "mu, u, n",
     [
@@ -776,6 +835,38 @@ def test_gradient_matches_central_differences_d2(mu, u, n):
         # The first weight sits below SMALL_WEIGHT, and its level splits.
         x = UnitPartition(np.concatenate(([0.0, 5e-7], x.values[2:])))
     assert gradient_case(mu, 0.8, x, chain, tilt, D2) <= 2e-3
+
+
+# The forward pass moves its mass through the exact transpose of every
+# spline read, so the gradient is the derivative of the computed value but
+# for two terms it leaves out: the grids' dependence on the chain (their
+# half-widths follow the diagonal of each dQ_k), and at d = 2 the turn of
+# the node directions with the eigenvectors of dQ_k (see _forward_pass).
+# Measured before the bounds were set: 2.4e-5 (hypercube), 1.4e-11
+# (Gaussian, whose level functions the splines reproduce), 4.9e-5 (small
+# weight), and at d = 1 2.2e-8 and 2.7e-7 (n = 2), 5.4e-9 and 2.0e-8
+# (n = 3).  With the half-widths frozen, d = 1 fell to 1e-10 and d = 2 kept
+# 1.9e-5 and 3.2e-5, all of it in the chain entries.
+@pytest.mark.parametrize(
+    "mu, u, n, seed, small, betas, cfg, bound",
+    [
+        (AprioriMeasure.hypercube(2), np.array([[1.0, 0.2], [0.2, 1.0]]), 1, 11, False, (0.8,), D2, 5e-5),
+        (AprioriMeasure.gaussian(np.array([[3.0, 0.4], [0.4, 4.0]]), np.array([0.1, -0.2])),
+         np.array([[0.5, 0.1], [0.1, 0.6]]), 1, 11, False, (0.8,), D2, 1e-9),
+        (AprioriMeasure.hypercube(2), np.array([[1.0, 0.2], [0.2, 1.0]]), 2, 11, True, (0.8,), D2, 1e-4),
+        (RADEMACHER, np.array([[1.0]]), 2, 102, False, (0.5, 1.5), D1, 5e-7),
+        (RADEMACHER, np.array([[1.0]]), 3, 103, True, (0.5, 1.5), D1, 5e-7),
+    ],
+    ids=["hypercube", "gaussian", "hypercube-small-weight", "rademacher-2", "rademacher-3"],
+)
+def test_gradient_is_the_derivative_of_the_computed_value(mu, u, n, seed, small, betas, cfg, bound):
+    # The points of test_gradient_matches_central_differences_d2 and of the
+    # Rademacher test at n = 2 and 3, where X_2 and deeper live on grids.
+    x, chain, tilt = random_point(np.random.default_rng(seed), u.shape[0], n, u)
+    if small:
+        x = UnitPartition(np.concatenate(([0.0, 5e-7], x.values[2:])))
+    for beta in betas:
+        assert gradient_case(mu, beta, x, chain, tilt, cfg) <= bound
 
 
 @pytest.mark.parametrize(
