@@ -22,6 +22,12 @@ form, hence the factor 2), giving
 
 with w = h + sqrt(2) beta y, valid while C - 2 tilt stays positive definite;
 its quadratic form is summed over the broadcast coordinates.
+
+Nested Monte Carlo needs g at every sum z_1 + ... + z_L of one draw per
+level, and ``on_level_sums`` takes the per-level draw tables instead of
+those points.  For discrete mu the exponent factors across the levels, so g
+there is one matrix product over the support and one log per point; for
+Gaussian mu the broadcast sums go to the same formula as above.
 """
 
 from __future__ import annotations
@@ -230,6 +236,13 @@ class TerminalCondition:
             tables.append(table.reshape((len(shifts),) + tuple(a.size if j == i else 1 for j in range(len(axes)))))
         return tables
 
+    @cached_property
+    def _support_consts(self) -> np.ndarray:
+        """c_j = log w_j + <tilt s_j, s_j> for each support point s_j of a
+        discrete mu, computed once."""
+        sigma = self.mu.points
+        return np.log(self.mu.weights) + np.einsum("ij,jk,ik->i", sigma, self.tilt, sigma)
+
     def _logits(self, coords: list[np.ndarray]) -> list[np.ndarray]:
         """For discrete mu, the logit array of each support point s_j,
         (coords[0] s_j0 + coords[1] s_j1 + ...) + c_j added left to right
@@ -240,10 +253,8 @@ class TerminalCondition:
         tables give logits on the grid and no (points, K) block is formed.
         Every step is elementwise: equal coordinates give equal logits.
         """
-        sigma = self.mu.points
-        consts = np.log(self.mu.weights) + np.einsum("ij,jk,ik->i", sigma, self.tilt, sigma)
         logits = []
-        for s_j, c_j in zip(sigma, consts):
+        for s_j, c_j in zip(self.mu.points, self._support_consts):
             acc = coords[0] * s_j[0]
             for coord, s_ji in zip(coords[1:], s_j[1:]):
                 acc = acc + coord * s_ji
@@ -290,6 +301,56 @@ class TerminalCondition:
         ``_values`` reads the per-axis ``_scaled_tables``."""
         return self._values(self._scaled_tables(axes, shifts))
 
+    def on_level_sums(self, draws: list[np.ndarray]) -> np.ndarray:
+        """g at every sum z_1[i_1] + ... + z_L[i_L] of one row of each
+        level's (count, d) draw table, shape (count,) * L: the terminal of a
+        nested Monte Carlo estimate, with no (count**L, d) point array.
+
+        For discrete mu, exp(sqrt(2) beta <z_1 + ... + z_L, s_j>) factors
+        across the levels.  Each level gives a (count, K) table
+        A_k = sqrt(2) beta z_k sigma^T; the levels before the last and the
+        constants c_j add up in the log domain to a (count**(L-1), K) table
+        P.  With each row of P and of A_L shifted by its maximum, g is those
+        two maxima plus the log of one entry of exp(P) @ exp(A_L)^T: one
+        matrix product and one log per point, not K exps.  An entry below
+        the smallest normal float, where the two shifted rows peak at
+        different support points and both spreads exceed about 708, is
+        taken again as the log-sum-exp of its row of P plus its row of A_L.
+
+        For Gaussian mu the coordinates are the nested broadcast sums
+        ((0 + z_1) + z_2) + ..., the sums ``_mc_value`` stacks for other
+        terminals, so the values equal ``__call__`` on the stacked points
+        bit for bit.
+        """
+        count = len(draws[0])
+        root2b = np.sqrt(2.0) * self.beta
+        if self.mu.kind == "gaussian":
+            coords = []
+            for i in range(self.dim):
+                acc = np.zeros(())
+                for z in draws:
+                    acc = acc[..., None] + z[:, i]
+                coords.append(root2b * acc)
+            return self._values(coords)
+        sigma = self.mu.points
+        tables = [root2b * (z @ sigma.T) for z in draws]
+        prefix = self._support_consts
+        for table in tables[:-1]:
+            prefix = prefix[..., None, :] + table
+        prefix = prefix.reshape(-1, len(sigma))
+        last = tables[-1]
+        prefix_top = prefix.max(axis=1, keepdims=True)
+        last_top = last.max(axis=1, keepdims=True)
+        vals = np.exp(prefix - prefix_top) @ np.exp(last - last_top).T
+        low = np.nonzero(vals < np.finfo(float).tiny)
+        vals[low] = 1.0
+        np.log(vals, out=vals)
+        vals += prefix_top
+        vals += last_top.T
+        if low[0].size:
+            vals[low] = _logsumexp_columns(list((prefix[low[0]] + last[low[1]]).T))
+        return vals.reshape((count,) * len(draws))
+
     def derivatives(self, axes: list[np.ndarray], shifts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """g, grad g and the tilted second moment <s s^T>, which is the
         derivative of g in the tilt, on the grids {axes + s}; the shapes are
@@ -334,7 +395,9 @@ class EvalConfig:
     engine "quadrature": deterministic Gauss-Hermite node sets propagated on
     uniform grids read through not-a-knot cubic B-splines (d <= 2).  engine
     "monte_carlo": nested sampling with antithetic pairs and half-sample
-    debiasing (any d), std errors over independent replicas.
+    debiasing (any d), std errors over independent replicas; each replica
+    evaluates the terminal once, at samples**levels level sums, and the
+    half sample reads a block of those values.
     """
 
     engine: str = "quadrature"

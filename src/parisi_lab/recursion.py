@@ -30,7 +30,12 @@ are provided:
 * monte_carlo: nested sampling over all levels at once with antithetic pairs
   and half-sample (Richardson) debiasing of the log-mean-exp bias; standard
   errors come from independent replicas (``seeds.replicate``).  Works for
-  any d, cost grows like samples**levels.
+  any d.  The terminal is evaluated once per estimate, at all
+  samples**levels sums of one draw per level, and the half sample reads a
+  block of those values.  A ``TerminalCondition`` takes the per-level draw
+  tables (``on_level_sums``) and builds no point array: for discrete mu
+  that costs one matrix product over the support and one log per point,
+  instead of one exp per support point.
 
 Level weights may be arbitrary values in [0, 1] (not only the partition
 points); acceptance check 10 uses this generality, where convex
@@ -101,8 +106,10 @@ GRID_PAD = 1.0
 SMALL_WEIGHT = 1e-6
 
 # Largest number of terminal points, (2 * half)**levels, that one nested
-# Monte Carlo estimate may evaluate: each is d floats, so the budget caps the
-# point array near 128 MB per dimension.
+# Monte Carlo estimate may evaluate.  The budget caps their value array at
+# 128 MB.  A TerminalCondition reads the points from per-level draw tables
+# and builds no point array; any other terminal also gets the stacked
+# points, d floats each, 128 MB per dimension.
 MC_POINT_BUDGET = 2**24
 
 
@@ -603,6 +610,14 @@ def _forward_pass(tc: TerminalCondition, levels: list[Level], plan: list[tuple],
 def _mc_value(terminal, levels: list[Level], cfg: EvalConfig, rng: np.random.Generator) -> float:
     """Nested Monte Carlo with antithetic pairs and half-sample debiasing.
 
+    Each level draws one (2 * half, d) table of increments, and the terminal
+    is evaluated once, at every sum of one row per level: a terminal with an
+    ``on_level_sums`` method (a TerminalCondition) gets the tables and
+    builds no point array; any other vectorized callable gets the stacked
+    (samples**levels, d) points.  The half-sample estimate reads the
+    leading ``half`` block of every axis of those values, since the leading
+    rows of each table are the half sample's draws.
+
     Raises BudgetError, before any draw, when the (2 * half)**levels
     terminal points exceed MC_POINT_BUDGET."""
     half = cfg.samples // 2
@@ -621,20 +636,27 @@ def _mc_value(terminal, levels: list[Level], cfg: EvalConfig, rng: np.random.Gen
         paired[1::2] = -z
         draws.append(paired)
 
-    def value_with(count: int) -> float:
+    full = 2 * half
+    if hasattr(terminal, "on_level_sums"):
+        g = terminal.on_level_sums(draws)
+    else:
         pts = np.zeros((1, levels[0].cov.shape[0]))
         for z in draws:
-            pts = (pts[:, None, :] + z[None, :count, :]).reshape(-1, pts.shape[1])
-        vals = np.asarray(terminal(pts))
+            pts = (pts[:, None, :] + z[None, :, :]).reshape(-1, pts.shape[1])
+        g = np.asarray(terminal(pts)).reshape((full,) * len(levels))
+
+    def value_with(vals: np.ndarray) -> float:
+        count = vals.shape[0]
         wgt = np.full(count, 1.0 / count)
         for lv in reversed(levels):
             vals = vals.reshape(-1, count)
             vals = _log_avg_exp(lv.weight, [(vals.T, wgt)])
         return float(vals.reshape(())) if vals.ndim else float(vals)
 
-    full = 2 * half
-    v_full = value_with(full)
-    v_half = value_with(half)
+    # The half sample's terminal values are the leading block of every axis;
+    # _log_avg_exp consumes its input, so that block is copied first.
+    v_half = value_with(g[(slice(half),) * len(levels)].copy())
+    v_full = value_with(g)
     # log-mean-exp bias is O(1/S); Richardson combination cancels it.
     return 2.0 * v_full - v_half
 

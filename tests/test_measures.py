@@ -247,3 +247,57 @@ def test_discrete_on_shifted_grids_property(case):
     if plus_minus_one:
         flat = pts.reshape(-1, tc.dim)
         assert np.array_equal(got.ravel(), _matrix_product_formula(tc, flat))
+
+
+def _level_sum_points(draws):
+    """The stacked sums ((0 + z_1) + z_2) + ... of one row per level, the
+    points nested Monte Carlo hands a terminal without ``on_level_sums``."""
+    pts = np.zeros((1, draws[0].shape[1]))
+    for z in draws:
+        pts = (pts[:, None, :] + z[None, :, :]).reshape(-1, pts.shape[1])
+    return pts
+
+
+def _level_sum_draws(dim, levels, count=12):
+    rng = np.random.default_rng(10 * dim + levels)
+    return [rng.normal(scale=0.6, size=(count, dim)) for _ in range(levels)]
+
+
+LEVEL_SUM_CASES = {
+    "rademacher": (AprioriMeasure.rademacher(), np.zeros((1, 1))),
+    "hypercube_d2": (AprioriMeasure.hypercube(2), np.zeros((2, 2))),
+    "hypercube_d3": (AprioriMeasure.hypercube(3), np.zeros((3, 3))),
+    "uneven_discrete_d2": (
+        AprioriMeasure.discrete(np.array([[1.0, 0.0], [-0.5, 2.0], [0.3, -1.2]]), np.array([0.2, 1.5, 0.7])),
+        np.array([[0.1, -0.05], [-0.05, 0.2]]),
+    ),
+}
+
+# The factored sum scales and adds the coordinates in another order than the
+# per-point log-sum-exp, which moves g by about eps * sqrt(2) beta |z| where
+# the coordinates cancel: at most 1.3e-13 of max(1, |g|) on these draws, at
+# beta = 3000.  An entry that underflowed in the matrix product would be -inf
+# or far off.
+LEVEL_SUM_BOUND = 1e-12
+
+
+@pytest.mark.parametrize("levels", [1, 2, 3])
+@pytest.mark.parametrize("beta", [0.5, 5.0, 50.0, 300.0, 3000.0])
+@pytest.mark.parametrize("case", sorted(LEVEL_SUM_CASES))
+def test_discrete_on_level_sums_matches_stacked_points(case, beta, levels):
+    mu, tilt = LEVEL_SUM_CASES[case]
+    tc = TerminalCondition(beta, tilt, mu)
+    draws = _level_sum_draws(mu.dim, levels)
+    got = tc.on_level_sums(draws)
+    assert got.shape == (12,) * levels
+    expected = tc(_level_sum_points(draws)).reshape(got.shape)
+    assert np.all(np.abs(got - expected) <= LEVEL_SUM_BOUND * np.maximum(1.0, np.abs(expected)))
+
+
+@pytest.mark.parametrize("levels", [1, 2, 3])
+@pytest.mark.parametrize("case", ["gaussian_d1", "gaussian_d2", "gaussian_d2_untilted"])
+def test_gaussian_on_level_sums_is_bit_identical_to_stacked_points(case, levels):
+    tc = _shifted_grid_cases()[case]
+    draws = _level_sum_draws(tc.dim, levels)
+    got = tc.on_level_sums(draws)
+    assert np.array_equal(got, tc(_level_sum_points(draws)).reshape(got.shape))

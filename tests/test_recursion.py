@@ -157,6 +157,9 @@ def test_folded_quadrature_matches_unfolded_monte_carlo_d2():
     quad = recursion_value(x, chain, tc, EvalConfig(nodes=12, grid_points_2d=81)).value
     mc = recursion_value(x, chain, tc, EvalConfig(engine="monte_carlo", samples=32, replicas=16, seed=3))
     assert abs(mc.value - quad) <= 3.0 * mc.std_error
+    # Pinned to the engine that evaluated stacked points once per sample
+    # size: reading the terminal from per-level draw tables only rounds.
+    assert (mc.value, mc.std_error) == pytest.approx((2.574313819410001, 0.06463826455908286), abs=1e-12)
 
 
 def test_quadrature_vs_monte_carlo():
@@ -166,6 +169,7 @@ def test_quadrature_vs_monte_carlo():
         x, chain, tc, EvalConfig(engine="monte_carlo", samples=256, replicas=24, seed=5)
     )
     assert abs(mc.value - quad) <= 3.0 * mc.std_error
+    assert (mc.value, mc.std_error) == pytest.approx((0.9133480015140168, 0.005705343444664528), abs=1e-12)
 
 
 def test_monte_carlo_reproducible():
@@ -198,6 +202,33 @@ def test_monte_carlo_d3():
     chain = MonotoneChain([np.zeros((3, 3)), 0.4 * np.eye(3), np.eye(3)])
     res = recursion_value(x, chain, tc, EvalConfig(engine="monte_carlo", samples=128, replicas=8, seed=2))
     assert np.isfinite(res.value) and res.std_error > 0
+    assert (res.value, res.std_error) == pytest.approx((2.327269100080053, 0.003561202403766488), abs=1e-12)
+
+
+def test_monte_carlo_d3_hypercube_is_three_rademacher_recursions():
+    # With zero tilt and increments dQ = q I the hypercube terminal is a sum
+    # of three Rademacher terminals of independent coordinates, so every
+    # level, and X_0, is three times its d = 1 value.
+    qs, beta = [0.25, 0.6], 0.5
+    x, chain1, tc1 = scalar_setup([0.3, 0.7], qs, beta=beta)
+    quad = recursion_value(x, chain1, tc1, EvalConfig()).value
+    chain3 = MonotoneChain([q * np.eye(3) for q in [0.0] + qs + [1.0]])
+    tc3 = TerminalCondition(beta, np.zeros((3, 3)), AprioriMeasure.hypercube(3))
+    mc = recursion_value(x, chain3, tc3, EvalConfig(engine="monte_carlo", samples=48, replicas=32, seed=4))
+    assert abs(mc.value - 3.0 * quad) <= 3.0 * mc.std_error
+
+
+def test_monte_carlo_gaussian_d2_matches_closed_form():
+    # Gaussian mu goes through the broadcast sums of on_level_sums; a
+    # non-diagonal precision, a shift and a tilt exercise every term.
+    u = np.array([[1.0, 0.3], [0.3, 1.0]])
+    c, h = np.array([[3.0, 0.5], [0.5, 2.5]]), np.array([0.2, -0.3])
+    tilt, beta = np.array([[0.1, 0.02], [0.02, 0.05]]), 0.6
+    x = UnitPartition.from_interior([0.5])
+    chain = MonotoneChain([np.zeros((2, 2)), 0.4 * u, u])
+    tc = TerminalCondition(beta, tilt, AprioriMeasure.gaussian(c, h))
+    mc = recursion_value(x, chain, tc, EvalConfig(engine="monte_carlo", samples=128, replicas=16, seed=6))
+    assert abs(mc.value - closed_form_recursion(x, chain, tilt, c, h, beta)) <= 3.0 * mc.std_error
 
 
 def _d1_terminal(draw) -> TerminalCondition:
@@ -245,6 +276,19 @@ class Raised:
 
     def __call__(self, pts):
         return self.base(pts) + self.bump(np.asarray(pts)[:, 0])
+
+
+def test_monte_carlo_stacks_the_points_of_other_terminals():
+    # A terminal without on_level_sums is evaluated at the stacked points of
+    # the full sample only; the half sample reads the leading block of those
+    # values.  Pinned to the bits of the engine that evaluated each sample
+    # size's points separately.
+    x, chain, tc = scalar_setup([0.3, 0.6], [0.2, 0.5], beta=0.8)
+    levels = levels_from_order_params(x, chain)
+    cfg = EvalConfig(engine="monte_carlo", samples=24, replicas=4, seed=7)
+    res = recursion_from_levels(Raised(tc, lambda y: 0.3 * np.tanh(y)), levels, cfg)
+    assert res.value == float.fromhex("0x1.1760a19f01482p+0")
+    assert res.std_error == float.fromhex("0x1.010a937aa5299p-4")
 
 
 @st.composite
